@@ -1,11 +1,12 @@
 """Low-level numerical kernels.
 
 Scaled modified Bessel function of the first kind, the model-cone heat
-kernel built from it, and adaptive Gauss-Legendre quadrature that turns the
-kernel into mode solutions.  Everything here works on plain float64 scalars
-and is compiled with numba when the ``numba`` backend is active; the
-``numpy`` backend drives the same adaptive refinement with vectorized
-panels on top of ``scipy.special.ive``.
+kernel built from it, and the one Gauss-Legendre quadrature engine that
+every integral in the package goes through: a 16-point panel rule, a
+depth-first adaptive bisection and a fixed-panel sum.  The heat sweep
+evaluates each panel with ``scipy.special.ive`` on all 16 nodes at once;
+the scalar series/asymptotic ``ive`` below is the independent oracle that
+the Bessel wrappers and the acceptance criteria compare against.
 
 Notation: the mode operator on the model cone of dimension n+1 is
 
@@ -26,15 +27,64 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from ._backend import HAS_NUMBA, maybe_njit
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_NODES = np.ascontiguousarray(_GL_NODES)
-_GL_WEIGHTS = np.ascontiguousarray(_GL_WEIGHTS)
 
 # exp underflows to 0 below this; the scaled series start is formed in
 # log space so the check is exact.
 _LOG_TINY = -745.0
+
+
+def gl_panel(fn, a, b):
+    """16-point Gauss-Legendre estimate of the integral of fn on [a, b].
+
+    fn maps an array of nodes to real or complex values; the estimate is a
+    Python float or complex accordingly.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    return h * np.sum(_GL_WEIGHTS * fn(c + h * _GL_NODES)).item()
+
+
+def gl_sum(fn, edges):
+    """Sum of 16-point panels of fn over consecutive edges (fixed panels)."""
+    return sum(gl_panel(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
+
+
+def adaptive(fn, a, b, abs_tol, max_depth, whole):
+    """Adaptive bisection of fn on [a, b] by local error control (Gander &
+    Gautschi, "Adaptive quadrature - revisited", BIT 40, 2000).
+
+    A panel is accepted when its estimate and the sum over its two halves
+    differ by at most abs_tol times its share of the width of [a, b], or
+    when it sits max_depth bisections deep.  whole is gl_panel(fn, a, b),
+    which callers already hold because it sets the scale of abs_tol.  The
+    stack is depth-first, so it never holds more than max_depth + 1 entries.
+
+    Returns (value, error_estimate, panel_count, converged).
+    """
+    stack = [(a, b, whole, 0)]
+    width0 = b - a
+    total = 0.0
+    err = 0.0
+    panels = 0
+    ok = True
+    while stack:
+        lo, hi, coarse, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = gl_panel(fn, lo, mid)
+        right = gl_panel(fn, mid, hi)
+        e = abs(coarse - (left + right))
+        budget = abs_tol * (hi - lo) / width0
+        if e <= budget or depth >= max_depth:
+            if e > budget:
+                ok = False
+            total += left + right
+            err += e
+            panels += 2
+        else:
+            stack.append((lo, mid, left, depth + 1))
+            stack.append((mid, hi, right, depth + 1))
+    return total, err, panels, ok
 
 
 def _ive_series(nu, z):
@@ -111,24 +161,6 @@ def _ive_scalar(nu, z):
     return _ive_series(nu, z)
 
 
-def _profile_scalar(xi, fcode, a, b, p0, p1):
-    """Source profile value at xi, supported on [a, b].
-
-    fcode 0: smooth bump exp(1 - 1/(1-u^2)), u the affine map of [a,b] to
-    [-1,1]; fcode 1: gaussian centered at p0 with width p1, truncated to
-    [a,b]; fcode 2: indicator of [a,b].
-    """
-    if xi <= a or xi >= b:
-        return 0.0
-    if fcode == 0:
-        u = (2.0 * xi - a - b) / (b - a)
-        return math.exp(1.0 - 1.0 / (1.0 - u * u))
-    if fcode == 1:
-        r = (xi - p0) / p1
-        return math.exp(-r * r)
-    return 1.0
-
-
 def _heat_kernel_scalar(nu, n, t, x, xi):
     """Heat kernel p_nu(t, x, xi), overflow-safe scaled evaluation."""
     w = x * xi / (2.0 * t)
@@ -137,229 +169,64 @@ def _heat_kernel_scalar(nu, n, t, x, xi):
     return pref * math.exp(-d * d / (4.0 * t)) * _ive_scalar(nu, w)
 
 
-def _heat_panel(nu, n, t, x, a, b, fcode, flo, fhi, p0, p1, nodes, weights):
-    """16-point Gauss-Legendre estimate of the mode integral on [a, b]."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    s = 0.0
-    for i in range(nodes.shape[0]):
-        xi = c + h * nodes[i]
-        fv = _profile_scalar(xi, fcode, flo, fhi, p0, p1)
-        if fv != 0.0:
-            s += weights[i] * fv * _heat_kernel_scalar(nu, n, t, x, xi) * xi**n
-    return s * h
+def ive_native(nu: float, z: float) -> float:
+    """Native scaled I: series/asymptotic split in plain Python."""
+    return _ive_scalar(float(nu), float(z))
 
 
-def _heat_adaptive(
-    nu, n, t, x, lo, hi, fcode, p0, p1, abs_tol, max_depth, nodes, weights
-):
-    """One adaptive bisection sweep; error budget abs_tol spread by width.
-
-    Returns (value, error_estimate, panel_count, converged).
-    """
-    max_stack = 256
-    sa = np.empty(max_stack)
-    sb = np.empty(max_stack)
-    si = np.empty(max_stack)
-    sd = np.empty(max_stack, np.int64)
-    sa[0] = lo
-    sb[0] = hi
-    si[0] = _heat_panel(nu, n, t, x, lo, hi, fcode, lo, hi, p0, p1, nodes, weights)
-    sd[0] = 0
-    top = 1
-    width0 = hi - lo
-    total = 0.0
-    err = 0.0
-    panels = 0
-    ok = True
-    while top > 0:
-        top -= 1
-        a = sa[top]
-        b = sb[top]
-        i1 = si[top]
-        depth = sd[top]
-        m = 0.5 * (a + b)
-        il = _heat_panel(nu, n, t, x, a, m, fcode, lo, hi, p0, p1, nodes, weights)
-        ir = _heat_panel(nu, n, t, x, m, b, fcode, lo, hi, p0, p1, nodes, weights)
-        e = abs(i1 - (il + ir))
-        budget = abs_tol * (b - a) / width0
-        if e <= budget or depth >= max_depth or top + 2 > max_stack:
-            if e > budget:
-                ok = False
-            total += il + ir
-            err += e
-            panels += 2
-        else:
-            sa[top] = a
-            sb[top] = m
-            si[top] = il
-            sd[top] = depth + 1
-            top += 1
-            sa[top] = m
-            sb[top] = b
-            si[top] = ir
-            sd[top] = depth + 1
-            top += 1
-    return total, err, panels, ok
+def heat_kernel_value(nu: float, n: int, t: float, x: float, xi: float) -> float:
+    """p_nu(t, x, xi) through the scalar kernel."""
+    return _heat_kernel_scalar(float(nu), float(n), float(t), float(x), float(xi))
 
 
-def _heat_value(nu, n, t, x, lo, hi, fcode, p0, p1, rel_tol, max_depth, nodes, weights):
-    """Mode integral at one eval point to relative tolerance rel_tol.
+def _heat_value(nu, n, t, x, profile, rel_tol, max_depth):
+    """Mode integral of p_nu(t, x, xi) f(xi) xi^n over the support of f, to
+    relative tolerance rel_tol.
 
     A coarse whole-support panel fixes the magnitude scale (the integrand
     is nonnegative, so the scale cannot collapse by cancellation); a second
     sweep with a tightened budget runs only if the first misses.
     """
-    coarse = _heat_panel(nu, n, t, x, lo, hi, fcode, lo, hi, p0, p1, nodes, weights)
-    scale = abs(coarse)
-    if scale == 0.0:
-        scale = 1e-300
-    value, err, panels, ok = _heat_adaptive(
-        nu, n, t, x, lo, hi, fcode, p0, p1, 0.5 * rel_tol * scale, max_depth, nodes, weights
-    )
-    if ok and err <= rel_tol * abs(value):
-        return value, err, panels, True
-    value2, err2, panels2, ok2 = _heat_adaptive(
-        nu, n, t, x, lo, hi, fcode, p0, p1,
-        0.3 * rel_tol * max(abs(value), 1e-300), max_depth, nodes, weights,
-    )
-    converged = ok2 and err2 <= rel_tol * abs(value2)
-    return value2, err2, panels + panels2, converged
 
-
-def _heat_rows_loop(
-    nu, n, t, xs, lo, hi, fcode, p0, p1, rel_tol, max_depth, nodes, weights,
-    out_val, out_err, out_panels, out_ok,
-):
-    for i in range(xs.shape[0]):
-        v, e, pn, ok = _heat_value(
-            nu, n, t, xs[i], lo, hi, fcode, p0, p1, rel_tol, max_depth, nodes, weights
+    def integrand(xi):
+        w = x * xi / (2.0 * t)
+        kern = (
+            (x * xi) ** (0.5 * (1.0 - n))
+            / (2.0 * t)
+            * np.exp(-((x - xi) ** 2) / (4.0 * t))
+            * _sp.ive(nu, w)
         )
-        out_val[i] = v
-        out_err[i] = e
-        out_panels[i] = pn
-        out_ok[i] = ok
+        return profile(xi) * kern * xi**n
 
-
-if HAS_NUMBA:
-    _jit = maybe_njit(cache=True, nogil=True)
-    _ive_series = _jit(_ive_series)
-    _ive_asym = _jit(_ive_asym)
-    _ive_scalar = _jit(_ive_scalar)
-    _profile_scalar = _jit(_profile_scalar)
-    _heat_kernel_scalar = _jit(_heat_kernel_scalar)
-    _heat_panel = _jit(_heat_panel)
-    _heat_adaptive = _jit(_heat_adaptive)
-    _heat_value = _jit(_heat_value)
-    _heat_rows_loop = _jit(_heat_rows_loop)
-
-
-def ive_native(nu: float, z: float) -> float:
-    """Native scaled I: series/asymptotic split, jitted when available."""
-    return _ive_scalar(float(nu), float(z))
-
-
-def heat_kernel_value(nu: float, n: int, t: float, x: float, xi: float) -> float:
-    """p_nu(t, x, xi) through the native kernel path."""
-    return _heat_kernel_scalar(float(nu), float(n), float(t), float(x), float(xi))
-
-
-# ---------------------------------------------------------------------------
-# numpy/scipy fallback path: identical adaptive control flow, vectorized
-# panels, scipy's ive in place of the native series.
-# ---------------------------------------------------------------------------
-
-
-def _profile_np(xi, fcode, a, b, p0, p1):
-    out = np.zeros_like(xi)
-    inside = (xi > a) & (xi < b)
-    if fcode == 0:
-        u = (2.0 * xi[inside] - a - b) / (b - a)
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - u * u))
-    elif fcode == 1:
-        r = (xi[inside] - p0) / p1
-        out[inside] = np.exp(-(r * r))
-    else:
-        out[inside] = 1.0
-    return out
-
-
-def _heat_panel_np(nu, n, t, x, a, b, fcode, flo, fhi, p0, p1):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    xi = c + h * _GL_NODES
-    fv = _profile_np(xi, fcode, flo, fhi, p0, p1)
-    w = x * xi / (2.0 * t)
-    kern = (
-        (x * xi) ** (0.5 * (1.0 - n))
-        / (2.0 * t)
-        * np.exp(-((x - xi) ** 2) / (4.0 * t))
-        * _sp.ive(nu, w)
-    )
-    return h * float(np.sum(_GL_WEIGHTS * fv * kern * xi**n))
-
-
-def _heat_value_np(nu, n, t, x, lo, hi, fcode, p0, p1, rel_tol, max_depth):
-    def sweep(abs_tol):
-        stack = [(lo, hi, _heat_panel_np(nu, n, t, x, lo, hi, fcode, lo, hi, p0, p1), 0)]
-        width0 = hi - lo
-        total = 0.0
-        err = 0.0
-        panels = 0
-        ok = True
-        while stack:
-            a, b, i1, depth = stack.pop()
-            m = 0.5 * (a + b)
-            il = _heat_panel_np(nu, n, t, x, a, m, fcode, lo, hi, p0, p1)
-            ir = _heat_panel_np(nu, n, t, x, m, b, fcode, lo, hi, p0, p1)
-            e = abs(i1 - (il + ir))
-            budget = abs_tol * (b - a) / width0
-            if e <= budget or depth >= max_depth or len(stack) > 254:
-                if e > budget:
-                    ok = False
-                total += il + ir
-                err += e
-                panels += 2
-            else:
-                stack.append((a, m, il, depth + 1))
-                stack.append((m, b, ir, depth + 1))
-        return total, err, panels, ok
-
-    scale = abs(_heat_panel_np(nu, n, t, x, lo, hi, fcode, lo, hi, p0, p1))
+    lo, hi = profile.lo, profile.hi
+    whole = gl_panel(integrand, lo, hi)
+    scale = abs(whole)
     if scale == 0.0:
         scale = 1e-300
-    value, err, panels, ok = sweep(0.5 * rel_tol * scale)
+    value, err, panels, ok = adaptive(integrand, lo, hi, 0.5 * rel_tol * scale, max_depth, whole)
     if ok and err <= rel_tol * abs(value):
         return value, err, panels, True
-    value2, err2, panels2, ok2 = sweep(0.3 * rel_tol * max(abs(value), 1e-300))
+    value2, err2, panels2, ok2 = adaptive(
+        integrand, lo, hi, 0.3 * rel_tol * max(abs(value), 1e-300), max_depth, whole
+    )
     return value2, err2, panels + panels2, ok2 and err2 <= rel_tol * abs(value2)
 
 
-def heat_rows(nu, n, t, xs, lo, hi, fcode, p0, p1, rel_tol, max_depth, backend):
-    """Mode integral along an array of eval points.
+def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
+    """Mode integral along an array of eval points for the source profile
+    (a callable with support attributes ``lo`` and ``hi``).
 
     Returns (values, error_estimates, panel_counts, converged_flags); the
     per-point results do not depend on the order of xs.
     """
-    xs = np.ascontiguousarray(np.asarray(xs, dtype=np.float64))
+    nu, n, t, rel_tol, max_depth = float(nu), float(n), float(t), float(rel_tol), int(max_depth)
+    xs = np.asarray(xs, dtype=np.float64)
     out_val = np.empty(xs.shape[0])
     out_err = np.empty(xs.shape[0])
     out_panels = np.empty(xs.shape[0], np.int64)
     out_ok = np.empty(xs.shape[0], np.bool_)
-    if backend == "numba":
-        _heat_rows_loop(
-            float(nu), float(n), float(t), xs, float(lo), float(hi), int(fcode),
-            float(p0), float(p1), float(rel_tol), int(max_depth),
-            _GL_NODES, _GL_WEIGHTS, out_val, out_err, out_panels, out_ok,
+    for i, x in enumerate(xs):
+        out_val[i], out_err[i], out_panels[i], out_ok[i] = _heat_value(
+            nu, n, t, float(x), profile, rel_tol, max_depth
         )
-    else:
-        for i, x in enumerate(xs):
-            v, e, pn, ok = _heat_value_np(
-                float(nu), float(n), float(t), float(x), float(lo), float(hi),
-                int(fcode), float(p0), float(p1), float(rel_tol), int(max_depth),
-            )
-            out_val[i] = v
-            out_err[i] = e
-            out_panels[i] = pn
-            out_ok[i] = ok
     return out_val, out_err, out_panels, out_ok

@@ -2,17 +2,16 @@
 
 Orders nu in [0, 60] and arguments 0 < |z| <= 1e4 are supported; outside
 that box a DomainError is raised rather than returning a value of unknown
-quality.  Real-argument I_nu uses the native series/asymptotic kernel (the
-hot path of the heat quadrature, numba-compiled when available) with a
-relative-error target of 1e-10; K, J, Y and all complex arguments delegate
-to scipy.special, which meets the same target on this box.
+quality.  Real-argument I_nu uses the native series/asymptotic kernel, an
+implementation independent of scipy, with a relative-error target of
+1e-10; K, J, Y and all complex arguments delegate to scipy.special, which
+meets the same target on this box.
 
 Scaling conventions for ``scaled=True``: I carries e^(-Re z), K carries
 e^(+z); for real z these are the classic overflow-free pairs.
 """
 
 import math
-from dataclasses import dataclass
 
 from scipy import special as _sp
 
@@ -47,17 +46,6 @@ def _check_complex_arg(z) -> complex:
     if z.imag == 0.0 and z.real < 0.0:
         raise DomainError("argument on the negative real axis")
     return z
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One evaluation record: which function, where, and the value."""
-
-    kind: str
-    order: float
-    argument: object
-    value: object
-    scaled: bool
 
 
 def bessel_i(nu, z, scaled: bool = False):
@@ -113,18 +101,3 @@ def log_gamma(x) -> float:
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def evaluate(kind: str, nu, z, scaled: bool = False) -> BesselEval:
-    """Uniform entry point returning a BesselEval record."""
-    table = {
-        "i": lambda: bessel_i(nu, z, scaled),
-        "k": lambda: bessel_k(nu, z, scaled),
-        "j": lambda: bessel_j(nu, z),
-        "y": lambda: bessel_y(nu, z),
-    }
-    if kind not in table:
-        raise DomainError(f"unknown Bessel kind {kind!r}")
-    if kind in ("j", "y") and scaled:
-        raise DomainError("scaled evaluation applies to I and K only")
-    return BesselEval(kind=kind, order=float(nu), argument=z, value=table[kind](), scaled=scaled)

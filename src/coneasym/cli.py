@@ -7,15 +7,14 @@ digits; JSON artifacts carry a 'generator' version field and CSV files a
 """
 
 import argparse
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import acceptance, jsonio
-from ._backend import apply_thread_cap
 from .conesolve import (
     ModeProblem,
     RadialProfile,
@@ -132,9 +131,6 @@ class Scenario:
     cross_section: object
     modes: tuple
     gamma: object
-    k: int
-    s: float
-    p: float
     profile: RadialProfile
     t_values: tuple
     x_grid: np.ndarray
@@ -170,7 +166,9 @@ class Scenario:
         if "points" in grid_spec:
             grid = np.asarray([float(v) for v in grid_spec["points"]])
         else:
-            dec = grid_spec.get("decades", [-4, -1])
+            dec = [float(d) for d in grid_spec.get("decades", [-4, -1])]
+            if not all(math.isfinite(d) for d in dec):
+                raise ScenarioError("x grid decades must be finite")
             ppd = int(grid_spec.get("points_per_decade", 16))
             count = int(round((dec[1] - dec[0]) * ppd)) + 1
             grid = np.geomspace(10.0 ** dec[0], 10.0 ** dec[1], count)
@@ -180,9 +178,6 @@ class Scenario:
             cross_section=cs,
             modes=modes,
             gamma=gamma,
-            k=int(data.get("k", 3)),
-            s=float(data.get("s", 0.0)),
-            p=float(data.get("p", 2.0)),
             profile=profile,
             t_values=ts,
             x_grid=grid,
@@ -190,30 +185,18 @@ class Scenario:
         )
 
 
-def solve_scenario(scenario: Scenario, backend: str | None = None) -> list:
+def solve_scenario(scenario: Scenario) -> list:
     """Run every (mode, t) task; deterministic row order."""
-    tasks = [
-        (j, t)
-        for j in scenario.modes
-        for t in scenario.t_values
-    ]
-
-    def run(task):
-        j, t = task
-        problem = ModeProblem(
-            n=scenario.cross_section.n,
-            lam=float(scenario.cross_section.eigenvalues[j]),
-            t=t,
-            profile=scenario.profile,
-        )
-        return j, heat_mode(problem, scenario.x_grid, rel_tol=scenario.rel_tol, backend=backend)
-
-    workers = apply_thread_cap()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solutions = list(pool.map(run, tasks))
-    else:
-        solutions = [run(task) for task in tasks]
+    solutions = []
+    for j in scenario.modes:
+        for t in scenario.t_values:
+            problem = ModeProblem(
+                n=scenario.cross_section.n,
+                lam=float(scenario.cross_section.eigenvalues[j]),
+                t=t,
+                profile=scenario.profile,
+            )
+            solutions.append((j, heat_mode(problem, scenario.x_grid, rel_tol=scenario.rel_tol)))
     return solution_rows(solutions)
 
 
@@ -261,7 +244,7 @@ def _cross_section_args(args) -> dict:
 def cmd_solve(args) -> int:
     with open(args.scenario) as fh:
         scenario = Scenario.from_dict(jsonio.loads(fh.read()))
-    rows = solve_scenario(scenario, backend=args.backend)
+    rows = solve_scenario(scenario)
     _write_output(rows_to_csv(rows), args.out)
     return 0
 
@@ -346,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve heat modes from a scenario config")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--backend", choices=["numba", "numpy"], default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_solve)
 

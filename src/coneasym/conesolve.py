@@ -8,7 +8,7 @@ with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
 
 * the heat solution a(t, x) = integral p_nu(t, x, xi) f(xi) xi^n dxi for
   compactly supported radial sources f (adaptive Gauss-Legendre panels on
-  the support, native or numpy kernel backend),
+  the support),
 * its exact small-x series (moment integrals against the kernel's
   ascending expansion), used as an independent bridge to the templates,
 * the resolvent (lam_res - L)^(-1) f off the spectral ray via the
@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from ._backend import active_backend
-from ._kernels import heat_kernel_value, heat_rows
+from ._kernels import adaptive, gl_panel, gl_sum, heat_kernel_value, heat_rows
 from .besselkit import bessel_i, bessel_k, log_gamma
 from .errors import QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
 from .version import __version__
 
-_PROFILE_CODES = {"bump": 0, "gaussian": 1, "indicator": 2}
+_SHAPES = ("bump", "gaussian", "indicator")
 
 
 @dataclass(frozen=True)
@@ -50,16 +49,14 @@ class RadialProfile:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.shape not in _PROFILE_CODES:
+        if self.shape not in _SHAPES:
             raise ScenarioError(f"unknown profile shape {self.shape!r}")
+        if not all(math.isfinite(v) for v in (self.lo, self.hi, self.center, self.width)):
+            raise ScenarioError("profile support, center and width must be finite")
         if not 0.0 < self.lo < self.hi:
             raise ScenarioError("profile support must satisfy 0 < lo < hi")
         if self.shape == "gaussian" and not self.width > 0:
             raise ScenarioError("gaussian width must be positive")
-
-    @property
-    def fcode(self) -> int:
-        return _PROFILE_CODES[self.shape]
 
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -86,8 +83,10 @@ class ModeProblem:
     profile: RadialProfile
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ScenarioError("t must be positive")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ScenarioError("t must be finite and positive")
+        if not math.isfinite(self.lam):
+            raise ScenarioError("lam must be finite")
 
     @property
     def nu(self) -> float:
@@ -105,7 +104,6 @@ class ModeSolution:
     values: np.ndarray
     kernel_terms: int
     quadrature_error_estimate: float
-    backend: str
 
 
 def default_grid(decades=(-4, -1), points_per_decade: int = 16) -> np.ndarray:
@@ -123,16 +121,13 @@ def heat_kernel(nu: float, n: int, t: float, x: float, xi: float) -> float:
 
 
 def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
-              max_depth: int = 20, backend: str | None = None) -> ModeSolution:
+              max_depth: int = 20) -> ModeSolution:
     """Heat solution of one mode at x_eval, each point to rel_tol."""
     x_eval = np.asarray(x_eval, dtype=float)
-    if x_eval.ndim != 1 or x_eval.size == 0 or not np.all(x_eval > 0):
-        raise ScenarioError("x_eval must be a nonempty 1-d array of positive points")
-    backend = backend or active_backend()
-    p = problem.profile
+    if x_eval.ndim != 1 or x_eval.size == 0 or not np.all(np.isfinite(x_eval) & (x_eval > 0)):
+        raise ScenarioError("x_eval must be a nonempty 1-d array of finite positive points")
     values, errs, panels, ok = heat_rows(
-        problem.nu, problem.n, problem.t, x_eval, p.lo, p.hi, p.fcode,
-        p.center, p.width, rel_tol, max_depth, backend,
+        problem.nu, problem.n, problem.t, x_eval, problem.profile, rel_tol, max_depth
     )
     if not np.all(ok):
         bad = int(np.sum(~ok))
@@ -148,7 +143,6 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
         values=values,
         kernel_terms=int(panels.max()),
         quadrature_error_estimate=float(rel.max()),
-        backend=backend,
     )
 
 
@@ -190,24 +184,18 @@ def heat_small_x_series(problem: ModeProblem, num_terms: int = 3) -> list:
 
 def _support_integral(profile: RadialProfile, fn, panels: int = 48) -> float:
     """Fixed-panel Gauss-Legendre integral of fn * profile over the support."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(profile.lo, profile.hi, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x = c + h * nodes
-        total += h * float(np.sum(weights * fn(x) * profile(x)))
-    return total
+    return gl_sum(lambda x: fn(x) * profile(x), edges)
 
 
 def heat_mode_patch(n: int, lam: float, profile: RadialProfile, ts, xs,
-                    rel_tol: float = 1e-9, backend: str | None = None) -> np.ndarray:
+                    rel_tol: float = 1e-9) -> np.ndarray:
     """Heat solution sampled on a (t, x) product grid (rows: t)."""
     ts = np.asarray(ts, dtype=float)
     out = np.empty((ts.size, np.asarray(xs).size))
     for i, t in enumerate(ts):
         problem = ModeProblem(n=n, lam=lam, t=float(t), profile=profile)
-        out[i] = heat_mode(problem, xs, rel_tol=rel_tol, backend=backend).values
+        out[i] = heat_mode(problem, xs, rel_tol=rel_tol).values
     return out
 
 
@@ -270,28 +258,11 @@ class ResolventModeSolution:
 
 def _complex_adaptive(fn, a: float, b: float, rel_tol: float = 1e-11,
                       max_depth: int = 18) -> complex:
-    """Adaptive Gauss-Legendre for a smooth complex integrand on [a, b]."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-
-    def panel(lo, hi):
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return h * complex(np.sum(weights * fn(c + h * nodes)))
-
-    whole = panel(a, b)
+    """Adaptive Gauss-Legendre for a smooth complex integrand on [a, b],
+    to rel_tol of the whole-interval panel estimate."""
+    whole = gl_panel(fn, a, b)
     scale = max(abs(whole), 1e-300)
-    stack = [(a, b, whole, 0)]
-    total = 0.0 + 0.0j
-    while stack:
-        lo, hi, coarse, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left, right = panel(lo, mid), panel(mid, hi)
-        err = abs(coarse - (left + right))
-        if err <= rel_tol * scale * (hi - lo) / (b - a) or depth >= max_depth:
-            total += left + right
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
-    return total
+    return adaptive(fn, a, b, rel_tol * scale, max_depth, whole)[0]
 
 
 def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,

@@ -18,6 +18,7 @@ from numbers import Rational
 
 import numpy as np
 
+from ._kernels import gl_sum
 from .errors import WindowViolation
 from .indicial import indicial_roots
 
@@ -161,7 +162,6 @@ def make_weight_config(n, gamma, s=0.0, p=2.0, lambda1=None) -> WeightConfig:
 # comparing the increment ratio against the exact boundary-case ratio.
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _EPS_LADDER = (1e-2, 1e-4, 1e-6)
 
 
@@ -174,14 +174,7 @@ def tail_norm_integral(n: int, gamma, a, log_power: int, eps: float) -> float:
     two_delta = 2.0 * (0.5 * (n + 1) - float(gamma) + float(a))
     two_m = 2 * log_power
     edges = np.geomspace(eps, 1.0, max(2, int(round(-math.log10(eps))) * 8 + 1))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        x = c + h * _GL_NODES
-        vals = x ** (two_delta - 1.0) * np.abs(np.log(x)) ** two_m
-        total += h * float(np.sum(_GL_WEIGHTS * vals))
-    return total
+    return gl_sum(lambda x: x ** (two_delta - 1.0) * np.abs(np.log(x)) ** two_m, edges)
 
 
 def quadrature_membership(n: int, gamma, a, log_power: int = 0) -> bool:

@@ -80,14 +80,3 @@ def test_log_gamma():
     assert besselkit.log_gamma(5.0) == math.lgamma(5.0)
     with pytest.raises(DomainError):
         besselkit.log_gamma(0.0)
-
-
-def test_evaluate_records():
-    record = besselkit.evaluate("i", 1.5, 2.0, scaled=True)
-    assert record.kind == "i"
-    assert record.scaled
-    assert record.value == besselkit.bessel_i(1.5, 2.0, scaled=True)
-    with pytest.raises(DomainError):
-        besselkit.evaluate("j", 0.5, 1.0, scaled=True)
-    with pytest.raises(DomainError):
-        besselkit.evaluate("q", 0.5, 1.0)

@@ -1,6 +1,7 @@
 """CLI subcommands: round trips, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -100,6 +101,14 @@ def test_exit_codes(tmp_path):
     assert main(["solve", "--scenario", str(tmp_path / "absent.json")]) == EXIT_CODES["scenario"]
     bad = _write_scenario(tmp_path, dict(SCENARIO, modes=[7]))
     assert main(["solve", "--scenario", bad]) == EXIT_CODES["scenario"]
+    for non_finite in (
+        {"x_grid": {"points": [1e-3, math.inf]}},
+        {"x_grid": {"decades": [-4, math.inf]}},
+        {"t": [math.inf]},
+        {"profile": {"shape": "bump", "support": [1.0, math.inf]}},
+    ):
+        bad = _write_scenario(tmp_path, dict(SCENARIO, **non_finite))
+        assert main(["solve", "--scenario", bad]) == EXIT_CODES["scenario"]
     with pytest.raises(SystemExit) as err:
         main(["fit"])  # missing required argument
     assert err.value.code == EXIT_CODES["usage"]

@@ -23,7 +23,7 @@ from coneasym.conesolve import (
     solution_rows,
 )
 from coneasym.errors import QuadratureFailure, ScenarioError, SpectrumRay
-from coneasym._kernels import heat_rows
+from coneasym._kernels import heat_kernel_value, heat_rows
 
 
 def test_profile_shapes():
@@ -42,6 +42,15 @@ def test_profile_shapes():
         RadialProfile("bump", 0.0, 1.0)
     with pytest.raises(ScenarioError):
         RadialProfile("triangle", 1.0, 2.0)
+    for bad in ({"hi": math.inf}, {"lo": math.nan}, {"center": math.inf}, {"width": math.nan}):
+        with pytest.raises(ScenarioError):
+            RadialProfile(**dict({"shape": "gaussian", "lo": 1.0, "hi": 2.0}, **bad))
+
+
+def test_mode_problem_rejects_non_finite(bump12):
+    for t, lam in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(ScenarioError):
+            ModeProblem(n=1, lam=lam, t=t, profile=bump12)
 
 
 def test_exact_self_similar_solution_satisfies_pde():
@@ -102,10 +111,9 @@ def test_small_x_series_leading_exponent(bump12):
 
 def test_heat_mode_validates_grid(bump12):
     problem = ModeProblem(n=1, lam=0.0, t=1.0, profile=bump12)
-    with pytest.raises(ScenarioError):
-        heat_mode(problem, np.array([-1.0, 1.0]))
-    with pytest.raises(ScenarioError):
-        heat_mode(problem, np.array([]))
+    for bad in ([-1.0, 1.0], [], [0.5, math.inf], [math.nan]):
+        with pytest.raises(ScenarioError):
+            heat_mode(problem, np.array(bad))
 
 
 def test_heat_mode_tolerance_failure(bump12):
@@ -114,14 +122,24 @@ def test_heat_mode_tolerance_failure(bump12):
         heat_mode(problem, np.array([0.5]), rel_tol=1e-15, max_depth=1)
 
 
-def test_backends_agree(bump12):
-    xs = default_grid(decades=(-3, 0), points_per_decade=4)
-    args = (1.5, 1, 1.0, xs, bump12.lo, bump12.hi, bump12.fcode,
-            bump12.center, bump12.width, 1e-10, 20)
-    v_numba, _, _, ok_a = heat_rows(*args, "numba")
-    v_numpy, _, _, ok_b = heat_rows(*args, "numpy")
-    assert ok_a.all() and ok_b.all()
-    assert np.max(np.abs(v_numba - v_numpy) / np.abs(v_numpy)) < 1e-13
+@pytest.mark.parametrize("profile", [
+    RadialProfile("bump", 1.0, 2.0),
+    RadialProfile("gaussian", 0.8, 2.3, center=1.4, width=0.3),
+], ids=["bump", "gaussian"])
+def test_heat_rows_matches_dense_oracle(profile):
+    """Adaptive panels with scipy's ive against a dense fixed-panel sum of
+    the scalar series kernel: 200 panels x 16 nodes over the support."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(profile.lo, profile.hi, 201)
+    xi = (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * nodes).ravel()
+    wts = (0.5 * np.diff(edges)[:, None] * weights).ravel() * profile(xi)
+    xs = np.append(default_grid(decades=(-3, 0), points_per_decade=1), 1.5)
+    for nu, n, t in ((1.5, 1, 1.0), (0.0, 1, 0.3), (2.5, 2, 2.0), (4.0, 3, 0.7)):
+        values, _, _, ok = heat_rows(nu, n, t, xs, profile, 1e-12, 20)
+        assert ok.all()
+        dense = [sum(w * heat_kernel_value(nu, n, t, x, s) * s**n for w, s in zip(wts, xi))
+                 for x in xs]
+        assert np.max(np.abs(values - dense) / np.abs(dense)) <= 1e-12
 
 
 def test_default_grid():
