@@ -2,11 +2,13 @@
 
 Scaled modified Bessel function of the first kind, the model-cone heat
 kernel built from it, and the one Gauss-Legendre quadrature engine that
-every integral in the package goes through: a 16-point panel rule, a
-depth-first adaptive bisection and a fixed-panel sum.  The heat sweep
-evaluates each panel with ``scipy.special.ive`` on all 16 nodes at once;
-the scalar series/asymptotic ``ive`` below is the independent oracle that
-the Bessel wrappers and the acceptance criteria compare against.
+every integral in the package goes through: a 16-point rule on many
+panels at once, in blocks of at most _BLOCK panels per integrand call; an
+adaptive bisection whose breadth-first frontier refines every live panel
+of every task in one such call per level; and a fixed-panel sum.  The heat
+sweep evaluates each level with one ``scipy.special.ive`` call; the scalar
+series/asymptotic ``ive`` below is the independent oracle that the Bessel
+wrappers and the acceptance criteria compare against.
 
 Notation: the mode operator on the model cone of dimension n+1 is
 
@@ -29,62 +31,77 @@ from scipy import special as _sp
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# Most panels in one integrand call: bounds the (panels x 16) node
+# temporaries, and the per-node Python objects of the resolvent integrand.
+_BLOCK = 512
+
 # exp underflows to 0 below this; the scaled series start is formed in
 # log space so the check is exact.
 _LOG_TINY = -745.0
 
 
-def gl_panel(fn, a, b):
-    """16-point Gauss-Legendre estimate of the integral of fn on [a, b].
+def gl_panels(fn, rows, a, b):
+    """16-point Gauss-Legendre estimates on the panels [a[k], b[k]].
 
-    fn maps an array of nodes to real or complex values; the estimate is a
-    Python float or complex accordingly.
+    fn(rows, nodes) gets the task index of each panel and a (P, 16) node
+    array, and returns real or complex values of that shape.  One fn call
+    takes at most _BLOCK panels, so the node temporaries stay bounded.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    return h * np.sum(_GL_WEIGHTS * fn(c + h * _GL_NODES)).item()
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    parts = [np.zeros(0)]
+    for s in range(0, rows.size, _BLOCK):
+        vals = fn(rows[s:s + _BLOCK], c[s:s + _BLOCK, None] + h[s:s + _BLOCK, None] * _GL_NODES)
+        parts.append(h[s:s + _BLOCK] * np.sum(_GL_WEIGHTS * vals, axis=1))
+    return np.concatenate(parts)
 
 
 def gl_sum(fn, edges):
-    """Sum of 16-point panels of fn over consecutive edges (fixed panels)."""
-    return sum(gl_panel(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
+    """Sum of 16-point panels of fn(nodes) over consecutive edges (fixed panels)."""
+    panels = gl_panels(lambda _, nodes: fn(nodes), np.zeros(edges.size - 1, int), edges[:-1], edges[1:])
+    return sum(panels.tolist())
 
 
-def adaptive(fn, a, b, abs_tol, max_depth, whole):
-    """Adaptive bisection of fn on [a, b] by local error control (Gander &
-    Gautschi, "Adaptive quadrature - revisited", BIT 40, 2000).
+def adaptive(fn, a, b, whole, abs_tol, max_depth):
+    """Adaptive bisection of fn on [a[i], b[i]] for every task i at once, by
+    local error control (Gander & Gautschi, "Adaptive quadrature -
+    revisited", BIT 40, 2000).
 
     A panel is accepted when its estimate and the sum over its two halves
-    differ by at most abs_tol times its share of the width of [a, b], or
-    when it sits max_depth bisections deep.  whole is gl_panel(fn, a, b),
-    which callers already hold because it sets the scale of abs_tol.  The
-    stack is depth-first, so it never holds more than max_depth + 1 entries.
+    differ by at most abs_tol[i] times its share of the width of [a[i],
+    b[i]], or when it sits max_depth bisections deep.  whole[i] is the
+    one-panel estimate on [a[i], b[i]], which sets the scale of abs_tol.
+    The frontier is breadth-first: one gl_panels call halves every live
+    panel of every task.  Each task sums its accepted panels right to
+    left, as a depth-first bisection would, so its result depends neither
+    on the other tasks nor on the order in which panels are visited.
 
-    Returns (value, error_estimate, panel_count, converged).
+    Returns arrays (value, error_estimate, panel_count, converged).
     """
-    stack = [(a, b, whole, 0)]
-    width0 = b - a
-    total = 0.0
-    err = 0.0
-    panels = 0
-    ok = True
-    while stack:
-        lo, hi, coarse, depth = stack.pop()
+    a, b, whole, abs_tol = np.broadcast_arrays(a, b, whole, abs_tol)
+    ok = np.ones(a.size, bool)
+    rows, lo, hi, coarse = np.arange(a.size), a, b, whole
+    accepted = [(rows[:0], lo[:0], whole[:0], lo[:0])]  # (task, lo, estimate, error) per level
+    depth = 0
+    while rows.size:
         mid = 0.5 * (lo + hi)
-        left = gl_panel(fn, lo, mid)
-        right = gl_panel(fn, mid, hi)
-        e = abs(coarse - (left + right))
-        budget = abs_tol * (hi - lo) / width0
-        if e <= budget or depth >= max_depth:
-            if e > budget:
-                ok = False
-            total += left + right
-            err += e
-            panels += 2
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
-    return total, err, panels, ok
+        halves = gl_panels(fn, np.tile(rows, 2), np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = halves[:rows.size], halves[rows.size:]
+        pair = left + right
+        e = np.abs(coarse - pair)
+        budget = abs_tol[rows] * (hi - lo) / (b - a)[rows]
+        done = (e <= budget) | (depth >= max_depth)
+        accepted.append((rows[done], lo[done], pair[done], e[done]))
+        ok[rows[done & (e > budget)]] = False
+        live = ~done
+        rows, coarse = np.tile(rows[live], 2), np.concatenate([left[live], right[live]])
+        lo, hi = np.concatenate([lo[live], mid[live]]), np.concatenate([mid[live], hi[live]])
+        depth += 1
+    rows, lo, pair, e = (np.concatenate(parts) for parts in zip(*accepted))
+    order = np.lexsort((-lo, rows))
+    value, err = np.zeros(a.size, whole.dtype), np.zeros(a.size)
+    np.add.at(value, rows[order], pair[order])
+    np.add.at(err, rows[order], e[order])
+    return value, err, 2 * np.bincount(rows, minlength=a.size), ok
 
 
 def _ive_series(nu, z):
@@ -154,41 +171,41 @@ def _ive_asym(nu, z):
     return total / math.sqrt(2.0 * math.pi * z)
 
 
-def _ive_scalar(nu, z):
-    """Scaled modified Bessel e^(-z) I_nu(z) for real nu >= 0, z > 0."""
+def ive_native(nu: float, z: float) -> float:
+    """Scaled modified Bessel e^(-z) I_nu(z) for real nu >= 0, z > 0, by the
+    series/asymptotic split in plain Python."""
+    nu, z = float(nu), float(z)
     if z >= 40.0 and z >= 1.6 * nu * nu + 25.0:
         return _ive_asym(nu, z)
     return _ive_series(nu, z)
 
 
-def _heat_kernel_scalar(nu, n, t, x, xi):
-    """Heat kernel p_nu(t, x, xi), overflow-safe scaled evaluation."""
-    w = x * xi / (2.0 * t)
+def heat_kernel_value(nu: float, n: int, t: float, x: float, xi: float) -> float:
+    """Heat kernel p_nu(t, x, xi) through the scalar ive, overflow-safe."""
+    nu, n, t, x, xi = float(nu), float(n), float(t), float(x), float(xi)
     d = x - xi
     pref = (x * xi) ** (0.5 * (1.0 - n)) / (2.0 * t)
-    return pref * math.exp(-d * d / (4.0 * t)) * _ive_scalar(nu, w)
+    return pref * math.exp(-d * d / (4.0 * t)) * ive_native(nu, x * xi / (2.0 * t))
 
 
-def ive_native(nu: float, z: float) -> float:
-    """Native scaled I: series/asymptotic split in plain Python."""
-    return _ive_scalar(float(nu), float(z))
+def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
+    """Mode integral of p_nu(t, x, xi) f(xi) xi^n over the support [lo, hi]
+    of the source profile f at every eval point x of xs, to rel_tol.
 
-
-def heat_kernel_value(nu: float, n: int, t: float, x: float, xi: float) -> float:
-    """p_nu(t, x, xi) through the scalar kernel."""
-    return _heat_kernel_scalar(float(nu), float(n), float(t), float(x), float(xi))
-
-
-def _heat_value(nu, n, t, x, profile, rel_tol, max_depth):
-    """Mode integral of p_nu(t, x, xi) f(xi) xi^n over the support of f, to
-    relative tolerance rel_tol.
-
-    A coarse whole-support panel fixes the magnitude scale (the integrand
+    All points refine together on one breadth-first frontier.  A coarse
+    whole-support panel fixes each point's magnitude scale (the integrand
     is nonnegative, so the scale cannot collapse by cancellation); a second
-    sweep with a tightened budget runs only if the first misses.
-    """
+    sweep with a tightened budget runs only on the points the first missed.
 
-    def integrand(xi):
+    Returns (values, error_estimates, panel_counts, converged_flags); the
+    per-point results do not depend on the order of xs or on the other
+    points.
+    """
+    nu, n, t, rel_tol, max_depth = float(nu), float(n), float(t), float(rel_tol), int(max_depth)
+    xs = np.asarray(xs, dtype=np.float64)
+
+    def integrand(rows, xi):
+        x = xs[rows, None]
         w = x * xi / (2.0 * t)
         kern = (
             (x * xi) ** (0.5 * (1.0 - n))
@@ -198,35 +215,17 @@ def _heat_value(nu, n, t, x, profile, rel_tol, max_depth):
         )
         return profile(xi) * kern * xi**n
 
-    lo, hi = profile.lo, profile.hi
-    whole = gl_panel(integrand, lo, hi)
-    scale = abs(whole)
-    if scale == 0.0:
-        scale = 1e-300
-    value, err, panels, ok = adaptive(integrand, lo, hi, 0.5 * rel_tol * scale, max_depth, whole)
-    if ok and err <= rel_tol * abs(value):
-        return value, err, panels, True
-    value2, err2, panels2, ok2 = adaptive(
-        integrand, lo, hi, 0.3 * rel_tol * max(abs(value), 1e-300), max_depth, whole
-    )
-    return value2, err2, panels + panels2, ok2 and err2 <= rel_tol * abs(value2)
-
-
-def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
-    """Mode integral along an array of eval points for the source profile
-    (a callable with support attributes ``lo`` and ``hi``).
-
-    Returns (values, error_estimates, panel_counts, converged_flags); the
-    per-point results do not depend on the order of xs.
-    """
-    nu, n, t, rel_tol, max_depth = float(nu), float(n), float(t), float(rel_tol), int(max_depth)
-    xs = np.asarray(xs, dtype=np.float64)
-    out_val = np.empty(xs.shape[0])
-    out_err = np.empty(xs.shape[0])
-    out_panels = np.empty(xs.shape[0], np.int64)
-    out_ok = np.empty(xs.shape[0], np.bool_)
-    for i, x in enumerate(xs):
-        out_val[i], out_err[i], out_panels[i], out_ok[i] = _heat_value(
-            nu, n, t, float(x), profile, rel_tol, max_depth
+    lo, hi = np.full(xs.size, float(profile.lo)), np.full(xs.size, float(profile.hi))
+    whole = gl_panels(integrand, np.arange(xs.size), lo, hi)
+    scale = np.where(whole == 0.0, 1e-300, np.abs(whole))
+    value, err, panels, ok = adaptive(integrand, lo, hi, whole, 0.5 * rel_tol * scale, max_depth)
+    miss = np.flatnonzero(~(ok & (err <= rel_tol * np.abs(value))))
+    if miss.size:
+        value2, err2, panels2, ok2 = adaptive(
+            lambda rows, xi: integrand(miss[rows], xi), lo[miss], hi[miss], whole[miss],
+            0.3 * rel_tol * np.maximum(np.abs(value[miss]), 1e-300), max_depth,
         )
-    return out_val, out_err, out_panels, out_ok
+        value[miss], err[miss] = value2, err2
+        panels[miss] += panels2
+        ok[miss] = ok2 & (err2 <= rel_tol * np.abs(value2))
+    return value, err, panels, ok

@@ -174,6 +174,9 @@ class Scenario:
             grid = np.geomspace(10.0 ** dec[0], 10.0 ** dec[1], count)
         if grid.size == 0 or not np.all(grid > 0):
             raise ScenarioError("x grid must be positive")
+        rel_tol = float(data.get("rel_tol", 1e-9))
+        if not (math.isfinite(rel_tol) and rel_tol > 0):
+            raise ScenarioError("rel_tol must be finite and positive")
         return Scenario(
             cross_section=cs,
             modes=modes,
@@ -181,7 +184,7 @@ class Scenario:
             profile=profile,
             t_values=ts,
             x_grid=grid,
-            rel_tol=float(data.get("rel_tol", 1e-9)),
+            rel_tol=rel_tol,
         )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from ._kernels import adaptive, gl_panel, gl_sum, heat_kernel_value, heat_rows
+from ._kernels import adaptive, gl_panels, gl_sum, heat_kernel_value, heat_rows
 from .besselkit import bessel_i, bessel_k, log_gamma
 from .errors import QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
@@ -126,6 +126,8 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
     x_eval = np.asarray(x_eval, dtype=float)
     if x_eval.ndim != 1 or x_eval.size == 0 or not np.all(np.isfinite(x_eval) & (x_eval > 0)):
         raise ScenarioError("x_eval must be a nonempty 1-d array of finite positive points")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ScenarioError("rel_tol must be finite and positive")
     values, errs, panels, ok = heat_rows(
         problem.nu, problem.n, problem.t, x_eval, problem.profile, rel_tol, max_depth
     )
@@ -258,11 +260,13 @@ class ResolventModeSolution:
 
 def _complex_adaptive(fn, a: float, b: float, rel_tol: float = 1e-11,
                       max_depth: int = 18) -> complex:
-    """Adaptive Gauss-Legendre for a smooth complex integrand on [a, b],
-    to rel_tol of the whole-interval panel estimate."""
-    whole = gl_panel(fn, a, b)
-    scale = max(abs(whole), 1e-300)
-    return adaptive(fn, a, b, rel_tol * scale, max_depth, whole)[0]
+    """Adaptive Gauss-Legendre for a smooth complex integrand fn(rows, xi)
+    on [a, b], to rel_tol of the whole-interval panel estimate: one task on
+    the shared frontier."""
+    a, b = np.array([a]), np.array([b])
+    whole = gl_panels(fn, np.zeros(1, int), a, b)
+    scale = max(abs(whole[0]), 1e-300)
+    return complex(adaptive(fn, a, b, whole, rel_tol * scale, max_depth)[0][0])
 
 
 def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
@@ -283,22 +287,15 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     nu = float(indicial_roots(n, lam_mode).nu)
     sq = cmath.sqrt(lam)
 
-    def phi(xi):
-        xi = np.asarray(xi, dtype=float)
-        return np.array([x ** (0.5 * (1 - n)) * bessel_i(nu, complex(sq * x)) for x in xi])
-
-    def psi(xi):
-        xi = np.asarray(xi, dtype=float)
-        return np.array([x ** (0.5 * (1 - n)) * bessel_k(nu, complex(sq * x)) for x in xi])
-
-    fvals = profile
+    phi = np.vectorize(lambda x: x ** (0.5 * (1 - n)) * bessel_i(nu, complex(sq * x)), otypes=[complex])
+    psi = np.vectorize(lambda x: x ** (0.5 * (1 - n)) * bessel_k(nu, complex(sq * x)), otypes=[complex])
     lo, hi = profile.lo, profile.hi
 
-    def phif(xi):
-        return phi(xi) * fvals(xi) * xi**n
+    def phif(_, xi):
+        return phi(xi) * profile(xi) * xi**n
 
-    def psif(xi):
-        return psi(xi) * fvals(xi) * xi**n
+    def psif(_, xi):
+        return psi(xi) * profile(xi) * xi**n
 
     coeff_decaying = _complex_adaptive(phif, lo, hi)
     coeff_regular = _complex_adaptive(psif, lo, hi)

@@ -106,6 +106,7 @@ def test_exit_codes(tmp_path):
         {"x_grid": {"decades": [-4, math.inf]}},
         {"t": [math.inf]},
         {"profile": {"shape": "bump", "support": [1.0, math.inf]}},
+        {"rel_tol": math.nan},
     ):
         bad = _write_scenario(tmp_path, dict(SCENARIO, **non_finite))
         assert main(["solve", "--scenario", bad]) == EXIT_CODES["scenario"]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from coneasym.conesolve import (
@@ -23,7 +24,8 @@ from coneasym.conesolve import (
     solution_rows,
 )
 from coneasym.errors import QuadratureFailure, ScenarioError, SpectrumRay
-from coneasym._kernels import heat_kernel_value, heat_rows
+from coneasym import _kernels
+from coneasym._kernels import adaptive, gl_panels, heat_kernel_value, heat_rows
 
 
 def test_profile_shapes():
@@ -116,6 +118,13 @@ def test_heat_mode_validates_grid(bump12):
             heat_mode(problem, np.array(bad))
 
 
+def test_heat_mode_rejects_bad_rel_tol(bump12):
+    problem = ModeProblem(n=1, lam=0.0, t=1.0, profile=bump12)
+    for bad in (math.nan, math.inf, 0.0, -1e-9):
+        with pytest.raises(ScenarioError):
+            heat_mode(problem, np.array([0.5]), rel_tol=bad)
+
+
 def test_heat_mode_tolerance_failure(bump12):
     problem = ModeProblem(n=1, lam=0.0, t=1.0, profile=bump12)
     with pytest.raises(QuadratureFailure):
@@ -140,6 +149,45 @@ def test_heat_rows_matches_dense_oracle(profile):
         dense = [sum(w * heat_kernel_value(nu, n, t, x, s) * s**n for w, s in zip(wts, xi))
                  for x in xs]
         assert np.max(np.abs(values - dense) / np.abs(dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("nu, n, t, profile, rel_tol, max_depth", [
+    (1.5, 1, 1.0, RadialProfile("bump", 1.0, 2.0), 1e-9, 20),
+    (0.0, 1, 0.05, RadialProfile("gaussian", 0.8, 2.3, center=1.4, width=0.3), 1e-9, 20),
+    (2.5, 2, 2.0, RadialProfile("indicator", 0.9, 1.6), 1e-9, 20),
+    (4.0, 3, 0.05, RadialProfile("bump", 1.0, 2.0), 1e-11, 4),  # 13 of 24 points take the second sweep
+], ids=["bump", "gaussian", "indicator", "second-sweep"])
+def test_heat_rows_independent_of_batch(nu, n, t, profile, rel_tol, max_depth):
+    """Each point alone, all points together and in reverse order give
+    bit-identical values and the same panel counts."""
+    xs = np.concatenate([np.geomspace(1e-3, 0.9, 12), np.linspace(1.05, 1.95, 10), [2.5, 4.0]])
+    together = heat_rows(nu, n, t, xs, profile, rel_tol, max_depth)
+    reverse = heat_rows(nu, n, t, xs[::-1], profile, rel_tol, max_depth)
+    alone = [heat_rows(nu, n, t, xs[i:i + 1], profile, rel_tol, max_depth) for i in range(xs.size)]
+    for k in range(4):
+        assert np.array_equal(together[k], reverse[k][::-1])
+        assert np.array_equal(together[k], np.concatenate([r[k] for r in alone]))
+
+
+def test_adaptive_bounds_block_size():
+    """A level wider than the block goes to the integrand in several calls,
+    none larger than the block, with the results of one task at a time."""
+    xs, t = np.linspace(1.2, 1.8, 400), 2e-4
+    sizes = []
+
+    def fn(rows, xi):
+        sizes.append(rows.size)
+        x = xs[rows, None]
+        return np.exp(-((x - xi) ** 2) / (4 * t)) * special.ive(0.5, x * xi / (2 * t)) * xi / (2 * t)
+
+    a, b = np.ones(xs.size), np.full(xs.size, 2.0)
+    whole = gl_panels(fn, np.arange(xs.size), a, b)
+    value, err, panels, ok = adaptive(fn, a, b, whole, 1e-12 * np.abs(whole), 20)
+    assert max(sizes) == _kernels._BLOCK and ok.all()
+    for i in range(0, xs.size, 7):
+        one = adaptive(lambda rows, xi: fn(rows + i, xi), a[i:i + 1], b[i:i + 1], whole[i:i + 1],
+                       1e-12 * np.abs(whole[i:i + 1]), 20)
+        assert (one[0][0], one[2][0]) == (value[i], panels[i])
 
 
 def test_default_grid():
