@@ -32,7 +32,7 @@ from scipy import special as _sp
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # Most panels in one integrand call: bounds the (panels x 16) node
-# temporaries, and the per-node Python objects of the resolvent integrand.
+# temporaries.
 _BLOCK = 512
 
 # exp underflows to 0 below this; the scaled series start is formed in

@@ -5,7 +5,8 @@ that box a DomainError is raised rather than returning a value of unknown
 quality.  Real-argument I_nu uses the native series/asymptotic kernel, an
 implementation independent of scipy, with a relative-error target of
 1e-10; K, J, Y and all complex arguments delegate to scipy.special, which
-meets the same target on this box.
+meets the same target on this box.  I and K also take a complex ndarray:
+one box check and one scipy call for the whole array.
 
 Scaling conventions for ``scaled=True``: I carries e^(-Re z), K carries
 e^(+z); for real z these are the classic overflow-free pairs.
@@ -13,6 +14,7 @@ e^(+z); for real z these are the classic overflow-free pairs.
 
 import math
 
+import numpy as np
 from scipy import special as _sp
 
 from ._kernels import ive_native
@@ -25,7 +27,8 @@ _Z_MAX = 1.0e4
 _UNSCALED_Z_MAX = 700.0
 
 
-def _check_order(nu: float) -> float:
+def check_order(nu: float) -> float:
+    """nu as a float, or DomainError outside [0, _NU_MAX]."""
     nu = float(nu)
     if not 0.0 <= nu <= _NU_MAX:
         raise DomainError(f"order {nu} outside [0, {_NU_MAX}]")
@@ -39,21 +42,26 @@ def _check_real_arg(z) -> float:
     return z
 
 
-def _check_complex_arg(z) -> complex:
-    z = complex(z)
-    if not 0.0 < abs(z) <= _Z_MAX:
-        raise DomainError(f"|argument| {abs(z)} outside (0, {_Z_MAX}]")
-    if z.imag == 0.0 and z.real < 0.0:
+def _check_complex_arg(z):
+    """Complex z, or a complex ndarray checked as a whole."""
+    arr = np.asarray(z, dtype=complex)
+    r = np.abs(arr)
+    outside = ~((0.0 < r) & (r <= _Z_MAX))
+    if outside.any():
+        raise DomainError(f"|argument| {r[outside][0]} outside (0, {_Z_MAX}]")
+    if np.any((arr.imag == 0.0) & (arr.real < 0.0)):
         raise DomainError("argument on the negative real axis")
-    return z
+    return arr if isinstance(z, np.ndarray) else complex(z)
 
 
 def bessel_i(nu, z, scaled: bool = False):
-    """Modified Bessel I_nu; native kernel for real z, scipy for complex."""
-    nu = _check_order(nu)
-    if isinstance(z, complex):
+    """Modified Bessel I_nu; native kernel for real z, scipy for complex z
+    or a complex ndarray."""
+    nu = check_order(nu)
+    if isinstance(z, (complex, np.ndarray)):
         z = _check_complex_arg(z)
-        return complex(_sp.ive(nu, z)) if scaled else complex(_sp.iv(nu, z))
+        value = _sp.ive(nu, z) if scaled else _sp.iv(nu, z)
+        return value if isinstance(z, np.ndarray) else complex(value)
     z = _check_real_arg(z)
     scaled_value = ive_native(nu, z)
     if scaled:
@@ -66,11 +74,12 @@ def bessel_i(nu, z, scaled: bool = False):
 
 
 def bessel_k(nu, z, scaled: bool = False):
-    """Modified Bessel K_nu (scipy-backed)."""
-    nu = _check_order(nu)
-    if isinstance(z, complex):
+    """Modified Bessel K_nu (scipy-backed); z may be a complex ndarray."""
+    nu = check_order(nu)
+    if isinstance(z, (complex, np.ndarray)):
         z = _check_complex_arg(z)
-        return complex(_sp.kve(nu, z)) if scaled else complex(_sp.kv(nu, z))
+        value = _sp.kve(nu, z) if scaled else _sp.kv(nu, z)
+        return value if isinstance(z, np.ndarray) else complex(value)
     z = _check_real_arg(z)
     if scaled:
         return float(_sp.kve(nu, z))
@@ -83,14 +92,14 @@ def bessel_k(nu, z, scaled: bool = False):
 
 def bessel_j(nu, z) -> float:
     """Bessel J_nu for real positive arguments (scipy-backed)."""
-    nu = _check_order(nu)
+    nu = check_order(nu)
     z = _check_real_arg(z)
     return float(_sp.jv(nu, z))
 
 
 def bessel_y(nu, z) -> float:
     """Bessel Y_nu for real positive arguments (scipy-backed)."""
-    nu = _check_order(nu)
+    nu = check_order(nu)
     z = _check_real_arg(z)
     return float(_sp.yv(nu, z))
 

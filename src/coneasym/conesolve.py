@@ -13,7 +13,9 @@ with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
   ascending expansion), used as an independent bridge to the templates,
 * the resolvent (lam_res - L)^(-1) f off the spectral ray via the
   regular/decaying Bessel pair, normalized by the exact Wronskian
-  phi psi' - phi' psi = -x^(-n),
+  phi psi' - phi' psi = -x^(-n); all of its integrals for one call refine
+  together on the shared adaptive frontier, with one array Bessel call per
+  branch and level,
 * finite-difference residual checks for both.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import jsonio
 from ._kernels import adaptive, gl_panels, gl_sum, heat_kernel_value, heat_rows
-from .besselkit import bessel_i, bessel_k, log_gamma
+from .besselkit import bessel_i, bessel_k, check_order, log_gamma
 from .errors import QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
 from .version import __version__
@@ -122,14 +124,17 @@ def heat_kernel(nu: float, n: int, t: float, x: float, xi: float) -> float:
 
 def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
               max_depth: int = 20) -> ModeSolution:
-    """Heat solution of one mode at x_eval, each point to rel_tol."""
+    """Heat solution of one mode at x_eval, each point to rel_tol.
+
+    The mode's order nu must lie in besselkit's order range (DomainError).
+    """
     x_eval = np.asarray(x_eval, dtype=float)
     if x_eval.ndim != 1 or x_eval.size == 0 or not np.all(np.isfinite(x_eval) & (x_eval > 0)):
         raise ScenarioError("x_eval must be a nonempty 1-d array of finite positive points")
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ScenarioError("rel_tol must be finite and positive")
     values, errs, panels, ok = heat_rows(
-        problem.nu, problem.n, problem.t, x_eval, problem.profile, rel_tol, max_depth
+        check_order(problem.nu), problem.n, problem.t, x_eval, problem.profile, rel_tol, max_depth
     )
     if not np.all(ok):
         bad = int(np.sum(~ok))
@@ -258,17 +263,6 @@ class ResolventModeSolution:
     coeff_decaying: complex
 
 
-def _complex_adaptive(fn, a: float, b: float, rel_tol: float = 1e-11,
-                      max_depth: int = 18) -> complex:
-    """Adaptive Gauss-Legendre for a smooth complex integrand fn(rows, xi)
-    on [a, b], to rel_tol of the whole-interval panel estimate: one task on
-    the shared frontier."""
-    a, b = np.array([a]), np.array([b])
-    whole = gl_panels(fn, np.zeros(1, int), a, b)
-    scale = max(abs(whole[0]), 1e-300)
-    return complex(adaptive(fn, a, b, whole, rel_tol * scale, max_depth)[0][0])
-
-
 def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
                    x_eval) -> ResolventModeSolution:
     """Solve (lam - L) u = f for one mode, lam off the ray (-inf, 0].
@@ -277,38 +271,55 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     with phi = x^((1-n)/2) I_nu(sqrt(lam) x) (regular at 0) and
     psi = x^((1-n)/2) K_nu(sqrt(lam) x) (decaying); the pair's Wronskian
     phi psi' - phi' psi = -x^(-n) makes the normalization constant 1.
+
+    Every integral is its own task on one adaptive frontier, each to
+    1e-11 of its whole-interval panel estimate: phi f and psi f over the
+    support, phi f over [lo, x] and psi f over [x, hi] for each x inside
+    it.  A separate task per x keeps each partial integral's own relative
+    accuracy, which a running sum over shared panels would not.
     """
     lam = complex(lam)
+    if not (cmath.isfinite(lam) and math.isfinite(lam_mode)):
+        raise ScenarioError("resolvent parameter and mode eigenvalue must be finite")
     if lam.imag == 0.0 and lam.real <= 0.0:
         raise SpectrumRay(f"resolvent parameter {lam} lies on the spectral ray")
     x_eval = np.asarray(x_eval, dtype=float)
-    if x_eval.ndim != 1 or not np.all(x_eval > 0):
-        raise ScenarioError("x_eval must be positive")
+    if x_eval.ndim != 1 or x_eval.size == 0 or not np.all(np.isfinite(x_eval) & (x_eval > 0)):
+        raise ScenarioError("x_eval must be a nonempty 1-d array of finite positive points")
     nu = float(indicial_roots(n, lam_mode).nu)
     sq = cmath.sqrt(lam)
-
-    phi = np.vectorize(lambda x: x ** (0.5 * (1 - n)) * bessel_i(nu, complex(sq * x)), otypes=[complex])
-    psi = np.vectorize(lambda x: x ** (0.5 * (1 - n)) * bessel_k(nu, complex(sq * x)), otypes=[complex])
     lo, hi = profile.lo, profile.hi
 
-    def phif(_, xi):
-        return phi(xi) * profile(xi) * xi**n
+    def phi(x):
+        return x ** (0.5 * (1 - n)) * bessel_i(nu, sq * x)
 
-    def psif(_, xi):
-        return psi(xi) * profile(xi) * xi**n
+    def psi(x):
+        return x ** (0.5 * (1 - n)) * bessel_k(nu, sq * x)
 
-    coeff_decaying = _complex_adaptive(phif, lo, hi)
-    coeff_regular = _complex_adaptive(psif, lo, hi)
-    values = np.empty(x_eval.size, dtype=complex)
-    for i, x in enumerate(x_eval):
-        if x <= lo:
-            values[i] = phi([x])[0] * coeff_regular
-        elif x >= hi:
-            values[i] = psi([x])[0] * coeff_decaying
-        else:
-            p_acc = _complex_adaptive(phif, lo, x)
-            q_acc = _complex_adaptive(psif, x, hi)
-            values[i] = psi([x])[0] * p_acc + phi([x])[0] * q_acc
+    below, above = x_eval <= lo, x_eval >= hi
+    inside = ~(below | above)
+    # tasks: phi f on [lo, hi], then on [lo, x] per inner x; psi f likewise
+    inner = x_eval[inside]
+    n_phi = inner.size + 1
+    a = np.concatenate([np.full(n_phi, lo), [lo], inner])
+    b = np.concatenate([[hi], inner, np.full(n_phi, hi)])
+
+    def integrand(rows, xi):
+        out = np.empty(xi.shape, complex)
+        on_phi = rows < n_phi
+        out[on_phi] = phi(xi[on_phi])
+        out[~on_phi] = psi(xi[~on_phi])
+        return out * profile(xi) * xi**n
+
+    whole = gl_panels(integrand, np.arange(a.size), a, b)
+    acc = adaptive(integrand, a, b, whole, 1e-11 * np.maximum(np.abs(whole), 1e-300), 18)[0]
+    coeff_decaying, coeff_regular = complex(acc[0]), complex(acc[n_phi])
+
+    phi_x, psi_x = np.zeros(x_eval.size, complex), np.zeros(x_eval.size, complex)
+    phi_x[~above] = phi(x_eval[~above])
+    psi_x[~below] = psi(x_eval[~below])
+    values = np.where(below, phi_x * coeff_regular, psi_x * coeff_decaying)
+    values[inside] = psi_x[inside] * acc[1:n_phi] + phi_x[inside] * acc[n_phi + 1:]
     return ResolventModeSolution(
         n=n, lam_mode=lam_mode, lam=lam, x=x_eval, values=values,
         coeff_regular=coeff_regular, coeff_decaying=coeff_decaying,

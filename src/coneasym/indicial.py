@@ -195,9 +195,8 @@ def pole_set(cross_section, k: int) -> PoleSet:
         for i in range(k):
             entries.append((data.q_plus - 2 * i, j, "+", 2 * i))
             entries.append((data.q_minus - 2 * i, j, "-", 2 * i))
-    groups = _group_locations(entries)
     poles = []
-    for location, members, approximate in groups:
+    for location, _, members, approximate in group_locations(entries):
         per_mode: dict[int, int] = {}
         for _, j, _, _ in members:
             per_mode[j] = per_mode.get(j, 0) + 1
@@ -208,10 +207,17 @@ def pole_set(cross_section, k: int) -> PoleSet:
     return PoleSet(k=k, poles=tuple(poles))
 
 
-def _group_locations(entries):
-    """Group (location, ...) tuples: exact equality for rationals, 1e-9
-    absolute merge for floats (rationals within 1e-9 of a float group merge
-    into it, flagged)."""
+def group_locations(entries):
+    """Group (location, ...) tuples by location.
+
+    Rationals group by exact equality; floats merge in sorted chains whose
+    neighbours sit within 1e-9, and a rational group within 1e-9 of a
+    float cluster's mean joins that cluster, which is then flagged
+    approximate (as is a cluster of unequal floats).  Returns one
+    (center, key, members, approximate) per group: key is the group's
+    rational location (for a float cluster, the last rational that joined
+    it, else None) and center is the float cluster's mean or the key.
+    """
     exact: dict[Fraction, list] = {}
     inexact: list = []
     for entry in entries:
@@ -220,31 +226,21 @@ def _group_locations(entries):
             exact.setdefault(Fraction(loc), []).append(entry)
         else:
             inexact.append(entry)
-    groups = []
-    used_exact = set()
     inexact.sort(key=lambda e: float(e[0]))
-    cluster: list = []
+    clusters: list = []
     for entry in inexact:
-        if cluster and float(entry[0]) - float(cluster[-1][0]) > _MERGE_TOL:
-            groups.append(_finish_cluster(cluster, exact, used_exact))
-            cluster = []
-        cluster.append(entry)
-    if cluster:
-        groups.append(_finish_cluster(cluster, exact, used_exact))
-    for key, members in exact.items():
-        if key not in used_exact:
-            groups.append((key, members, False))
+        if clusters and not float(entry[0]) - float(clusters[-1][-1][0]) > _MERGE_TOL:
+            clusters[-1].append(entry)
+        else:
+            clusters.append([entry])
+    groups = []
+    for cluster in clusters:
+        values = [float(e[0]) for e in cluster]
+        center = sum(values) / len(values)
+        key, approximate = None, max(values) > min(values)
+        for k in [k for k in exact if abs(float(k) - center) <= _MERGE_TOL]:
+            cluster.extend(exact.pop(k))
+            key, approximate = k, True
+        groups.append((center, key, cluster, approximate))
+    groups.extend((k, k, members, False) for k, members in exact.items())
     return groups
-
-
-def _finish_cluster(cluster, exact, used_exact):
-    values = [float(e[0]) for e in cluster]
-    members = list(cluster)
-    approximate = max(values) > min(values)
-    center = sum(values) / len(values)
-    for key, entries in exact.items():
-        if key not in used_exact and abs(float(key) - center) <= _MERGE_TOL:
-            members.extend(entries)
-            used_exact.add(key)
-            approximate = True
-    return (center, members, approximate)

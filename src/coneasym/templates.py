@@ -28,7 +28,7 @@ from numbers import Rational
 
 from . import jsonio
 from .errors import ContinuityHypothesisFailed, KTooSmall, TruncationTooShort, WindowViolation
-from .indicial import indicial_roots, pole_set
+from .indicial import group_locations, indicial_roots, pole_set
 from .weights import admissible_window, boundary_distance, gamma_inside, locate_interval
 
 _MERGE_TOL = 1e-9
@@ -111,50 +111,15 @@ class _TermBag:
         self.entries.append((exponent, max_log, origin, near_boundary))
 
     def merged(self):
-        exact: dict[Fraction, list] = {}
-        inexact: list = []
-        for e in self.entries:
-            if isinstance(e[0], Rational):
-                exact.setdefault(Fraction(e[0]), []).append(e)
-            else:
-                inexact.append(e)
-        groups = []
-        used = set()
-        inexact.sort(key=lambda e: float(e[0]))
-        cluster: list = []
-        for entry in inexact:
-            if cluster and float(entry[0]) - float(cluster[-1][0]) > _MERGE_TOL:
-                groups.append(_close_cluster(cluster, exact, used))
-                cluster = []
-            cluster.append(entry)
-        if cluster:
-            groups.append(_close_cluster(cluster, exact, used))
-        for key, members in exact.items():
-            if key not in used:
-                groups.append((key, members, False))
         terms = []
-        for exponent, members, approx in groups:
+        for center, key, members, approx in group_locations(self.entries):
+            exponent = center if key is None else key  # prefer the exact representative
             max_log = max(m[1] for m in members)
             origins = tuple(sorted({m[2] for m in members}))
             near = any(m[3] for m in members)
             terms.append(AsymTerm(exponent, max_log, origins, approx, near))
         terms.sort(key=lambda t: float(t.exponent))
         return tuple(terms)
-
-
-def _close_cluster(cluster, exact, used):
-    values = [float(e[0]) for e in cluster]
-    members = list(cluster)
-    approx = max(values) > min(values)
-    center = sum(values) / len(values)
-    rep = center
-    for key, entries in exact.items():
-        if key not in used and abs(float(key) - center) <= _MERGE_TOL:
-            members.extend(entries)
-            used.add(key)
-            approx = True
-            rep = key  # prefer the exact representative
-    return (rep, members, approx)
 
 
 def _precheck(cross_section, gamma, k):

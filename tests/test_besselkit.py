@@ -58,6 +58,22 @@ def test_complex_arguments():
     assert abs(ours_k - expected) <= 1e-12 * abs(expected)
 
 
+def test_complex_array_arguments():
+    """An array gives the scalar values element by element; one element
+    outside the box fails the whole call."""
+    z = np.array([[2.0 + 1.5j, 0.1 - 3.0j], [40.0 + 0.0j, -5.0 + 1e-3j]])
+    for fn in (besselkit.bessel_i, besselkit.bessel_k):
+        for scaled in (False, True):
+            out = fn(2.5, z, scaled=scaled)
+            assert out.shape == z.shape
+            assert np.array_equal(out, [[fn(2.5, complex(v), scaled=scaled) for v in row] for row in z])
+        for bad in (0.0, 2e4j, -1.0 + 0j, complex(math.nan, 1.0)):
+            with pytest.raises(DomainError):
+                fn(2.5, np.append(z, bad))
+    with pytest.raises(DomainError):
+        besselkit.bessel_k(61.0, z)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         besselkit.bessel_i(-0.1, 1.0)

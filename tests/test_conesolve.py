@@ -23,9 +23,10 @@ from coneasym.conesolve import (
     sectorial_sweep,
     solution_rows,
 )
-from coneasym.errors import QuadratureFailure, ScenarioError, SpectrumRay
+from coneasym.besselkit import bessel_i, bessel_k
+from coneasym.errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from coneasym import _kernels
-from coneasym._kernels import adaptive, gl_panels, heat_kernel_value, heat_rows
+from coneasym._kernels import adaptive, gl_panels, gl_sum, heat_kernel_value, heat_rows
 
 
 def test_profile_shapes():
@@ -125,6 +126,13 @@ def test_heat_mode_rejects_bad_rel_tol(bump12):
             heat_mode(problem, np.array([0.5]), rel_tol=bad)
 
 
+def test_heat_mode_rejects_order_above_bessel_range(bump12):
+    """nu = sqrt(4000) = 63.2 is past besselkit's order bound of 60."""
+    problem = ModeProblem(n=1, lam=-4000.0, t=0.5, profile=bump12)
+    with pytest.raises(DomainError):
+        heat_mode(problem, np.array([0.5, 1.5]))
+
+
 def test_heat_mode_tolerance_failure(bump12):
     problem = ModeProblem(n=1, lam=0.0, t=1.0, profile=bump12)
     with pytest.raises(QuadratureFailure):
@@ -167,6 +175,18 @@ def test_heat_rows_independent_of_batch(nu, n, t, profile, rel_tol, max_depth):
     for k in range(4):
         assert np.array_equal(together[k], reverse[k][::-1])
         assert np.array_equal(together[k], np.concatenate([r[k] for r in alone]))
+
+
+def test_heat_mode_tail_points_need_second_sweep(bump12):
+    """At t = 1e-4 the whole-support panel underestimates these tail values
+    (1e-229 and 1e-294), so the first sweep's budget is too tight and they
+    reach max_depth; the second sweep, scaled by the first sweep's value,
+    converges them at the default rel_tol and depth."""
+    xs = np.array([10**-0.25, 2.5])
+    values, errs, panels, ok = heat_rows(0.0, 1, 1e-4, xs, bump12, 1e-9, 20)
+    assert ok.all() and np.all(errs <= 1e-9 * values)
+    sol = heat_mode(ModeProblem(n=1, lam=0.0, t=1e-4, profile=bump12), xs)
+    assert np.array_equal(sol.values, values)
 
 
 def test_adaptive_bounds_block_size():
@@ -227,6 +247,70 @@ def test_resolvent_decays_past_support(bump12):
     sol = resolvent_mode(1, -4.0, 1.0 + 1.0j, bump12, xs)
     mags = np.abs(sol.values)
     assert np.all(np.diff(mags) < 0)
+
+
+def _resolvent_oracle(n, lam_mode, lam, profile, xs, panels=200):
+    """The resolvent by dense fixed panels of the scalar Bessel calls."""
+    nu = math.sqrt(0.25 * (n - 1) ** 2 - lam_mode)
+    sq = complex(lam) ** 0.5
+    phi = np.vectorize(lambda x: x ** (0.5 * (1 - n)) * bessel_i(nu, complex(sq * x)), otypes=[complex])
+    psi = np.vectorize(lambda x: x ** (0.5 * (1 - n)) * bessel_k(nu, complex(sq * x)), otypes=[complex])
+
+    def integral(branch, a, b):
+        return gl_sum(lambda xi: branch(xi) * profile(xi) * xi**n, np.linspace(a, b, panels + 1))
+
+    lo, hi = profile.lo, profile.hi
+    out = []
+    for x in xs:
+        if x <= lo:
+            out.append(phi(x) * integral(psi, lo, hi))
+        elif x >= hi:
+            out.append(psi(x) * integral(phi, lo, hi))
+        else:
+            out.append(psi(x) * integral(phi, lo, x) + phi(x) * integral(psi, x, hi))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n, lam_mode, lam", [
+    (1, -4.0, 2.0 + 1.0j),
+    (2, -6.0, 10.0 * np.exp(0.75j * np.pi)),
+    (3, -1.5, 100.0 * np.exp(-0.75j * np.pi)),
+], ids=["n1-lam2+i", "n2-ray3pi/4", "n3-mod100"])
+def test_resolvent_matches_dense_oracle(bump12, n, lam_mode, lam):
+    """Below, inside (one point 0.05% of the width above lo) and past the
+    support, against 200 fixed panels per integral."""
+    xs = np.array([0.3, 0.9, 1.0005, 1.3, 1.7, 1.99, 2.6])
+    sol = resolvent_mode(n, lam_mode, lam, bump12, xs)
+    oracle = _resolvent_oracle(n, lam_mode, lam, bump12, xs)
+    assert np.max(np.abs(sol.values - oracle) / np.abs(oracle)) <= 1e-10
+
+
+def test_resolvent_independent_of_batch(bump12):
+    """Each point solved alone gives the values of all points together."""
+    xs = np.array([0.05, 1.0, 1.0007, 1.25, 1.5, 1.9993, 2.0, 3.0])
+    lam = 10.0 * np.exp(0.75j * np.pi)
+    together = resolvent_mode(2, -2.0, lam, bump12, xs)
+    alone = [resolvent_mode(2, -2.0, lam, bump12, xs[i:i + 1]) for i in range(xs.size)]
+    assert np.array_equal(together.values, np.concatenate([s.values for s in alone]))
+    assert all((s.coeff_regular, s.coeff_decaying) == (together.coeff_regular, together.coeff_decaying)
+               for s in alone)
+
+
+def test_resolvent_rejects_bad_input(bump12):
+    for lam, xs in ((complex(math.nan, 1.0), [1.5]), (complex(1.0, math.inf), [1.5]),
+                    (-math.inf, [1.5]), (1.0 + 1.0j, [1.5, math.nan]),
+                    (1.0 + 1.0j, [math.inf]), (1.0 + 1.0j, [])):
+        with pytest.raises(ScenarioError):
+            resolvent_mode(1, -4.0, lam, bump12, np.array(xs))
+    with pytest.raises(ScenarioError):
+        resolvent_mode(1, math.nan, 1.0 + 1.0j, bump12, np.array([1.5]))
+
+
+def test_resolvent_argument_outside_bessel_box(bump12):
+    """|sqrt(lam) x| = 10010 > 1e4 on a point past the support, where only
+    the decaying branch K is evaluated."""
+    with pytest.raises(DomainError):
+        resolvent_mode(1, -4.0, 100.0, bump12, np.array([1.5, 1001.0]))
 
 
 def test_spectrum_ray_rejected(bump12):
