@@ -4,12 +4,14 @@ Orders nu in [0, 60] and arguments 0 < |z| <= 1e4 are supported; outside
 that box a DomainError is raised rather than returning a value of unknown
 quality.  Real-argument I_nu uses the native series/asymptotic kernel, an
 implementation independent of scipy, with a relative-error target of
-1e-10; K, J, Y and all complex arguments delegate to scipy.special, which
-meets the same target on this box.  I and K also take a complex ndarray:
-one box check and one scipy call for the whole array.
+1e-10; K and all complex arguments delegate to scipy.special, which meets
+the same target on this box.  I and K also take a complex ndarray: one box
+check and one scipy call for the whole array.
 
 Scaling conventions for ``scaled=True``: I carries e^(-Re z), K carries
-e^(+z); for real z these are the classic overflow-free pairs.
+e^(+z); for real z these are the classic overflow-free pairs.  Unscaled I
+raises DomainError past |Re z| = 700, where it would overflow, and so does
+unscaled real-argument K past z = 700, where it would underflow.
 """
 
 import math
@@ -60,6 +62,10 @@ def bessel_i(nu, z, scaled: bool = False):
     nu = check_order(nu)
     if isinstance(z, (complex, np.ndarray)):
         z = _check_complex_arg(z)
+        if not scaled and np.any(np.abs(np.real(z)) > _UNSCALED_Z_MAX):
+            raise DomainError(
+                f"unscaled I overflows for |Re z| > {_UNSCALED_Z_MAX}; request scaled=True"
+            )
         value = _sp.ive(nu, z) if scaled else _sp.iv(nu, z)
         return value if isinstance(z, np.ndarray) else complex(value)
     z = _check_real_arg(z)
@@ -88,25 +94,3 @@ def bessel_k(nu, z, scaled: bool = False):
             f"unscaled K underflows for z={z}; request scaled=True"
         )
     return float(_sp.kv(nu, z))
-
-
-def bessel_j(nu, z) -> float:
-    """Bessel J_nu for real positive arguments (scipy-backed)."""
-    nu = check_order(nu)
-    z = _check_real_arg(z)
-    return float(_sp.jv(nu, z))
-
-
-def bessel_y(nu, z) -> float:
-    """Bessel Y_nu for real positive arguments (scipy-backed)."""
-    nu = check_order(nu)
-    z = _check_real_arg(z)
-    return float(_sp.yv(nu, z))
-
-
-def log_gamma(x) -> float:
-    """log Gamma on (0, inf)."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)

@@ -19,8 +19,10 @@ from .conesolve import (
     ModeProblem,
     RadialProfile,
     csv_to_rows,
+    default_grid,
     heat_mode,
     rows_to_csv,
+    rows_to_series,
     sectorial_sweep,
     solution_rows,
     sweep_to_json,
@@ -80,15 +82,9 @@ _EXIT_DOC = """exit codes:
 
 def _parse_number(text):
     """Number from CLI/JSON: '1/2' stays an exact fraction."""
-    if isinstance(text, str) and "/" in text:
-        return Fraction(text)
     if isinstance(text, str):
-        value = float(text)
-    else:
-        value = text
-    if isinstance(value, float) and value.is_integer():
-        return value
-    return value
+        return Fraction(text) if "/" in text else float(text)
+    return text
 
 
 def build_cross_section(spec: dict):
@@ -167,11 +163,9 @@ class Scenario:
             grid = np.asarray([float(v) for v in grid_spec["points"]])
         else:
             dec = [float(d) for d in grid_spec.get("decades", [-4, -1])]
-            if not all(math.isfinite(d) for d in dec):
-                raise ScenarioError("x grid decades must be finite")
-            ppd = int(grid_spec.get("points_per_decade", 16))
-            count = int(round((dec[1] - dec[0]) * ppd)) + 1
-            grid = np.geomspace(10.0 ** dec[0], 10.0 ** dec[1], count)
+            if len(dec) != 2 or not all(math.isfinite(d) for d in dec):
+                raise ScenarioError("x grid decades must be two finite numbers")
+            grid = default_grid(dec, int(grid_spec.get("points_per_decade", 16)))
         if grid.size == 0 or not np.all(grid > 0):
             raise ScenarioError("x grid must be positive")
         rel_tol = float(data.get("rel_tol", 1e-9))
@@ -254,17 +248,11 @@ def cmd_solve(args) -> int:
 
 def cmd_fit(args) -> int:
     with open(args.csv) as fh:
-        rows = csv_to_rows(fh.read())
-    groups: dict = {}
-    for mode_j, nu, t, x, v in rows:
-        groups.setdefault((mode_j, t), []).append((x, v))
+        series = rows_to_series(csv_to_rows(fh.read()))
+    lead_window = tuple(args.lead_window) if args.lead_window else None
+    next_window = tuple(args.next_window) if args.next_window else None
     reports = []
-    for (mode_j, t), pts in sorted(groups.items()):
-        pts.sort()
-        x = np.array([p[0] for p in pts])
-        v = np.array([p[1] for p in pts])
-        lead_window = tuple(args.lead_window) if args.lead_window else None
-        next_window = tuple(args.next_window) if args.next_window else None
+    for mode_j, t, x, v in series:
         for report in peel_exponents(
             x, v, max_terms=args.max_terms,
             lead_window=lead_window, next_window=next_window,
@@ -364,18 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ERROR_EXITS = [
-    (WindowViolation, "window"),
-    (KTooSmall, "k_too_small"),
-    (ContinuityHypothesisFailed, "continuity"),
-    (QuadratureFailure, "quadrature"),
-    (SpectrumRay, "spectrum_ray"),
-    (DomainError, "domain"),
-    (FitError, "fit"),
-    (NotASpectralExponent, "fit"),
-    (SpectrumError, "spectrum"),
-    (ScenarioError, "scenario"),
-]
+# Exception class -> EXIT_CODES key; main looks up the first class on the
+# raised exception's MRO, so a subclass inherits its base's code.
+_ERROR_EXITS = {
+    WindowViolation: "window",
+    KTooSmall: "k_too_small",
+    ContinuityHypothesisFailed: "continuity",
+    QuadratureFailure: "quadrature",
+    SpectrumRay: "spectrum_ray",
+    DomainError: "domain",
+    FitError: "fit",
+    NotASpectralExponent: "fit",
+    SpectrumError: "spectrum",
+    ScenarioError: "scenario",
+    ConeAsymError: "internal",
+    OSError: "scenario",
+    ValueError: "scenario",
+    KeyError: "scenario",
+}
 
 
 def main(argv=None) -> int:
@@ -383,18 +377,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except tuple(cls for cls, _ in _ERROR_EXITS) as exc:
-        for cls, key in _ERROR_EXITS:
-            if isinstance(exc, cls):
-                sys.stderr.write(f"error: {exc}\n")
-                return EXIT_CODES[key]
-        raise
-    except (OSError, ValueError, KeyError) as exc:
+    except tuple(_ERROR_EXITS) as exc:
+        key = next(_ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in _ERROR_EXITS)
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CODES["scenario"]
-    except ConeAsymError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CODES["internal"]
+        return EXIT_CODES[key]
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import jsonio
 from ._kernels import adaptive, gl_panels, gl_sum, heat_kernel_value, heat_rows
-from .besselkit import bessel_i, bessel_k, check_order, log_gamma
+from .besselkit import bessel_i, bessel_k, check_order
 from .errors import QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
 from .version import __version__
@@ -179,7 +179,7 @@ def heat_small_x_series(problem: ModeProblem, num_terms: int = 3) -> list:
             l = q - m
             term = (
                 moments[m]
-                * math.exp(-(nu + 2 * m) * math.log(4.0 * t) - log_gamma(nu + m + 1) - log_gamma(m + 1))
+                * math.exp(-(nu + 2 * m) * math.log(4.0 * t) - math.lgamma(nu + m + 1) - math.lgamma(m + 1))
                 * ((-1.0) ** l)
                 / ((4.0 * t) ** l * math.factorial(l))
             )
@@ -277,6 +277,9 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     support, phi f over [lo, x] and psi f over [x, hi] for each x inside
     it.  A separate task per x keeps each partial integral's own relative
     accuracy, which a running sum over shared panels would not.
+
+    Once Re(sqrt(lam)) * hi passes 700, I_nu overflows on the support and
+    besselkit raises DomainError.
     """
     lam = complex(lam)
     if not (cmath.isfinite(lam) and math.isfinite(lam_mode)):
@@ -406,6 +409,19 @@ def csv_to_rows(text: str) -> list:
         mode_j, nu, t, x, v = line.split(",")
         rows.append((int(mode_j), float(nu), float(t), float(x), float(v)))
     return rows
+
+
+def rows_to_series(rows) -> list:
+    """Group CSV rows by (mode_j, t) into (mode_j, t, x, v) series, sorted
+    by (mode_j, t), each with x ascending as float arrays."""
+    groups: dict = {}
+    for mode_j, _, t, x, v in rows:
+        groups.setdefault((mode_j, t), []).append((x, v))
+    series = []
+    for (mode_j, t), pts in sorted(groups.items()):
+        pts.sort()
+        series.append((mode_j, t, np.array([p[0] for p in pts]), np.array([p[1] for p in pts])))
+    return series
 
 
 def sweep_to_json(report: dict) -> str:

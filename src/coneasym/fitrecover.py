@@ -43,7 +43,6 @@ class FitReport:
     peel_index: int = 0
     mode_j: int | None = None
     t: float | None = None
-    matched_exponent: float | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -57,7 +56,6 @@ class FitReport:
             "peel_index": self.peel_index,
             "mode_j": self.mode_j,
             "t": self.t,
-            "matched_exponent": self.matched_exponent,
         }
 
 
@@ -73,7 +71,6 @@ def report_from_dict(d: dict) -> FitReport:
         peel_index=int(d["peel_index"]),
         mode_j=d.get("mode_j"),
         t=d.get("t"),
-        matched_exponent=d.get("matched_exponent"),
     )
 
 

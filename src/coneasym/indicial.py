@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from . import jsonio
 from .errors import PositiveEigenvalue
 
 _TOL = 1e-12
@@ -155,28 +154,6 @@ class Pole:
 class PoleSet:
     k: int
     poles: tuple
-
-    def locations(self) -> list:
-        return [p.location for p in self.poles]
-
-    def to_json(self) -> str:
-        return jsonio.dumps(
-            {
-                "k": self.k,
-                "poles": [
-                    {
-                        "location": p.location,
-                        "order": p.order,
-                        "provenance": [
-                            {"j": j, "branch": branch, "shift": shift}
-                            for (j, branch, shift) in p.provenance
-                        ],
-                        "approximate": p.approximate,
-                    }
-                    for p in self.poles
-                ],
-            }
-        )
 
 
 def pole_set(cross_section, k: int) -> PoleSet:

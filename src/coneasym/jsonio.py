@@ -32,32 +32,33 @@ def _fmt_scalar(value):
 
 
 def _write(value, out, indent, level):
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+    """Append value's JSON to out: on one line when indent is None, else
+    one item per line, indent spaces deeper per level."""
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings")
-            out.append(pad + json.dumps(key) + ": ")
-            _write(item, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(closing + "}")
+        brackets, items = "{}", value.items()
     elif isinstance(value, (list, tuple)):
-        if not len(value):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad)
-            _write(item, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(closing + "]")
+        brackets, items = "[]", enumerate(value)
     else:
         out.append(_fmt_scalar(value))
+        return
+    if not value:
+        out.append(brackets)
+        return
+    if indent is None:
+        head, sep, tail = "", ", ", ""
+    else:
+        head = "\n" + " " * (indent * (level + 1))
+        sep, tail = "," + head, "\n" + " " * (indent * level)
+    out.append(brackets[0] + head)
+    for i, (key, item) in enumerate(items):
+        if i:
+            out.append(sep)
+        if isinstance(value, dict):
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be strings")
+            out.append(json.dumps(key) + ": ")
+        _write(item, out, indent, level + 1)
+    out.append(tail + brackets[1])
 
 
 def dumps(obj, indent: int = 2) -> str:
@@ -71,28 +72,8 @@ def dumps(obj, indent: int = 2) -> str:
 def dumps_line(obj) -> str:
     """Single-line form, for JSONL streams."""
     out: list[str] = []
-    _write_compact(obj, out)
+    _write(obj, out, None, 0)
     return "".join(out)
-
-
-def _write_compact(value, out):
-    if isinstance(value, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(key) + ": ")
-            _write_compact(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(", ")
-            _write_compact(item, out)
-        out.append("]")
-    else:
-        out.append(_fmt_scalar(value))
 
 
 def loads(text: str):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from . import jsonio
 from .errors import BadMultiplicity, NonZeroTop, NotDecreasing, PositiveEigenvalue
 
 _TOL = 1e-12
@@ -39,22 +38,6 @@ class CrossSection:
     def lambda1(self):
         """First nonzero eigenvalue, or None if only lam_0 was given."""
         return self.eigenvalues[1] if len(self.eigenvalues) > 1 else None
-
-    def to_json(self) -> str:
-        return jsonio.dumps(
-            {
-                "n": self.n,
-                "name": self.name,
-                "eigenvalues": [_plain(v) for v in self.eigenvalues],
-                "multiplicities": list(self.multiplicities),
-            }
-        )
-
-
-def _plain(value):
-    if isinstance(value, Rational) and value.denominator == 1:
-        return int(value)
-    return value
 
 
 def _validate(n, eigenvalues, multiplicities):
@@ -138,9 +121,3 @@ def circle_spectrum(radius=None, j_max: int = 8, *, radius_squared=None) -> Cros
     else:
         pairs = [(-(j * j) / float(radius_squared), 1 if j == 0 else 2) for j in range(j_max + 1)]
     return custom_spectrum(1, pairs, name="circle")
-
-
-def from_json(text: str) -> CrossSection:
-    data = jsonio.loads(text)
-    pairs = list(zip(data["eigenvalues"], data["multiplicities"]))
-    return custom_spectrum(int(data["n"]), pairs, name=data.get("name", "custom"))

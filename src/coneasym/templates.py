@@ -33,6 +33,8 @@ from .weights import admissible_window, boundary_distance, gamma_inside, locate_
 
 _MERGE_TOL = 1e-9
 _BOUNDARY_TOL = 1e-9
+# the eps of the remainder x^(gamma + 2k - (n+1)/2 - eps) that render_uexp states
+_REMAINDER_EPS = 1e-3
 
 
 @dataclass(frozen=True, order=True)
@@ -300,20 +302,7 @@ class ExpansionReport:
     template: ExpansionTemplate
     s: float
     p: float
-    eps: float
     remainder_exponent_effective: float
-
-    def rows(self) -> list:
-        out = []
-        for t in self.template.terms:
-            out.append(
-                {
-                    "exponent": t.exponent,
-                    "max_log_power": t.max_log_power,
-                    "origins": [o.as_dict() for o in t.origins],
-                }
-            )
-        return out
 
     def text(self) -> str:
         lines = ["u(t, x) ~ sum of:"]
@@ -330,34 +319,20 @@ class ExpansionReport:
         )
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        return jsonio.dumps(
-            {
-                "n": self.template.n,
-                "gamma": self.template.gamma,
-                "k": self.template.k,
-                "s": self.s,
-                "p": self.p,
-                "terms": self.rows(),
-                "remainder_exponent": self.remainder_exponent_effective,
-            }
-        )
 
+def render_uexp(template: ExpansionTemplate, s: float = 0.0, p: float = 2.0) -> ExpansionReport:
+    """Render the pointwise expansion; needs s + 2k > (n+1)/p.
 
-def render_uexp(template: ExpansionTemplate, s: float = 0.0, p: float = 2.0,
-                eps: float = 1e-3) -> ExpansionReport:
-    """Render the pointwise expansion; needs s + 2k > (n+1)/p."""
+    The stated remainder exponent sits 1e-3 below the template's.
+    """
     if not float(s) + 2 * template.k > (template.n + 1) / float(p):
         raise ContinuityHypothesisFailed(
             f"s + 2k = {float(s) + 2 * template.k} must exceed (n+1)/p = "
             f"{(template.n + 1) / float(p)}"
         )
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     return ExpansionReport(
         template=template,
         s=float(s),
         p=float(p),
-        eps=float(eps),
-        remainder_exponent_effective=float(template.remainder_exponent) - float(eps),
+        remainder_exponent_effective=float(template.remainder_exponent) - _REMAINDER_EPS,
     )

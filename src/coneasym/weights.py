@@ -12,21 +12,15 @@ a > gamma - (n+1)/2, regardless of the log power.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 
 from ._kernels import gl_sum
-from .errors import WindowViolation
 from .indicial import indicial_roots
 
 _TOL = 1e-12
-
-
-def _nu1(n, lambda1):
-    return indicial_roots(n, lambda1).nu
 
 
 def admissible_window(n: int, lambda1=None):
@@ -46,20 +40,9 @@ def admissible_window(n: int, lambda1=None):
                     return None
             elif not float(lambda1) < float(bound) - _TOL:
                 return None
-        nu1 = _nu1(n, lambda1)
+        nu1 = indicial_roots(n, lambda1).nu
         lo = max(lo, 1 - nu1, key=float)
         hi = min(hi, nu1 - 1, key=float)
-    if not float(lo) < float(hi) - _TOL:
-        return None
-    return (lo, hi)
-
-
-def basic_window(n: int, lambda1=None):
-    """The weaker window ((n-3)/2, min((n+1)/2, nu_1 - 1)), or None."""
-    lo = Fraction(n - 3, 2)
-    hi = Fraction(n + 1, 2)
-    if lambda1 is not None:
-        hi = min(hi, _nu1(n, lambda1) - 1, key=float)
     if not float(lo) < float(hi) - _TOL:
         return None
     return (lo, hi)
@@ -77,27 +60,6 @@ def window_midpoint(window):
     if isinstance(lo, Rational) and isinstance(hi, Rational):
         return (Fraction(lo) + Fraction(hi)) / 2
     return 0.5 * (float(lo) + float(hi))
-
-
-@dataclass(frozen=True)
-class WeightInterval:
-    m: int
-    lo: object
-    hi: object
-
-    def __contains__(self, x):
-        return float(self.lo) <= float(x) < float(self.hi)
-
-
-def j_interval(n: int, gamma, m: int) -> WeightInterval:
-    """The half-open tile J_m (length 2, left closed)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if isinstance(gamma, Rational):
-        top = Fraction(n + 1, 2) - Fraction(gamma)
-    else:
-        top = 0.5 * (n + 1) - float(gamma)
-    return WeightInterval(m=m, lo=top - 2 * m, hi=top - 2 * (m - 1))
 
 
 def locate_interval(n: int, gamma, x):
@@ -129,31 +91,6 @@ def membership(n: int, gamma, a, log_power: int = 0) -> bool:
     if isinstance(a, Rational) and isinstance(gamma, Rational):
         return Fraction(a) > Fraction(gamma) - Fraction(n + 1, 2)
     return float(a) - (float(gamma) - 0.5 * (n + 1)) > _TOL
-
-
-@dataclass(frozen=True)
-class WeightConfig:
-    """A weight/smoothness configuration with window validity flags."""
-
-    n: int
-    gamma: float
-    s: float
-    p: float
-    basic_ok: bool
-    extra_ok: bool
-
-
-def make_weight_config(n, gamma, s=0.0, p=2.0, lambda1=None) -> WeightConfig:
-    if not p > 1:
-        raise WindowViolation("p must be > 1")
-    return WeightConfig(
-        n=n,
-        gamma=gamma,
-        s=s,
-        p=p,
-        basic_ok=gamma_inside(basic_window(n, lambda1), gamma),
-        extra_ok=gamma_inside(admissible_window(n, lambda1), gamma),
-    )
 
 
 # ---------------------------------------------------------------------------

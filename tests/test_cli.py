@@ -6,6 +6,7 @@ import math
 import pytest
 
 from coneasym.cli import EXIT_CODES, Scenario, build_cross_section, main
+from coneasym.errors import ScenarioError
 
 SCENARIO = {
     "cross_section": {"name": "circle", "radius": "1/2", "j_max": 3},
@@ -41,6 +42,9 @@ def test_scenario_validation(tmp_path):
     bad = dict(SCENARIO, gamma=5.0)
     with pytest.raises(Exception):
         Scenario.from_dict(bad)
+    for decades in ([-4], [-4, -1, 5]):
+        with pytest.raises(ScenarioError):
+            Scenario.from_dict(dict(SCENARIO, x_grid={"decades": decades}))
 
 
 def test_template_json_output(tmp_path, capsys):
@@ -120,6 +124,13 @@ def test_selftest_subset(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 2
     assert "all criteria passed" in out
+
+
+def test_check_resolvent_overflow_exits_domain(tmp_path):
+    """|lam| = 100 on support [80, 90] puts sqrt(lam) xi at 900, past where
+    unscaled I_nu overflows: exit 8, not NaN in the sweep."""
+    out = str(tmp_path / "sweep.json")
+    assert main(["check-resolvent", "--support", "80", "90", "--out", out]) == EXIT_CODES["domain"]
 
 
 def test_check_resolvent(tmp_path):

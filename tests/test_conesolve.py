@@ -1,6 +1,7 @@
 """Model-cone heat and resolvent solvers against independent checks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -311,6 +312,19 @@ def test_resolvent_argument_outside_bessel_box(bump12):
     the decaying branch K is evaluated."""
     with pytest.raises(DomainError):
         resolvent_mode(1, -4.0, 100.0, bump12, np.array([1.5, 1001.0]))
+
+
+def test_resolvent_overflow_raises_fast(bump12):
+    """At lam = 3e5, sqrt(lam) xi reaches 1095 on the support, inside the
+    Bessel box but past where unscaled I_nu overflows: DomainError at the
+    first integrand call, not NaN values after a full refinement.  lam =
+    1e5 (sqrt(lam) xi <= 633) still solves."""
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        resolvent_mode(1, -4.0, 3e5, bump12, np.array([1.5, 3.0]))
+    assert time.perf_counter() - start < 1.0
+    sol = resolvent_mode(1, -4.0, 1e5, bump12, np.array([1.5, 3.0]))
+    assert np.all(np.isfinite(sol.values))
 
 
 def test_spectrum_ray_rejected(bump12):

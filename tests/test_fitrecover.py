@@ -150,6 +150,28 @@ def test_reports_jsonl_round_trip():
     assert back == reports
 
 
+# Two lines of a fit file written while FitReport still had the (never
+# set) matched_exponent field.
+_FITS_WITH_MATCHED_EXPONENT = """{"generator": "coneasym 0.1.0"}
+{"exponent": 7.6214967998665326e-10, "stderr": 1.8684917265491585e-10, "coefficient": 0.25314289240661531, "log_coefficient_ratio": 4.2064744244062631e-06, "residual_rms": 4.8156008364735787e-09, "n_samples": 17, "window": [0.0001, 0.001], "peel_index": 0, "mode_j": 0, "t": 1, "matched_exponent": null}
+{"exponent": 2.0000000141873846, "stderr": 3.4709602074286182e-09, "coefficient": 0.018036496110107922, "log_coefficient_ratio": 7.7989765522652669e-06, "residual_rms": 8.9283199611075343e-09, "n_samples": 17, "window": [0.0001, 0.001], "peel_index": 0, "mode_j": 1, "t": 1, "matched_exponent": null}
+"""
+
+
+def test_reads_fit_lines_with_matched_exponent():
+    """Old fit lines still read; rewritten without the key they give the
+    same reports and the same recovery summary."""
+    old = reports_from_jsonl(_FITS_WITH_MATCHED_EXPONENT)
+    assert [(r.mode_j, r.exponent) for r in old] == [(0, 7.6214967998665326e-10), (1, 2.0000000141873846)]
+    text = reports_to_jsonl(old)
+    assert "matched_exponent" not in text
+    new = reports_from_jsonl(text)
+    assert new == old
+    summary = recover_spectrum(old, n=1, gamma=0.0, k=3)
+    assert summary.lambdas() == [-5.8087213470375792e-19, -4.0000000567495384]
+    assert recover_spectrum(new, n=1, gamma=0.0, k=3).to_json() == summary.to_json()
+
+
 def test_solved_mode_exponent(bump12):
     from coneasym.conesolve import ModeProblem, default_grid, heat_mode
 

@@ -157,11 +157,3 @@ def test_pole_merge_flags_near_collision():
 def test_pole_set_exact_no_flags(circle_half):
     poles = pole_set(circle_half, 2)
     assert not any(p.approximate for p in poles.poles)
-
-
-def test_pole_set_json(circle_half):
-    import json
-
-    payload = json.loads(pole_set(circle_half, 2).to_json())
-    assert payload["k"] == 2
-    assert all({"location", "order", "provenance"} <= set(p) for p in payload["poles"])

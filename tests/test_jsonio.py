@@ -37,3 +37,14 @@ def test_round_trip_is_stable():
 def test_dumps_line_compact():
     line = jsonio.dumps_line({"a": 1, "b": 2.5})
     assert "\n" not in line
+
+
+def test_nested_layout_is_pinned():
+    """Both forms of one nested payload, byte for byte, empty containers
+    included."""
+    payload = {"a": [1, {"b": [], "c": (2.5, None)}], "d": {}, "e": "x"}
+    assert jsonio.dumps_line(payload) == '{"a": [1, {"b": [], "c": [2.5, null]}], "d": {}, "e": "x"}'
+    assert jsonio.dumps(payload) == (
+        '{\n  "a": [\n    1,\n    {\n      "b": [],\n      "c": [\n        2.5,\n'
+        '        null\n      ]\n    }\n  ],\n  "d": {},\n  "e": "x"\n}\n'
+    )

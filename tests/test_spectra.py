@@ -11,7 +11,6 @@ from coneasym.spectra import (
     CrossSection,
     circle_spectrum,
     custom_spectrum,
-    from_json,
     harmonic_multiplicity,
     sphere_spectrum,
 )
@@ -130,13 +129,6 @@ def test_validation_rejects_bad_spectra():
         custom_spectrum(2, [(0, 1), (3, 1)])  # positive eigenvalue
     with pytest.raises(SpectrumError):
         circle_spectrum()  # radius or radius_squared required
-
-
-def test_json_round_trip(sphere2):
-    clone = from_json(sphere2.to_json())
-    assert clone.n == sphere2.n
-    assert [float(v) for v in clone.eigenvalues] == [float(v) for v in sphere2.eigenvalues]
-    assert list(clone.multiplicities) == list(sphere2.multiplicities)
 
 
 def test_lambda1_property(circle_half):

@@ -1,6 +1,5 @@
 """Expansion templates: structure, the two constructions, rendering."""
 
-import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,13 +154,13 @@ def test_golden_json(name, builder):
 
 def test_render_uexp(sphere2):
     template = template_closed_form(sphere2, Fraction(0), 3)
-    report = render_uexp(template, s=0.0, p=2.0)
-    text = report.text()
-    assert "x^0" in text and "O(x^" in text
-    assert len(report.rows()) == len(template.terms)
-    payload = json.loads(report.to_json())
-    assert payload["s"] == 0.0
-    assert payload["k"] == 3
+    lines = render_uexp(template, s=0.0, p=2.0).text().splitlines()
+    assert lines[1:len(template.terms) + 1] == [
+        "  x^0", "  x^1 * P_1(log x)", "  x^2 * P_1(log x)", "  x^3 * P_2(log x)", "  x^4 * P_2(log x)",
+    ]
+    # remainder 2k - (n+1)/2 = 4.5, stated 1e-3 below
+    assert lines[len(template.terms) + 1] == "  + O(x^4.499)"
+    assert lines[-1].endswith("valid for s=0, p=2)")
 
 
 def test_render_requires_continuity_hypothesis(sphere2):

@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coneasym.errors import WindowViolation
 from coneasym.weights import (
     admissible_window,
-    basic_window,
     boundary_distance,
     gamma_inside,
-    j_interval,
     locate_interval,
-    make_weight_config,
     membership,
     quadrature_membership,
     window_midpoint,
@@ -31,8 +27,7 @@ def test_window_examples():
 
 
 def test_window_without_lambda1_uses_basic_bounds():
-    assert admissible_window(3, None) == basic_window(3)
-    assert basic_window(3) == (Fraction(0), Fraction(2))
+    assert admissible_window(3, None) == (Fraction(0), Fraction(2))
 
 
 def test_window_requires_gap_hypothesis_small_n():
@@ -58,13 +53,11 @@ def test_window_midpoint_and_inside():
 )
 @settings(max_examples=200, deadline=None)
 def test_tiles_partition(n, gamma_num, m, frac_num):
-    """Every point of J_m locates back to m; tiles have width 2."""
+    """Every point of J_m = [top - 2m, top - 2m + 2) locates back to m."""
     gamma = Fraction(gamma_num, 4)
-    interval = j_interval(n, gamma, m)
-    assert interval.hi - interval.lo == 2
-    x = interval.lo + Fraction(frac_num, 8)  # in [lo, lo+15/8] subset [lo, hi)
+    top = Fraction(n + 1, 2) - gamma
+    x = top - 2 * m + Fraction(frac_num, 8)  # in [lo, lo+15/8] subset [lo, lo+2)
     assert locate_interval(n, gamma, x) == m
-    assert x in interval
 
 
 def test_tile_edges_are_half_open():
@@ -126,18 +119,6 @@ def test_quadrature_boundary_divergence():
     # exactly at the threshold the integral diverges like a log power
     assert quadrature_membership(1, 0.0, -1.0, 0) is False
     assert quadrature_membership(1, 0.0, -1.0, 2) is False
-
-
-def test_make_weight_config_validates_gamma():
-    config = make_weight_config(1, Fraction(0), lambda1=Fraction(-4))
-    assert config.gamma == 0
-    assert config.basic_ok is True
-    assert config.extra_ok is True
-    outside = make_weight_config(1, Fraction(2), lambda1=Fraction(-4))
-    assert outside.basic_ok is False
-    assert outside.extra_ok is False
-    with pytest.raises(WindowViolation):
-        make_weight_config(1, Fraction(0), p=1.0, lambda1=Fraction(-4))
 
 
 def test_membership_against_scipy_quad():
