@@ -8,7 +8,9 @@ adaptive bisection whose breadth-first frontier refines every live panel
 of every task in one such call per level; and a fixed-panel sum.  The heat
 sweep evaluates each level with one ``scipy.special.ive`` call; the scalar
 series/asymptotic ``ive`` below is the independent oracle that the Bessel
-wrappers and the acceptance criteria compare against.
+wrappers and the acceptance criteria compare against.  scipy.special is
+imported on the first ``heat_rows`` call, not with this module, so the
+exact-algebra commands start without it.
 
 Notation: the mode operator on the model cone of dimension n+1 is
 
@@ -27,7 +29,6 @@ overflows for any (t, x, xi) in range.
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -203,6 +204,7 @@ def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
     """
     nu, n, t, rel_tol, max_depth = float(nu), float(n), float(t), float(rel_tol), int(max_depth)
     xs = np.asarray(xs, dtype=np.float64)
+    from scipy.special import ive
 
     def integrand(rows, xi):
         x = xs[rows, None]
@@ -211,7 +213,7 @@ def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
             (x * xi) ** (0.5 * (1.0 - n))
             / (2.0 * t)
             * np.exp(-((x - xi) ** 2) / (4.0 * t))
-            * _sp.ive(nu, w)
+            * ive(nu, w)
         )
         return profile(xi) * kern * xi**n
 

@@ -6,7 +6,8 @@ quality.  Real-argument I_nu uses the native series/asymptotic kernel, an
 implementation independent of scipy, with a relative-error target of
 1e-10; K and all complex arguments delegate to scipy.special, which meets
 the same target on this box.  I and K also take a complex ndarray: one box
-check and one scipy call for the whole array.
+check and one scipy call for the whole array.  scipy.special is imported
+on the first call that needs it, not with this module.
 
 Scaling conventions for ``scaled=True``: I carries e^(-Re z), K carries
 e^(+z); for real z these are the classic overflow-free pairs.  Unscaled I
@@ -17,7 +18,6 @@ unscaled real-argument K past z = 700, where it would underflow.
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from ._kernels import ive_native
 from .errors import DomainError
@@ -61,12 +61,14 @@ def bessel_i(nu, z, scaled: bool = False):
     or a complex ndarray."""
     nu = check_order(nu)
     if isinstance(z, (complex, np.ndarray)):
+        from scipy import special
+
         z = _check_complex_arg(z)
         if not scaled and np.any(np.abs(np.real(z)) > _UNSCALED_Z_MAX):
             raise DomainError(
                 f"unscaled I overflows for |Re z| > {_UNSCALED_Z_MAX}; request scaled=True"
             )
-        value = _sp.ive(nu, z) if scaled else _sp.iv(nu, z)
+        value = special.ive(nu, z) if scaled else special.iv(nu, z)
         return value if isinstance(z, np.ndarray) else complex(value)
     z = _check_real_arg(z)
     scaled_value = ive_native(nu, z)
@@ -81,16 +83,18 @@ def bessel_i(nu, z, scaled: bool = False):
 
 def bessel_k(nu, z, scaled: bool = False):
     """Modified Bessel K_nu (scipy-backed); z may be a complex ndarray."""
+    from scipy import special
+
     nu = check_order(nu)
     if isinstance(z, (complex, np.ndarray)):
         z = _check_complex_arg(z)
-        value = _sp.kve(nu, z) if scaled else _sp.kv(nu, z)
+        value = special.kve(nu, z) if scaled else special.kv(nu, z)
         return value if isinstance(z, np.ndarray) else complex(value)
     z = _check_real_arg(z)
     if scaled:
-        return float(_sp.kve(nu, z))
+        return float(special.kve(nu, z))
     if z > _UNSCALED_Z_MAX:
         raise DomainError(
             f"unscaled K underflows for z={z}; request scaled=True"
         )
-    return float(_sp.kv(nu, z))
+    return float(special.kv(nu, z))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import acceptance, jsonio
+from . import jsonio
 from .conesolve import (
     ModeProblem,
     RadialProfile,
@@ -143,6 +143,8 @@ class Scenario:
         if not lo < float(gamma) < hi:
             raise WindowViolation(f"gamma={float(gamma)} outside window ({lo}, {hi})")
         modes = tuple(int(j) for j in data.get("modes", [0]))
+        if not modes:
+            raise ScenarioError("modes must list at least one mode index")
         for j in modes:
             if not 0 <= j < len(cs.eigenvalues):
                 raise ScenarioError(f"mode index {j} outside the provided spectrum")
@@ -165,7 +167,12 @@ class Scenario:
             dec = [float(d) for d in grid_spec.get("decades", [-4, -1])]
             if len(dec) != 2 or not all(math.isfinite(d) for d in dec):
                 raise ScenarioError("x grid decades must be two finite numbers")
-            grid = default_grid(dec, int(grid_spec.get("points_per_decade", 16)))
+            if not dec[0] < dec[1]:
+                raise ScenarioError(f"x grid decades {dec} must increase")
+            per_decade = int(grid_spec.get("points_per_decade", 16))
+            if per_decade < 1:
+                raise ScenarioError(f"points_per_decade must be at least 1, got {per_decade}")
+            grid = default_grid(dec, per_decade)
         if grid.size == 0 or not np.all(grid > 0):
             raise ScenarioError("x grid must be positive")
         rel_tol = float(data.get("rel_tol", 1e-9))
@@ -280,6 +287,8 @@ def cmd_check_resolvent(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import acceptance
+
     ids = None
     if args.criteria:
         ids = [int(v) for v in args.criteria.split(",")]

@@ -19,7 +19,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import jsonio
 from .errors import DegenerateSamples, NoiseFloor, NotASpectralExponent
@@ -27,6 +26,12 @@ from .version import __version__
 from .weights import locate_interval
 
 _TOL = 1e-12
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first use."""
+    from scipy.optimize import least_squares as _least_squares
+    return _least_squares(*args, **kwargs)
 
 
 @dataclass(frozen=True)

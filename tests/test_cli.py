@@ -42,9 +42,15 @@ def test_scenario_validation(tmp_path):
     bad = dict(SCENARIO, gamma=5.0)
     with pytest.raises(Exception):
         Scenario.from_dict(bad)
-    for decades in ([-4], [-4, -1, 5]):
+    for decades in ([-4], [-4, -1, 5], [-1, -2], [-2, -2]):
         with pytest.raises(ScenarioError):
             Scenario.from_dict(dict(SCENARIO, x_grid={"decades": decades}))
+    for per_decade in (0, -3):
+        with pytest.raises(ScenarioError):
+            Scenario.from_dict(dict(SCENARIO, x_grid={"decades": [-4, -1], "points_per_decade": per_decade}))
+    with pytest.raises(ScenarioError):
+        Scenario.from_dict(dict(SCENARIO, modes=[]))
+    assert Scenario.from_dict(dict(SCENARIO, x_grid={"decades": [-2, -1], "points_per_decade": 1})).x_grid.size == 2
 
 
 def test_template_json_output(tmp_path, capsys):
