@@ -72,7 +72,7 @@ _EXIT_DOC = """exit codes:
   6   quadrature tolerance not reached
   7   resolvent parameter on the spectral ray
   8   special-function argument outside its domain
-  9   exponent fit failed (degenerate samples / noise floor / not spectral)
+  9   exponent fit failed (degenerate samples / not spectral)
   10  invalid cross-section spectrum
   11  malformed scenario or i/o problem
   12  selftest criterion failed
@@ -169,10 +169,10 @@ class Scenario:
                 raise ScenarioError("x grid decades must be two finite numbers")
             if not dec[0] < dec[1]:
                 raise ScenarioError(f"x grid decades {dec} must increase")
-            per_decade = int(grid_spec.get("points_per_decade", 16))
-            if per_decade < 1:
-                raise ScenarioError(f"points_per_decade must be at least 1, got {per_decade}")
-            grid = default_grid(dec, per_decade)
+            per_decade = float(grid_spec.get("points_per_decade", 16))
+            if not (per_decade.is_integer() and per_decade >= 1):
+                raise ScenarioError(f"points_per_decade must be an integer of at least 1, got {per_decade}")
+            grid = default_grid(dec, int(per_decade))
         if grid.size == 0 or not np.all(grid > 0):
             raise ScenarioError("x grid must be positive")
         rel_tol = float(data.get("rel_tol", 1e-9))
@@ -256,15 +256,7 @@ def cmd_solve(args) -> int:
 def cmd_fit(args) -> int:
     with open(args.csv) as fh:
         series = rows_to_series(csv_to_rows(fh.read()))
-    lead_window = tuple(args.lead_window) if args.lead_window else None
-    next_window = tuple(args.next_window) if args.next_window else None
-    reports = []
-    for mode_j, t, x, v in series:
-        for report in peel_exponents(
-            x, v, max_terms=args.max_terms,
-            lead_window=lead_window, next_window=next_window,
-        ):
-            reports.append(replace(report, mode_j=mode_j, t=t))
+    reports = [replace(peel_exponents(x, v), mode_j=mode_j, t=t) for mode_j, t, x, v in series]
     _write_output(reports_to_jsonl(reports), args.out)
     return 0
 
@@ -332,11 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("fit", help="fit small-x exponents from a solution CSV")
+    p = sub.add_parser("fit", help="fit the small-x exponent ladder of each series in a solution CSV")
     p.add_argument("--csv", required=True)
-    p.add_argument("--max-terms", type=int, default=2)
-    p.add_argument("--lead-window", type=float, nargs=2, default=None)
-    p.add_argument("--next-window", type=float, nargs=2, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_fit)
 

@@ -57,10 +57,6 @@ class DegenerateSamples(FitError):
     """Too few usable samples, or no sign-consistent window."""
 
 
-class NoiseFloor(FitError):
-    """Residual after subtraction is at the numerical noise floor."""
-
-
 class NotASpectralExponent(ConeAsymError):
     """Exponent cannot arise as -mu_j (+ even shift) for any eigenvalue."""
 

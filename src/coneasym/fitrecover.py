@@ -1,79 +1,156 @@
 """Exponent fitting and inverse spectral recovery.
 
-Solver output near the tip behaves like c0 x^e0 (1 + O(x^2)); fitting
-log |a| against log x on a window recovers e0, and peeling (subtract the
-fitted term, refit the residual on an upper window) exposes the next
-exponent.  Recovered exponents map back to eigenvalues through
-lam = mu (n - 1 - mu) with mu = -e.
+Near the tip each mode's heat solution is a ladder of pure powers,
+    a(t, x) = sum_q C_q(t) x^(e0 + 2q),    e0 = -mu_j,
+whose exponents do not depend on t (see `conesolve.heat_small_x_series`).
+`peel_exponents` fits one (mode, t) series to the truncated ladder
+    v(x) ~ sum_{q < LADDER_TERMS} c_q x^(e0 + q d)
+by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973):
+for fixed (e0, d) the c_q solve a linear least-squares problem in the
+relative residual (weights 1/|v|, columns scaled to unit norm), and
+Gauss-Newton (`least_squares`) moves (e0, d) alone.  The step d is left
+free, so the data show whether they sit on the paper's ladder.  The tail
+the four terms leave out grows with x y / 4t (y in the source's
+support), so where the whole grid leaves an rms above RMS_TOL the fit
+drops upper half decades, down to one decade of x.
 
-Attribution policy: the leading exponent of a single mode is always
-spectral (-mu_j is the smallest exponent a mode can produce); deeper
-exponents that sit within tolerance of both an even shift 2 nu (or
-2 nu - 1 for n = 2) and a spectral candidate are flagged ambiguous rather
-than guessed.
+`recover_spectrum` groups the reports by mode across t.  It accepts a
+mode only when every report has |d - 2| <= STEP_TOL and relative rms
+<= RMS_TOL, and e0 moves by at most SPREAD_TOL over t; it then maps the
+mean e0 to lam = mu (n - 1 - mu) with mu = -e0.  Any other mode is flagged
+with the bounds it broke.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 
 from . import jsonio
-from .errors import DegenerateSamples, NoiseFloor, NotASpectralExponent
+from .errors import DegenerateSamples, NotASpectralExponent, ScenarioError
 from .version import __version__
-from .weights import locate_interval
 
 _TOL = 1e-12
 
+LADDER_TERMS = 4
+# Acceptance bounds of `recover_spectrum`.  Solver output on the default
+# grid (x in [1e-4, 1e-1], t in [0.5, 2], circle modes 0-3, bump sources)
+# sits at |d - 2| <= 1.2e-7, rms <= 2e-14 and an e0 spread <= 1e-14 over t.
+# An x^(e0 + 1.5) term of relative size 3e-2 at x = 0.1 takes the second
+# rung: d moves by about 0.5 and the rms stays at 1e-11 or more however
+# far the grid is cut.  `peel_exponents` cuts the grid until the rms is
+# at most RMS_TOL; grids reaching x = 1 at t = 1, or x = 0.1 at t = 0.1
+# and 0.01, then fit at |d - 2| <= 1.1e-7 and rms <= 6e-13.
+STEP_TOL = 1e-6
+RMS_TOL = 1e-12
+SPREAD_TOL = 1e-9
+# Stopping rules of `least_squares`: a relative step of at most _XTOL, or
+# a fall in cost below _COST_ROUNDING * sqrt(m * cost), the rounding error
+# of a sum of m squares of order-1 terms; it gives up after _MAX_NFEV
+# residual evaluations.
+_XTOL = 1e-14
+_COST_ROUNDING = 64 * np.finfo(float).eps
+_MAX_NFEV = 200
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on first use."""
-    from scipy.optimize import least_squares as _least_squares
-    return _least_squares(*args, **kwargs)
+_Q = np.arange(LADDER_TERMS)
+_MIN_SAMPLES = LADDER_TERMS + 4
+
+
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Outcome of `least_squares`: the parameters, their residual vector,
+    whether the iteration converged, and how often ``fun`` was called."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    success: bool
+    nfev: int
+
+
+def least_squares(fun, x0) -> LeastSquaresResult:
+    """Minimize ||fun(theta)||^2 by Gauss-Newton, for residuals of order 1.
+
+    The Jacobian is a forward difference.  A step that does not lower the
+    cost is halved, up to 30 times.  The iteration has converged (success)
+    when a step moves every parameter by at most _XTOL relative to it, or
+    lowers the cost by no more than the cost's own rounding error.  It
+    fails when no fraction of a larger step lowers the cost, when the cost
+    is not finite, or after _MAX_NFEV calls of ``fun``.
+    """
+    theta = np.asarray(x0, dtype=float)
+    r = fun(theta)
+    nfev = 1
+    cost = r @ r
+    success = False
+    while nfev < _MAX_NFEV and math.isfinite(cost):
+        h = 1.5e-8 * np.maximum(1.0, np.abs(theta))
+        jac = np.empty((r.size, theta.size))
+        for k in range(theta.size):
+            probe = theta.copy()
+            probe[k] += h[k]
+            jac[:, k] = (fun(probe) - r) / h[k]
+        nfev += theta.size
+        if not np.all(np.isfinite(jac)):
+            break
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        for _ in range(30):
+            trial = theta + step
+            r_trial = fun(trial)
+            nfev += 1
+            cost_trial = r_trial @ r_trial
+            if cost_trial <= cost:
+                break
+            step = 0.5 * step
+        small = bool(np.all(np.abs(step) <= _XTOL * np.maximum(1.0, np.abs(theta))))
+        if not cost_trial <= cost:
+            success = small
+            break
+        flat = cost - cost_trial <= _COST_ROUNDING * math.sqrt(r.size * cost)
+        theta, r, cost = trial, r_trial, cost_trial
+        if small or flat:
+            success = True
+            break
+    return LeastSquaresResult(x=theta, fun=r, success=success, nfev=nfev)
 
 
 @dataclass(frozen=True)
 class FitReport:
-    """One fitted exponent with uncertainty and bookkeeping."""
+    """Ladder fit of one series: v ~ sum_q coefficients[q] x^(exponent + q step)."""
 
     exponent: float
     stderr: float
-    coefficient: float
-    log_coefficient_ratio: float
+    step: float
+    step_stderr: float
+    coefficients: tuple
+    coefficient_stderr: tuple
     residual_rms: float
     n_samples: int
     window: tuple
-    peel_index: int = 0
     mode_j: int | None = None
     t: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "stderr": self.stderr,
-            "coefficient": self.coefficient,
-            "log_coefficient_ratio": self.log_coefficient_ratio,
-            "residual_rms": self.residual_rms,
-            "n_samples": self.n_samples,
-            "window": list(self.window),
-            "peel_index": self.peel_index,
-            "mode_j": self.mode_j,
-            "t": self.t,
-        }
+        return asdict(self)
 
 
 def report_from_dict(d: dict) -> FitReport:
+    if "step" not in d and "peel_index" in d:
+        raise ScenarioError("fit file is in the old peel format; rerun `coneasym fit` on its CSV")
+    missing = [f.name for f in fields(FitReport) if f.default is MISSING and f.name not in d]
+    if missing:
+        raise ScenarioError(f"fit report lacks {', '.join(missing)}")
     return FitReport(
         exponent=float(d["exponent"]),
         stderr=float(d["stderr"]),
-        coefficient=float(d["coefficient"]),
-        log_coefficient_ratio=float(d["log_coefficient_ratio"]),
+        step=float(d["step"]),
+        step_stderr=float(d["step_stderr"]),
+        coefficients=tuple(float(c) for c in d["coefficients"]),
+        coefficient_stderr=tuple(float(c) for c in d["coefficient_stderr"]),
         residual_rms=float(d["residual_rms"]),
         n_samples=int(d["n_samples"]),
-        window=tuple(d["window"]),
-        peel_index=int(d["peel_index"]),
+        window=tuple(float(w) for w in d["window"]),
         mode_j=d.get("mode_j"),
         t=d.get("t"),
     )
@@ -103,14 +180,9 @@ def _sign_consistent(x, v, min_samples):
     return slice(*best)
 
 
-def fit_leading_exponent(x, values, window=None, detect_log: bool = True,
-                         min_samples: int = 8, peel_index: int = 0) -> FitReport:
-    """Least-squares slope of log |a| vs log x on the window.
-
-    With detect_log, a log(log(1/x)) column is added so a genuine
-    x^e log^m x profile shows up as a nonzero fitted m (reported as
-    log_coefficient_ratio) instead of biasing e.
-    """
+def fit_leading_exponent(x, values, window=None, min_samples: int = 8):
+    """Least-squares slope of log |a| vs log x on the window, with its
+    standard error, over the longest run of samples of one sign."""
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
     mask = _window_mask(x, window)
@@ -122,162 +194,109 @@ def fit_leading_exponent(x, values, window=None, detect_log: bool = True,
             f"{x.size} samples in window, need >= {min_samples}"
         )
     run = _sign_consistent(x, values, min_samples)
-    x, values = x[run], values[run]
-    sign = float(np.sign(values[0]))
-    logx = np.log(x)
-    logv = np.log(np.abs(values))
-    cols = [np.ones_like(logx), logx]
-    use_log_col = detect_log and np.all(x < 0.5)
-    if use_log_col:
-        cols.append(np.log(np.log(1.0 / x)))
-    design = np.column_stack(cols)
-    coef, residuals, rank, _ = np.linalg.lstsq(design, logv, rcond=None)
-    if rank < design.shape[1]:
+    logx = np.log(x[run])
+    logv = np.log(np.abs(values[run]))
+    design = np.column_stack([np.ones_like(logx), logx])
+    coef, _, rank, _ = np.linalg.lstsq(design, logv, rcond=None)
+    if rank < 2:
         raise DegenerateSamples("degenerate design matrix (samples too clustered)")
-    fitted = design @ coef
-    rss = float(np.sum((logv - fitted) ** 2))
-    dof = max(x.size - design.shape[1], 1)
+    rss = float(np.sum((logv - design @ coef) ** 2))
+    dof = max(logx.size - 2, 1)
     cov = rss / dof * np.linalg.inv(design.T @ design)
+    return float(coef[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
+
+
+def _ladder(x, weight, theta):
+    """Columns x^(e0 + q d) / |v| of the ladder with theta = (e0, d)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x[:, None] ** (theta[0] + theta[1] * _Q) * weight[:, None]
+
+
+def _project(basis, sign):
+    """Coefficients of the weighted linear fit, and its relative residual;
+    None and an infinite residual when the ladder over- or underflowed."""
+    scale = np.linalg.norm(basis, axis=0)
+    if not (np.all(np.isfinite(scale)) and np.all(scale > 0)):
+        return None, np.full(sign.size, np.inf)
+    coef = np.linalg.lstsq(basis / scale, sign, rcond=None)[0] / scale
+    return coef, sign - basis @ coef
+
+
+def peel_exponents(x, values) -> FitReport:
+    """Fit one (mode, t) series to the ladder sum_{q<4} c_q x^(e0 + q d).
+
+    The ladder is truncated, and its tail grows like (x^2 / t)^4, so the
+    fit first takes the whole grid and then, while its relative rms is
+    above RMS_TOL, drops the top half decade, down to one decade above the
+    lowest x.  The report's ``window`` is the x range of the fit it returns.
+    `fit` calls this once per series under this name, which the benchmark
+    (perfbench/tracing.py) wraps as ``coneasym.cli.peel_exponents``.
+    """
+    x = np.asarray(x, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if x.size < _MIN_SAMPLES:
+        raise DegenerateSamples(f"{x.size} samples, need >= {_MIN_SAMPLES}")
+    if not (np.all(np.isfinite(values)) and np.all(values != 0.0)):
+        raise DegenerateSamples("values must be finite and nonzero")
+    if not (np.all(np.isfinite(x)) and np.all(x > 0.0)):
+        raise DegenerateSamples("x must be finite and positive")
+    order = np.argsort(x, kind="stable")
+    x, values = x[order], values[order]
+    e_start, _ = fit_leading_exponent(x, values, window=(x[0], 10.0 * x[0]), min_samples=2)
+    # Decades above the lowest x, with slack for grids built on decades.
+    span = np.log10(x / x[0]) + 1e-9
+    top = x.size
+    while True:
+        report = _fit_ladder(x[:top], values[:top], e_start)
+        lower = int(np.searchsorted(span, span[top - 1] - 0.5, side="right"))
+        if report.residual_rms <= RMS_TOL or lower < _MIN_SAMPLES or span[lower - 1] < 1.0:
+            return report
+        top = lower
+
+
+def _fit_ladder(x, values, e_start) -> FitReport:
+    """Variable-projection fit of the ladder to sorted samples.
+
+    Gauss-Newton over (e0, d) starts from e_start and d = 2; the c_q come
+    from `_project` at every step.  Standard errors come from the full
+    Jacobian in (e0, d, c_q).
+    """
+    weight = 1.0 / np.abs(values)
+    sign = np.sign(values)
+    # The solver is looked up as a module global on purpose: the benchmark
+    # times every call by replacing ``fitrecover.least_squares``.
+    result = least_squares(lambda theta: _project(_ladder(x, weight, theta), sign)[1],
+                           [e_start, 2.0])
+    if not result.success:
+        raise DegenerateSamples(
+            f"ladder fit on x in [{x[0]:.3g}, {x[-1]:.3g}] did not converge "
+            f"after {result.nfev} evaluations"
+        )
+    e0, d = (float(v) for v in result.x)
+    basis = _ladder(x, weight, result.x)
+    coef, resid = _project(basis, sign)
+    if coef is None:
+        raise DegenerateSamples("ladder fit left the representable range")
+    logx = np.log(x)[:, None]
+    jac = np.hstack([logx * (basis @ coef)[:, None],
+                     logx * (basis @ (_Q * coef))[:, None],
+                     basis])
+    rss = float(resid @ resid)
+    scale = np.linalg.norm(jac, axis=0)
+    scale[scale == 0.0] = 1.0
+    cov = np.linalg.pinv((jac / scale).T @ (jac / scale)) / np.outer(scale, scale)
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0) * rss / (x.size - LADDER_TERMS - 2))
     return FitReport(
-        exponent=float(coef[1]),
-        stderr=float(math.sqrt(max(cov[1, 1], 0.0))),
-        coefficient=sign * float(math.exp(coef[0])),
-        log_coefficient_ratio=float(coef[2]) if use_log_col else 0.0,
-        residual_rms=float(math.sqrt(rss / x.size)),
+        exponent=e0,
+        stderr=float(se[0]),
+        step=d,
+        step_stderr=float(se[1]),
+        coefficients=tuple(float(c) for c in coef),
+        coefficient_stderr=tuple(float(s) for s in se[2:]),
+        residual_rms=math.sqrt(rss / x.size),
         n_samples=int(x.size),
         window=(float(x[0]), float(x[-1])),
-        peel_index=peel_index,
     )
-
-
-def refit_coefficient(x, values, exponent, window=None) -> float:
-    """Geometric-mean coefficient of x^exponent against values on window."""
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = _window_mask(x, window) & (values != 0.0)
-    if not np.any(mask):
-        raise DegenerateSamples("no usable samples for coefficient refit")
-    sign = float(np.sign(values[mask][0]))
-    logs = np.log(np.abs(values[mask])) - exponent * np.log(x[mask])
-    return sign * float(np.exp(np.mean(logs)))
-
-
-def subtract_and_refit(x, values, known_terms, window=None,
-                       noise_rel: float = 1e-9, min_samples: int = 8,
-                       peel_index: int = 1) -> FitReport:
-    """Remove known (coefficient, exponent) terms and fit what remains.
-
-    Raises NoiseFloor when the residual magnitude on the window has fallen
-    within 1e3 x the expected numerical noise (quadrature tolerance times
-    the data scale), meaning no further exponent is resolvable.
-    """
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=float)
-    residual = values.copy()
-    for coeff, exponent in known_terms:
-        residual = residual - coeff * x**exponent
-    mask = _window_mask(x, window)
-    scale = float(np.max(np.abs(values[mask])))
-    noise = scale * (noise_rel + 1e-14)
-    if float(np.max(np.abs(residual[mask]))) < 1e3 * noise:
-        raise NoiseFloor(
-            "residual is within 1e3x of the numerical noise floor; "
-            "no further exponent is resolvable"
-        )
-    return fit_leading_exponent(
-        x, residual, window=window, min_samples=min_samples, peel_index=peel_index
-    )
-
-
-def _refine_two_term(x, values, lead: FitReport, nxt: FitReport):
-    """Joint nonlinear refinement of a two-term power model.
-
-    The windowed linear fits leave the second exponent biased: the leading
-    coefficient, extrapolated across decades, overwhelms the small second
-    term at the lower edge of its window.  Refitting
-        log |v| = log c0 + e0 log x + log(1 + r x^d)
-    over the whole sign-consistent range removes that leakage; the linear
-    estimates only serve as the starting point.
-    """
-    sign = float(np.sign(values[0]))
-    v = sign * values
-    keep = v > 0
-    x, v = x[keep], v[keep]
-    logx = np.log(x)
-    logv = np.log(v)
-    r0 = nxt.coefficient / lead.coefficient
-    d0 = max(nxt.exponent - lead.exponent, 0.1)
-    theta0 = np.array([math.log(abs(lead.coefficient)), lead.exponent, r0, d0])
-
-    def resid(theta):
-        logc0, e0, r, d = theta
-        inner = 1.0 + r * np.exp(d * logx)
-        inner = np.maximum(inner, 1e-12)
-        return logc0 + e0 * logx + np.log(inner) - logv
-
-    result = least_squares(resid, theta0, method="lm", xtol=1e-15, ftol=1e-15)
-    if not result.success:
-        return lead, nxt
-    logc0, e0, r, d = result.x
-    dof = max(x.size - 4, 1)
-    sigma2 = 2.0 * result.cost / dof
-    try:
-        cov = sigma2 * np.linalg.inv(result.jac.T @ result.jac)
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        se = np.full(4, float("nan"))
-    c0 = sign * math.exp(logc0)
-    lead = replace(lead, exponent=float(e0), coefficient=c0, stderr=float(se[1]))
-    nxt = replace(
-        nxt,
-        exponent=float(e0 + d),
-        coefficient=float(c0 * r),
-        stderr=float(math.hypot(se[1], se[3])),
-    )
-    return lead, nxt
-
-
-def peel_exponents(x, values, max_terms: int = 2, lead_window=None,
-                   next_window=None, noise_rel: float = 1e-9) -> list:
-    """Fit the leading exponent low, peel, fit the next high.
-
-    Returns FitReports in peel order; stops early at the noise floor.
-    When a second term is resolvable, both terms are polished by a joint
-    nonlinear fit over the full range.
-    """
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if lead_window is None:
-        lo = float(np.min(x))
-        lead_window = (lo, lo * 10.0)
-    if next_window is None:
-        hi = float(np.max(x))
-        next_window = (hi / 10.0, hi)
-    lead = fit_leading_exponent(x, values, window=lead_window, peel_index=0)
-    lead = replace(lead, coefficient=refit_coefficient(x, values, lead.exponent, lead_window))
-    reports = [lead]
-    for index in range(1, max_terms):
-        try:
-            nxt = subtract_and_refit(
-                x, values, [(r.coefficient, r.exponent) for r in reports],
-                window=next_window, noise_rel=noise_rel, peel_index=index,
-            )
-        except NoiseFloor:
-            break
-        residual = values - sum(
-            r.coefficient * x**r.exponent for r in reports
-        )
-        nxt = replace(
-            nxt,
-            coefficient=refit_coefficient(x, residual, nxt.exponent, next_window),
-        )
-        if index == 1:
-            full = (min(lead_window[0], next_window[0]), max(lead_window[1], next_window[1]))
-            mask = _window_mask(x, full)
-            lead2, nxt = _refine_two_term(x[mask], values[mask], reports[0], nxt)
-            reports[0] = lead2
-        reports.append(nxt)
-    return reports
 
 
 def recover_lambda(n: int, exponent):
@@ -319,89 +338,52 @@ class RecoverySummary:
         )
 
 
-def _even_candidates(n: int, k: int) -> list:
-    out = [2 * nu for nu in range(1, k)]
-    if n == 2:
-        out.extend(2 * nu - 1 for nu in range(1, k))
-    return sorted(out)
+def recover_spectrum(reports, n: int, gamma, k: int) -> RecoverySummary:
+    """Map ladder fits, grouped by mode across t, to eigenvalues.
 
-
-def _spectral_candidate(n, gamma, k, exponent, tol):
-    """Smallest even shift nu' making mu = -(e - 2 nu') land in a tile
-    J_m, 2 <= m <= k (tile membership checked with +-tol slack)."""
-    for nu_shift in range(0, k - 1):
-        mu = -(exponent - 2 * nu_shift)
-        if mu > tol:
-            continue
-        for probe in (mu, mu - tol, mu + tol):
-            m = locate_interval(n, gamma, probe)
-            if m is not None and 2 <= m <= k:
-                return nu_shift, mu
-    return None
-
-
-def recover_spectrum(reports, n: int, gamma, k: int, match_tol: float = 1e-2,
-                     dedupe_tol: float = 1e-3) -> RecoverySummary:
-    """Map fit reports to recovered eigenvalues with provenance.
-
-    Leading exponents (peel_index 0) convert directly.  Deeper exponents
-    are compared against the even-shift ladder and the spectral tiles; hits
-    in both classes (or neither) go to the flagged list instead of the
-    recovered list.
+    Each recovered entry carries ``lambda``, a ``provenance`` (mode, its
+    times, the mean e0, and ``peel_index`` 0: the exponent is the ladder's
+    base) and the ``evidence`` the bounds were checked on; a mode that
+    breaks a bound is flagged with the same fields and a ``reason``.
     """
+    groups: dict = {}
+    for report in reports:
+        groups.setdefault(report.mode_j, []).append(report)
     recovered = []
     flagged = []
-    for report in reports:
-        e = float(report.exponent)
+    for mode_j, group in groups.items():
+        exponents = [r.exponent for r in group]
+        exponent = math.fsum(exponents) / len(exponents)
         prov = {
-            "mode_j": report.mode_j,
-            "t": report.t,
-            "peel_index": report.peel_index,
-            "exponent": e,
-            "stderr": report.stderr,
+            "mode_j": mode_j,
+            "t": [r.t for r in group],
+            "exponent": exponent,
+            "peel_index": 0,
         }
-        if report.peel_index == 0:
-            if -1e-3 < e < 0.0:
-                e = 0.0  # fit noise around the constant mode
-            if e < 0.0:
-                flagged.append({**prov, "reason": "negative leading exponent"})
-                continue
-            lam = float(recover_lambda(n, e)) + 0.0  # drop any -0.0
-            dlam_de = abs(n - 1 + 2 * e)
-            spread = report.stderr * dlam_de
-            confidence = 1.0 / (1.0 + spread / max(abs(lam), 1.0))
-            recovered.append({"lambda": lam, "confidence": confidence, "provenance": prov})
+        evidence = {
+            "step_deviation": max(abs(r.step - 2.0) for r in group),
+            "exponent_spread": max(exponents) - min(exponents),
+            "residual_rms": max(r.residual_rms for r in group),
+        }
+        reasons = [
+            f"{key} {evidence[key]:.3g} > {bound:.0e}"
+            for key, bound in (("step_deviation", STEP_TOL), ("exponent_spread", SPREAD_TOL),
+                               ("residual_rms", RMS_TOL))
+            if not evidence[key] <= bound
+        ]
+        if -SPREAD_TOL < exponent < 0.0:
+            exponent = 0.0  # fit noise around the constant mode
+        if exponent < 0.0:
+            reasons.append("negative leading exponent")
+        if reasons:
+            flagged.append({**prov, "evidence": evidence, "reason": "; ".join(reasons)})
             continue
-        even_hit = any(abs(e - c) <= match_tol for c in _even_candidates(n, k))
-        spectral_hit = _spectral_candidate(n, gamma, k, e, match_tol)
-        if even_hit and spectral_hit is not None:
-            flagged.append({**prov, "reason": "ambiguous: even shift vs spectral"})
-        elif spectral_hit is not None:
-            nu_shift, mu = spectral_hit
-            lam = float(mu * (n - 1 - mu))
-            dlam_de = abs(n - 1 + 2 * (-mu))
-            spread = report.stderr * dlam_de
-            confidence = 1.0 / (1.0 + spread / max(abs(lam), 1.0))
-            prov = {**prov, "even_shift": nu_shift}
-            recovered.append({"lambda": lam, "confidence": confidence, "provenance": prov})
-        elif not even_hit:
-            flagged.append({**prov, "reason": "matches neither even shift nor spectral tile"})
-        # even-shift-only exponents are explained by the template; skip
-    recovered.sort(key=lambda r: (-r["lambda"], -r["confidence"]))
-    deduped = []
-    for entry in recovered:
-        merged = False
-        for kept in deduped:
-            if abs(entry["lambda"] - kept["lambda"]) <= dedupe_tol * max(1.0, abs(kept["lambda"])):
-                merged = True
-                if entry["confidence"] > kept["confidence"]:
-                    kept.update(entry)
-                break
-        if not merged:
-            deduped.append(dict(entry))
+        lam = float(recover_lambda(n, exponent)) + 0.0  # drop any -0.0
+        recovered.append({"lambda": lam, "provenance": prov, "evidence": evidence})
+    recovered.sort(key=lambda entry: -entry["lambda"])
     top = 0.5 * (n + 1) - float(gamma)
     return RecoverySummary(
-        recovered=tuple(deduped),
+        recovered=tuple(recovered),
         flagged=tuple(flagged),
         visible_mu_window=(top - 2 * k, top - 2.0),
     )

@@ -1,6 +1,9 @@
 """Package surface: the public names and the documented exit codes."""
 
+import importlib
+import importlib.util
 import re
+from pathlib import Path
 
 import coneasym
 from coneasym import cli
@@ -17,3 +20,18 @@ def test_every_exit_code_is_documented():
     assert epilog == cli._EXIT_DOC
     documented = {int(code) for code in re.findall(r"^  (\d+) ", epilog, re.M)}
     assert documented == set(cli.EXIT_CODES.values()) | {0}
+
+
+def test_benchmark_wrapped_names_resolve():
+    """Every name the benchmark wraps (perfbench/tracing.py SPANS and
+    COUNTED) still resolves: a renamed one would silently drop its layer
+    metrics from a traced run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [entry[0] for entry in tracing.SPANS + tracing.COUNTED]
+    assert "coneasym.fitrecover.least_squares" in targets
+    for target in targets:
+        module_name, attr = target.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(module_name), attr)), target

@@ -45,7 +45,7 @@ def test_scenario_validation(tmp_path):
     for decades in ([-4], [-4, -1, 5], [-1, -2], [-2, -2]):
         with pytest.raises(ScenarioError):
             Scenario.from_dict(dict(SCENARIO, x_grid={"decades": decades}))
-    for per_decade in (0, -3):
+    for per_decade in (0, -3, 2.7):
         with pytest.raises(ScenarioError):
             Scenario.from_dict(dict(SCENARIO, x_grid={"decades": [-4, -1], "points_per_decade": per_decade}))
     with pytest.raises(ScenarioError):
@@ -78,20 +78,53 @@ def test_full_pipeline(tmp_path, capsys):
     assert text.startswith("# coneasym ")
     assert text.splitlines()[1] == "mode_j,nu,t,x,value"
 
-    assert main([
-        "fit", "--csv", csv_path,
-        "--lead-window", "1e-4", "1e-3", "--next-window", "1e-2", "1e-1",
-        "--out", fits_path,
-    ]) == 0
+    assert main(["fit", "--csv", csv_path, "--out", fits_path]) == 0
     assert main([
         "recover", "--fits", fits_path, "--n", "1", "--gamma", "0.0", "--k", "3",
         "--out", out_path,
     ]) == 0
     summary = json.loads(open(out_path).read())
     lams = sorted(entry["lambda"] for entry in summary["recovered"])
-    assert abs(lams[0] + 4.0) < 4e-2
-    assert abs(lams[1]) < 1e-2
-    assert summary["flagged"]  # the deeper even/spectral collisions
+    assert lams == pytest.approx([-4.0, 0.0], abs=1e-8)
+    assert summary["flagged"] == []
+
+
+def test_readme_scenario_recovers_exact_spectrum(tmp_path):
+    """The README circle (modes 0-3, t in {0.5, 1, 2}) recovers 0, -4, -16
+    and -36 to 1e-8 and nothing else; fit is byte-identical when rerun."""
+    scenario = _write_scenario(tmp_path, dict(SCENARIO, cross_section={"name": "circle", "radius": "1/2", "j_max": 8},
+                                              modes=[0, 1, 2, 3], t=[0.5, 1.0, 2.0]))
+    csv_path = str(tmp_path / "sol.csv")
+    fits = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+    out_path = str(tmp_path / "recovered.json")
+    assert main(["solve", "--scenario", scenario, "--out", csv_path]) == 0
+    for path in fits:
+        assert main(["fit", "--csv", csv_path, "--out", path]) == 0
+    assert open(fits[0]).read() == open(fits[1]).read()
+    assert main(["recover", "--fits", fits[0], "--n", "1", "--gamma", "0", "--k", "3", "--out", out_path]) == 0
+    summary = json.loads(open(out_path).read())
+    assert [e["lambda"] for e in summary["recovered"]] == pytest.approx([0.0, -4.0, -16.0, -36.0], abs=1e-8)
+    assert summary["flagged"] == []
+    for entry in summary["recovered"]:
+        assert entry["provenance"]["peel_index"] == 0
+        assert entry["provenance"]["t"] == [0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("decades, t", [((-3, 0), [1.0]), ((-4, -1), [0.1])])
+def test_recovers_where_the_ladder_is_truncated(tmp_path, decades, t):
+    """A grid reaching x = 1 at t = 1, and the default grid at t = 0.1, put
+    x y / 4t near 1/2 on the top decade, past a four-term ladder; fit keeps
+    the lower decades and recover still gives exactly 0, -4, -16, -36."""
+    scenario = _write_scenario(tmp_path, dict(SCENARIO, cross_section={"name": "circle", "radius": "1/2", "j_max": 8},
+                                              modes=[0, 1, 2, 3], t=t,
+                                              x_grid={"decades": list(decades), "points_per_decade": 16}))
+    csv_path, fits_path, out_path = (str(tmp_path / name) for name in ("sol.csv", "fits.jsonl", "rec.json"))
+    assert main(["solve", "--scenario", scenario, "--out", csv_path]) == 0
+    assert main(["fit", "--csv", csv_path, "--out", fits_path]) == 0
+    assert main(["recover", "--fits", fits_path, "--n", "1", "--gamma", "0", "--k", "3", "--out", out_path]) == 0
+    summary = json.loads(open(out_path).read())
+    assert [e["lambda"] for e in summary["recovered"]] == pytest.approx([0.0, -4.0, -16.0, -36.0], abs=1e-8)
+    assert summary["flagged"] == []
 
 
 def test_solve_is_deterministic(tmp_path):
@@ -102,7 +135,7 @@ def test_solve_is_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert main(["template", "--cross-section", "s2", "--gamma", "3.0", "--k", "3"]) == EXIT_CODES["window"]
     assert main(["template", "--cross-section", "s2", "--gamma", "0", "--k", "1"]) == EXIT_CODES["k_too_small"]
     assert main(
@@ -123,6 +156,16 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["fit"])  # missing required argument
     assert err.value.code == EXIT_CODES["usage"]
+    old_fits = tmp_path / "old.jsonl"
+    old_fits.write_text(
+        '{"generator": "coneasym 0.1.0"}\n'
+        '{"exponent": 2.0, "stderr": 1e-12, "coefficient": 1.5, "log_coefficient_ratio": 0.0,'
+        ' "residual_rms": 1e-15, "n_samples": 17, "window": [0.0001, 0.001], "peel_index": 0,'
+        ' "mode_j": 1, "t": 1.0}\n'
+    )
+    capsys.readouterr()
+    assert main(["recover", "--fits", str(old_fits), "--n", "1", "--gamma", "0", "--k", "3"]) == EXIT_CODES["scenario"]
+    assert "old peel format" in capsys.readouterr().err
 
 
 def test_selftest_subset(capsys):
