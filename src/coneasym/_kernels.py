@@ -1,16 +1,17 @@
 """Low-level numerical kernels.
 
-Scaled modified Bessel function of the first kind, the model-cone heat
-kernel built from it, and the one Gauss-Legendre quadrature engine that
-every integral in the package goes through: a 16-point rule on many
-panels at once, in blocks of at most _BLOCK panels per integrand call; an
-adaptive bisection whose breadth-first frontier refines every live panel
-of every task in one such call per level; and a fixed-panel sum.  The heat
-sweep evaluates each level with one ``scipy.special.ive`` call; the scalar
-series/asymptotic ``ive`` below is the independent oracle that the Bessel
-wrappers and the acceptance criteria compare against.  scipy.special is
-imported on the first ``heat_rows`` call, not with this module, so the
-exact-algebra commands start without it.
+A scalar scaled modified Bessel function of the first kind, the one
+Gauss-Legendre quadrature engine that every integral in the package goes
+through, and the model-cone heat solver on top of it.  The engine is a
+16-point rule on many panels at once, in blocks of at most _BLOCK panels
+per integrand call; an adaptive bisection whose breadth-first frontier
+refines every live panel of every task in one such call per level; and a
+fixed-panel sum.  ``heat_rows`` evaluates the heat kernel below on each
+level with one ``scipy.special.ive`` call; the scalar series/asymptotic
+``ive_native`` is the independent oracle that the Bessel wrappers and the
+tests compare against.  scipy.special is imported on the first
+``heat_rows`` call, not with this module, so the exact-algebra commands
+start without it.
 
 Notation: the mode operator on the model cone of dimension n+1 is
 
@@ -179,14 +180,6 @@ def ive_native(nu: float, z: float) -> float:
     if z >= 40.0 and z >= 1.6 * nu * nu + 25.0:
         return _ive_asym(nu, z)
     return _ive_series(nu, z)
-
-
-def heat_kernel_value(nu: float, n: int, t: float, x: float, xi: float) -> float:
-    """Heat kernel p_nu(t, x, xi) through the scalar ive, overflow-safe."""
-    nu, n, t, x, xi = float(nu), float(n), float(t), float(x), float(xi)
-    d = x - xi
-    pref = (x * xi) ** (0.5 * (1.0 - n)) / (2.0 * t)
-    return pref * math.exp(-d * d / (4.0 * t)) * ive_native(nu, x * xi / (2.0 * t))
 
 
 def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):

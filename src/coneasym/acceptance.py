@@ -17,7 +17,6 @@ from .conesolve import (
     RadialProfile,
     csv_to_rows,
     default_grid,
-    heat_kernel_value,
     heat_mode,
     rows_to_csv,
     rows_to_series,
@@ -358,27 +357,36 @@ def criterion_5():
 
 
 # ---------------------------------------------------------------------------
-# 6. parabolic scaling of the mode kernel
+# 6. parabolic scaling of the heat solver
 # ---------------------------------------------------------------------------
 
 
 def criterion_6():
+    """Scaling x, sqrt(t) and the source's support (lo, hi, center, width)
+    by rho leaves the mode heat solution unchanged: with
+    f_rho(xi) = f(xi / rho), a_rho(rho^2 t, rho x) = a(t, x) exactly,
+    since p_nu(rho^2 t, rho x, rho xi) = rho^-(n+1) p_nu(t, x, xi)."""
     rng = np.random.default_rng(1234)
     worst = 0.0
-    for _ in range(20):
-        nu = float(rng.uniform(0.0, 5.0))
+    for k in range(20):
         n = int(rng.integers(1, 5))
+        lam = float(rng.uniform(-25.0, 0.0))
         t = float(rng.uniform(0.1, 2.0))
-        x = float(rng.uniform(0.05, 4.0))
-        xi = float(rng.uniform(0.05, 4.0))
         rho = float(rng.uniform(0.3, 3.0))
-        base = heat_kernel_value(nu, n, t, x, xi)
-        scaled = heat_kernel_value(nu, n, rho * rho * t, rho * x, rho * xi)
-        expected = rho ** (-(n + 1)) * base
-        rel = abs(scaled - expected) / abs(expected)
-        worst = max(worst, rel)
+        lo = float(rng.uniform(0.5, 1.5))
+        hi = lo + float(rng.uniform(0.5, 1.5))
+        center, width = float(rng.uniform(lo, hi)), float(rng.uniform(0.15, 0.35)) * (hi - lo)
+        shape = ("bump", "gaussian", "indicator")[k % 3]
+        x = np.geomspace(1e-3, 2.0 * hi, 12)
+        base = heat_mode(ModeProblem(n, lam, t, RadialProfile(shape, lo, hi, center, width)),
+                         x, rel_tol=1e-12).values
+        scaled_profile = RadialProfile(shape, rho * lo, rho * hi, rho * center, rho * width)
+        scaled = heat_mode(ModeProblem(n, lam, rho * rho * t, scaled_profile),
+                           rho * x, rel_tol=1e-12).values
+        worst = max(worst, float(np.max(np.abs(scaled - base) / np.abs(base))))
     ok = worst <= 1e-10
-    return ok, f"20 random tuples, worst relative defect {worst:.2e} (tol 1e-10)"
+    return ok, (f"20 random (n, lam, t, rho, source), 12 points each, "
+                f"worst relative defect {worst:.2e} (tol 1e-10)")
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +556,7 @@ CRITERIA = [
     (3, "templates: integer exponent ladders for round spheres", criterion_3),
     (4, "indicial algebra: Vieta, symbol powers, double root at zero", criterion_4),
     (5, "heat modes: leading and second exponents of the fitted ladder", criterion_5),
-    (6, "heat kernel: parabolic scaling identity", criterion_6),
+    (6, "heat solver: parabolic scaling identity", criterion_6),
     (7, "resolvent: sectorial sweep uniform within a factor 2", criterion_7),
     (8, "end to end: spectrum recovery and algebraic round trips", criterion_8),
     (9, "weights: membership rule agrees with quadrature classifier", criterion_9),

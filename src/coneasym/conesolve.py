@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from ._kernels import adaptive, gl_panels, gl_sum, heat_kernel_value, heat_rows
+from ._kernels import adaptive, gl_panels, gl_sum, heat_rows
 from .besselkit import bessel_i, bessel_k, check_order
 from .errors import QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
@@ -104,7 +104,6 @@ class ModeSolution:
     problem: ModeProblem
     x: np.ndarray
     values: np.ndarray
-    kernel_terms: int
     quadrature_error_estimate: float
 
 
@@ -113,13 +112,6 @@ def default_grid(decades=(-4, -1), points_per_decade: int = 16) -> np.ndarray:
     lo, hi = decades
     count = int(round((hi - lo) * points_per_decade)) + 1
     return np.geomspace(10.0**lo, 10.0**hi, count)
-
-
-def heat_kernel(nu: float, n: int, t: float, x: float, xi: float) -> float:
-    """The mode heat kernel p_nu(t, x, xi) (measure weight xi^n excluded)."""
-    if not (t > 0 and x > 0 and xi > 0):
-        raise ScenarioError("heat_kernel requires t, x, xi > 0")
-    return heat_kernel_value(nu, n, t, x, xi)
 
 
 def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
@@ -133,7 +125,7 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
         raise ScenarioError("x_eval must be a nonempty 1-d array of finite positive points")
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ScenarioError("rel_tol must be finite and positive")
-    values, errs, panels, ok = heat_rows(
+    values, errs, _, ok = heat_rows(
         check_order(problem.nu), problem.n, problem.t, x_eval, problem.profile, rel_tol, max_depth
     )
     if not np.all(ok):
@@ -148,7 +140,6 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
         problem=problem,
         x=x_eval,
         values=values,
-        kernel_terms=int(panels.max()),
         quadrature_error_estimate=float(rel.max()),
     )
 
@@ -193,17 +184,6 @@ def _support_integral(profile: RadialProfile, fn, panels: int = 48) -> float:
     """Fixed-panel Gauss-Legendre integral of fn * profile over the support."""
     edges = np.linspace(profile.lo, profile.hi, panels + 1)
     return gl_sum(lambda x: fn(x) * profile(x), edges)
-
-
-def heat_mode_patch(n: int, lam: float, profile: RadialProfile, ts, xs,
-                    rel_tol: float = 1e-9) -> np.ndarray:
-    """Heat solution sampled on a (t, x) product grid (rows: t)."""
-    ts = np.asarray(ts, dtype=float)
-    out = np.empty((ts.size, np.asarray(xs).size))
-    for i, t in enumerate(ts):
-        problem = ModeProblem(n=n, lam=lam, t=float(t), profile=profile)
-        out[i] = heat_mode(problem, xs, rel_tol=rel_tol).values
-    return out
 
 
 def _d1(values, h, axis):
@@ -337,8 +317,8 @@ def resolvent_residual(n: int, lam_mode: float, lam, xs, values, fvals) -> float
     hx = xs[1] - xs[0]
     if not np.allclose(np.diff(xs), hx):
         raise ScenarioError("grid must be uniform")
-    d1 = (-values[4:] + 8 * values[3:-1] - 8 * values[1:-3] + values[:-4]) / (12 * hx)
-    d2 = (-values[4:] + 16 * values[3:-1] - 30 * values[2:-2] + 16 * values[1:-3] - values[:-4]) / (12 * hx * hx)
+    d1 = _d1(values, hx, axis=0)
+    d2 = _d2(values, hx, axis=0)
     xin = xs[2:-2]
     uin = values[2:-2]
     lu = d2 + (n / xin) * d1 + (lam_mode / xin**2) * uin

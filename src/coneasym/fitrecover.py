@@ -156,56 +156,6 @@ def report_from_dict(d: dict) -> FitReport:
     )
 
 
-def _window_mask(x, window):
-    if window is None:
-        return np.ones(x.size, dtype=bool)
-    lo, hi = window
-    return (x >= lo) & (x <= hi)
-
-
-def _sign_consistent(x, v, min_samples):
-    """Longest contiguous run of one strict sign, as index slice."""
-    signs = np.sign(v)
-    best = (0, 0)
-    start = 0
-    for i in range(1, v.size + 1):
-        if i == v.size or signs[i] != signs[start] or signs[i] == 0:
-            if signs[start] != 0 and i - start > best[1] - best[0]:
-                best = (start, i)
-            start = i
-    if best[1] - best[0] < min_samples:
-        raise DegenerateSamples(
-            f"no sign-consistent window with >= {min_samples} samples"
-        )
-    return slice(*best)
-
-
-def fit_leading_exponent(x, values, window=None, min_samples: int = 8):
-    """Least-squares slope of log |a| vs log x on the window, with its
-    standard error, over the longest run of samples of one sign."""
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = _window_mask(x, window)
-    x, values = x[mask], values[mask]
-    order = np.argsort(x)
-    x, values = x[order], values[order]
-    if x.size < min_samples:
-        raise DegenerateSamples(
-            f"{x.size} samples in window, need >= {min_samples}"
-        )
-    run = _sign_consistent(x, values, min_samples)
-    logx = np.log(x[run])
-    logv = np.log(np.abs(values[run]))
-    design = np.column_stack([np.ones_like(logx), logx])
-    coef, _, rank, _ = np.linalg.lstsq(design, logv, rcond=None)
-    if rank < 2:
-        raise DegenerateSamples("degenerate design matrix (samples too clustered)")
-    rss = float(np.sum((logv - design @ coef) ** 2))
-    dof = max(logx.size - 2, 1)
-    cov = rss / dof * np.linalg.inv(design.T @ design)
-    return float(coef[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
-
-
 def _ladder(x, weight, theta):
     """Columns x^(e0 + q d) / |v| of the ladder with theta = (e0, d)."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -225,10 +175,12 @@ def _project(basis, sign):
 def peel_exponents(x, values) -> FitReport:
     """Fit one (mode, t) series to the ladder sum_{q<4} c_q x^(e0 + q d).
 
-    The ladder is truncated, and its tail grows like (x^2 / t)^4, so the
-    fit first takes the whole grid and then, while its relative rms is
-    above RMS_TOL, drops the top half decade, down to one decade above the
-    lowest x.  The report's ``window`` is the x range of the fit it returns.
+    Gauss-Newton starts from the least-squares slope of log |v| against
+    log x over the lowest decade of x, which must hold two distinct samples
+    of one sign.  The ladder is truncated, and its tail grows like
+    (x^2 / t)^4, so the fit first takes the whole grid and then, while its
+    relative rms is above RMS_TOL, drops the top half decade, down to one
+    decade above the lowest x.  The report's ``window`` is the x range of the fit it returns.
     `fit` calls this once per series under this name, which the benchmark
     (perfbench/tracing.py) wraps as ``coneasym.cli.peel_exponents``.
     """
@@ -242,7 +194,12 @@ def peel_exponents(x, values) -> FitReport:
         raise DegenerateSamples("x must be finite and positive")
     order = np.argsort(x, kind="stable")
     x, values = x[order], values[order]
-    e_start, _ = fit_leading_exponent(x, values, window=(x[0], 10.0 * x[0]), min_samples=2)
+    low = x <= 10.0 * x[0]
+    logx = np.log(x[low])
+    if not logx[-1] > logx[0] or np.any(np.sign(values[low]) != np.sign(values[0])):
+        raise DegenerateSamples("the lowest decade of x needs two distinct samples of one sign")
+    design = np.column_stack([np.ones_like(logx), logx])
+    e_start = float(np.linalg.lstsq(design, np.log(np.abs(values[low])), rcond=None)[0][1])
     # Decades above the lowest x, with slack for grids built on decades.
     span = np.log10(x / x[0]) + 1e-9
     top = x.size

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -74,7 +75,7 @@ def test_full_pipeline(tmp_path, capsys):
     out_path = str(tmp_path / "recovered.json")
 
     assert main(["solve", "--scenario", scenario, "--out", csv_path]) == 0
-    text = open(csv_path).read()
+    text = Path(csv_path).read_text()
     assert text.startswith("# coneasym ")
     assert text.splitlines()[1] == "mode_j,nu,t,x,value"
 
@@ -83,7 +84,7 @@ def test_full_pipeline(tmp_path, capsys):
         "recover", "--fits", fits_path, "--n", "1", "--gamma", "0.0", "--k", "3",
         "--out", out_path,
     ]) == 0
-    summary = json.loads(open(out_path).read())
+    summary = json.loads(Path(out_path).read_text())
     lams = sorted(entry["lambda"] for entry in summary["recovered"])
     assert lams == pytest.approx([-4.0, 0.0], abs=1e-8)
     assert summary["flagged"] == []
@@ -100,9 +101,9 @@ def test_readme_scenario_recovers_exact_spectrum(tmp_path):
     assert main(["solve", "--scenario", scenario, "--out", csv_path]) == 0
     for path in fits:
         assert main(["fit", "--csv", csv_path, "--out", path]) == 0
-    assert open(fits[0]).read() == open(fits[1]).read()
+    assert Path(fits[0]).read_text() == Path(fits[1]).read_text()
     assert main(["recover", "--fits", fits[0], "--n", "1", "--gamma", "0", "--k", "3", "--out", out_path]) == 0
-    summary = json.loads(open(out_path).read())
+    summary = json.loads(Path(out_path).read_text())
     assert [e["lambda"] for e in summary["recovered"]] == pytest.approx([0.0, -4.0, -16.0, -36.0], abs=1e-8)
     assert summary["flagged"] == []
     for entry in summary["recovered"]:
@@ -122,7 +123,7 @@ def test_recovers_where_the_ladder_is_truncated(tmp_path, decades, t):
     assert main(["solve", "--scenario", scenario, "--out", csv_path]) == 0
     assert main(["fit", "--csv", csv_path, "--out", fits_path]) == 0
     assert main(["recover", "--fits", fits_path, "--n", "1", "--gamma", "0", "--k", "3", "--out", out_path]) == 0
-    summary = json.loads(open(out_path).read())
+    summary = json.loads(Path(out_path).read_text())
     assert [e["lambda"] for e in summary["recovered"]] == pytest.approx([0.0, -4.0, -16.0, -36.0], abs=1e-8)
     assert summary["flagged"] == []
 
@@ -132,7 +133,7 @@ def test_solve_is_deterministic(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["solve", "--scenario", scenario, "--out", a]) == 0
     assert main(["solve", "--scenario", scenario, "--out", b]) == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -185,6 +186,6 @@ def test_check_resolvent_overflow_exits_domain(tmp_path):
 def test_check_resolvent(tmp_path):
     out = str(tmp_path / "sweep.json")
     assert main(["check-resolvent", "--out", out]) == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["uniform_within_factor_2"] is True
     assert len(report["rays"]) == 3

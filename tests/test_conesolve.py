@@ -6,16 +6,13 @@ import time
 import numpy as np
 import pytest
 from scipy import special
-from scipy.integrate import quad
 
 from coneasym.conesolve import (
     ModeProblem,
     RadialProfile,
     csv_to_rows,
     default_grid,
-    heat_kernel,
     heat_mode,
-    heat_mode_patch,
     heat_pde_residual,
     heat_small_x_series,
     resolvent_mode,
@@ -27,7 +24,14 @@ from coneasym.conesolve import (
 from coneasym.besselkit import bessel_i, bessel_k
 from coneasym.errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from coneasym import _kernels
-from coneasym._kernels import adaptive, gl_panels, gl_sum, heat_kernel_value, heat_rows
+from coneasym._kernels import adaptive, gl_panels, gl_sum, heat_rows, ive_native
+
+
+def _panel_nodes(edges):
+    """Nodes and weights of 16-point Gauss-Legendre panels on consecutive edges."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    c, h = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    return (c[:, None] + h[:, None] * nodes).ravel(), (h[:, None] * weights).ravel()
 
 
 def test_profile_shapes():
@@ -70,30 +74,23 @@ def test_exact_self_similar_solution_satisfies_pde():
 def test_solver_output_satisfies_pde(bump12):
     ts = np.linspace(0.8, 1.2, 41)
     xs = np.linspace(0.5, 1.0, 51)
-    values = heat_mode_patch(1, -4.0, bump12, ts, xs)
+    values = np.array([heat_mode(ModeProblem(n=1, lam=-4.0, t=float(t), profile=bump12), xs).values
+                       for t in ts])
     assert heat_pde_residual(1, -4.0, ts, xs, values) < 5e-6
 
 
-def test_kernel_scaling_identity():
-    rng = np.random.default_rng(99)
-    for _ in range(5):
-        nu = float(rng.uniform(0.0, 4.0))
-        n = int(rng.integers(1, 4))
-        t, x, xi = (float(v) for v in rng.uniform(0.2, 2.0, size=3))
-        rho = float(rng.uniform(0.5, 2.0))
-        left = heat_kernel(nu, n, rho * rho * t, rho * x, rho * xi)
-        right = rho ** (-(n + 1)) * heat_kernel(nu, n, t, x, xi)
-        assert abs(left - right) <= 1e-12 * abs(right)
-
-
 def test_mass_is_conserved():
-    """For the constant mode (nu = 0, n = 1) the kernel integrates to one
-    against the cone measure x dx."""
-    t, xi = 0.7, 2.0
-    total, err = quad(lambda x: heat_kernel(0.0, 1, t, x, xi) * x, 1e-12, xi + 30.0 * math.sqrt(t),
-                      points=[xi], limit=200)
-    assert err < 1e-7
-    assert abs(total - 1.0) < 1e-8
+    """For the constant mode (lam = 0, n = 1) heat flow keeps the mass
+    against the cone measure x dx: the solution's integral over
+    (0, hi + 40 sqrt(t)], by 32 fixed 16-node panels, equals the source's."""
+    for profile in (RadialProfile("bump", 1.0, 2.0),
+                    RadialProfile("gaussian", 0.8, 2.3, center=1.4, width=0.3),
+                    RadialProfile("indicator", 0.9, 1.6)):
+        source = gl_sum(lambda xi: profile(xi) * xi, np.linspace(profile.lo, profile.hi, 201))
+        for t in (0.05, 0.7, 3.0):
+            x, w = _panel_nodes(np.linspace(0.0, profile.hi + 40.0 * math.sqrt(t), 33))
+            a = heat_mode(ModeProblem(n=1, lam=0.0, t=t, profile=profile), x, rel_tol=1e-12).values
+            assert abs(math.fsum(w * a * x) - source) <= 1e-12 * source, (profile.shape, t)
 
 
 def test_small_x_series_bridges_solver(bump12):
@@ -146,16 +143,16 @@ def test_heat_mode_tolerance_failure(bump12):
 ], ids=["bump", "gaussian"])
 def test_heat_rows_matches_dense_oracle(profile):
     """Adaptive panels with scipy's ive against a dense fixed-panel sum of
-    the scalar series kernel: 200 panels x 16 nodes over the support."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(profile.lo, profile.hi, 201)
-    xi = (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * nodes).ravel()
-    wts = (0.5 * np.diff(edges)[:, None] * weights).ravel() * profile(xi)
+    the kernel through the plain-Python ive: 200 panels x 16 nodes over
+    the support."""
+    xi, wts = _panel_nodes(np.linspace(profile.lo, profile.hi, 201))
+    wts = wts * profile(xi)
     xs = np.append(default_grid(decades=(-3, 0), points_per_decade=1), 1.5)
     for nu, n, t in ((1.5, 1, 1.0), (0.0, 1, 0.3), (2.5, 2, 2.0), (4.0, 3, 0.7)):
         values, _, _, ok = heat_rows(nu, n, t, xs, profile, 1e-12, 20)
         assert ok.all()
-        dense = [sum(w * heat_kernel_value(nu, n, t, x, s) * s**n for w, s in zip(wts, xi))
+        dense = [sum(w * (x * s) ** (0.5 * (1 - n)) / (2 * t) * math.exp(-(x - s) ** 2 / (4 * t))
+                     * ive_native(nu, x * s / (2 * t)) * s**n for w, s in zip(wts, xi))
                  for x in xs]
         assert np.max(np.abs(values - dense) / np.abs(dense)) <= 1e-12
 

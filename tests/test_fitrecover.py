@@ -14,7 +14,6 @@ from coneasym.conesolve import ModeProblem, RadialProfile, default_grid, heat_mo
 from coneasym.errors import DegenerateSamples, NotASpectralExponent, ScenarioError
 from coneasym.fitrecover import (
     FitReport,
-    fit_leading_exponent,
     least_squares,
     peel_exponents,
     recover_lambda,
@@ -26,13 +25,6 @@ from coneasym.fitrecover import (
 
 def _grid(lo=1e-4, hi=1e-1, count=49):
     return np.geomspace(lo, hi, count)
-
-
-def test_single_power_fit_is_exact():
-    x = _grid()
-    exponent, stderr = fit_leading_exponent(x, 3.0 * x**1.7, window=(1e-4, 1e-3))
-    assert exponent == pytest.approx(1.7, abs=1e-10)
-    assert stderr < 1e-10
 
 
 def test_two_term_peel():
@@ -109,18 +101,24 @@ def test_fit_calls_least_squares_through_the_module(monkeypatch):
 
 
 def test_degenerate_samples():
+    """Too few samples, zeros, a lowest decade of x with one sample or a
+    sign change in it: each raises before Gauss-Newton starts, so no
+    numpy warning escapes either."""
     x = _grid(count=30)
     alternating = np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0) * x
-    with pytest.raises(DegenerateSamples):
-        fit_leading_exponent(x, alternating, window=(1e-4, 1e-1))
-    with pytest.raises(DegenerateSamples):
-        fit_leading_exponent(x[:3], 2.0 * x[:3], window=(1e-4, 1e-3))
     with pytest.raises(DegenerateSamples):
         peel_exponents(x[:7], x[:7] ** 2)
     with pytest.raises(DegenerateSamples):
         peel_exponents(x, np.where(x < 1e-2, x**2, 0.0))
     with pytest.raises(DegenerateSamples):
         peel_exponents(x, alternating)
+    lone = np.concatenate([[1e-6], x])
+    with pytest.raises(DegenerateSamples, match="lowest decade"):
+        peel_exponents(lone, lone**2)
+    flipped = x**2
+    flipped[2] = -flipped[2]
+    with pytest.raises(DegenerateSamples, match="lowest decade"):
+        peel_exponents(x, flipped)
 
 
 def test_recover_lambda_exact():
