@@ -6,12 +6,18 @@ through, and the model-cone heat solver on top of it.  The engine is a
 16-point rule on many panels at once, in blocks of at most _BLOCK panels
 per integrand call; an adaptive bisection whose breadth-first frontier
 refines every live panel of every task in one such call per level; and a
-fixed-panel sum.  ``heat_rows`` evaluates the heat kernel below on each
-level with one ``scipy.special.ive`` call; the scalar series/asymptotic
+fixed-panel sum.  ``heat_moments`` applies the same rule on fixed panels
+to all of its moments at once.
+
+``heat_rows`` evaluates each point by ``heat_series``, the kernel's
+ascending series summed against fixed-panel moments of the source, where
+that series converges to rel_tol (z = x hi / (4t) at most _SERIES_Z), and
+every other point by ``heat_quadrature``, the adaptive engine with one
+``scipy.special.ive`` call per level.  The scalar series/asymptotic
 ``ive_native`` is the independent oracle that the Bessel wrappers and the
-tests compare against.  scipy.special is imported on the first
-``heat_rows`` call, not with this module, so the exact-algebra commands
-start without it.
+tests compare against.  scipy.special is imported only when some point
+falls to the quadrature, so the exact-algebra commands and the small-x
+solves start without it.
 
 Notation: the mode operator on the model cone of dimension n+1 is
 
@@ -40,6 +46,22 @@ _BLOCK = 512
 # exp underflows to 0 below this; the scaled series start is formed in
 # log space so the check is exact.
 _LOG_TINY = -745.0
+
+_EPS = float(np.finfo(float).eps)
+# heat_rows evaluates points with z = x hi / (4t) up to this by heat_series.
+_SERIES_Z = 25.0
+# heat_series stops where its a-priori bound on T_K / T_0 falls below this.
+_SERIES_TAIL = 2.0**-56
+# Smallest series value heat_rows accepts: below it a value loses digits
+# to gradual underflow.
+_TINY = 1e-290
+# Moment sums: half the panel count is PER_WIDTH * (hi - lo) / sqrt(t),
+# kept within [MIN, MAX].  Past MAX (t below about 5e-4 (hi - lo)^2) the
+# sums lose accuracy, their error estimates say so, and heat_rows falls
+# back to the quadrature.
+_MOMENT_HALF_PANELS_MIN = 24
+_MOMENT_HALF_PANELS_MAX = 256
+_MOMENT_HALF_PANELS_PER_WIDTH = 6.0
 
 
 def gl_panels(fn, rows, a, b):
@@ -182,18 +204,141 @@ def ive_native(nu: float, z: float) -> float:
     return _ive_series(nu, z)
 
 
+def heat_moments(nu, n, t, profile, count):
+    """log M_m and a relative error bound for m < count, where
+
+        M_m = integral xi^((n+1)/2 + nu + 2m) e^(-xi^2/(4t)) f(xi) dxi
+
+    over the support of f.  Each moment is a fixed-panel sum on
+    _moment_panels(t, profile) panels, shifted by the maximum of its
+    log-integrand without f (f <= 1 for every shape) so that nothing
+    overflows; its error bound is the difference from the sum on half as
+    many panels plus the rounding of the shifted exponents.  M_m depends
+    only on (nu, n, t, profile, m), not on count.
+    """
+    lo, hi = float(profile.lo), float(profile.hi)
+    p = 0.5 * (n + 1) + nu + 2.0 * np.arange(count)
+    peak = np.clip(np.sqrt(2.0 * t * p), lo, hi)
+    shift = p * np.log(peak) - peak * peak / (4.0 * t)
+
+    def sums(panels):
+        edges = np.linspace(lo, hi, panels + 1)
+        c, h = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        xi = (c[:, None] + h[:, None] * _GL_NODES).ravel()
+        weights = (h[:, None] * _GL_WEIGHTS).ravel() * profile(xi)
+        return np.sum(np.exp(np.outer(p, np.log(xi)) - xi * xi / (4.0 * t) - shift[:, None]) * weights, axis=1)
+
+    panels = _moment_panels(t, profile)
+    fine, coarse = sums(panels), sums(panels // 2)
+    quad = np.divide(np.abs(fine - coarse), fine, out=np.zeros(count), where=fine > 0.0)
+    rounding = _EPS * (p * max(abs(math.log(lo)), abs(math.log(hi))) + hi * hi / (4.0 * t) + 8.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(fine), quad + rounding
+
+
+def _moment_panels(t, profile):
+    """Even panel count of the moment sums.  The Gaussian factor of the
+    moment integrand is about sqrt(t) wide, so the count follows
+    (hi - lo) / sqrt(t), from a floor that resolves the profile itself up
+    to a cap that bounds the work."""
+    per_half = math.ceil(_MOMENT_HALF_PANELS_PER_WIDTH * (profile.hi - profile.lo) / math.sqrt(t))
+    return 2 * min(_MOMENT_HALF_PANELS_MAX, max(_MOMENT_HALF_PANELS_MIN, per_half))
+
+
+def _series_length(nu, z):
+    """Number of series terms for each z = x hi / (4t): the first K at which
+    the ratio bound r_K = z^2 / ((K+1)(nu+K+1)) of consecutive terms is at
+    most 1/2 and the bound z^2K Gamma(nu+1) / (K! Gamma(nu+K+1)) on
+    T_K / T_0 is below _SERIES_TAIL.  Depends on z and nu alone."""
+    logz, q = np.log(z)[:, None], (z * z)[:, None]
+    top = 16
+    while True:
+        k = np.arange(1, top + 1)
+        log_bound = 2.0 * k * logz - _lgammas(k + 1.0) - _lgammas(nu + k + 1.0) + math.lgamma(nu + 1.0)
+        ok = (log_bound <= math.log(_SERIES_TAIL)) & (q <= 0.5 * (k + 1.0) * (nu + k + 1.0))
+        if ok[:, -1].all():
+            return k[np.argmax(ok, axis=1)]
+        top *= 2
+
+
+def _lgammas(v):
+    return np.array([math.lgamma(u) for u in v.tolist()])
+
+
+def heat_series(nu, n, t, xs, profile):
+    """Mode heat solution at each x of xs by the kernel's ascending series
+
+        a(t, x) = x^((1-n)/2) e^(-x^2/(4t)) (2t)^(-1)
+                  * sum_m (x/(4t))^(nu+2m) M_m / (m! Gamma(nu+m+1)),
+
+    with the moments M_m of heat_moments.  It holds for every x > 0; every
+    term is positive, so nothing cancels.  Terms are formed in log space
+    and summed in order of m up to each point's own _series_length.
+
+    Returns (values, error_estimates): each estimate adds the truncation
+    bound T_K / (1 - r_K), the moment errors weighted by their terms and
+    the rounding of the terms' exponents and of the sum.  A point's result
+    depends only on that point and on (nu, n, t, profile).
+    """
+    nu, n, t = float(nu), float(n), float(t)
+    xs = np.asarray(xs, dtype=np.float64)
+    z = xs * float(profile.hi) / (4.0 * t)
+    terms = _series_length(nu, z)
+    log_m, moment_err = heat_moments(nu, n, t, profile, int(terms.max()) + 1)
+    m = np.arange(log_m.size)
+    log_x = np.log(xs / (4.0 * t))[:, None]
+    pref = (0.5 * (1.0 - n) * np.log(xs) - xs * xs / (4.0 * t) - math.log(2.0 * t))[:, None]
+    power = (nu + 2.0 * m) * log_x
+    lg = _lgammas(m + 1.0) + _lgammas(nu + m + 1.0)
+    t_m = np.exp(pref + power + log_m - lg)
+    kept = np.where(m < terms[:, None], t_m, 0.0)
+    rows = np.arange(xs.size)
+    values = np.cumsum(kept, axis=1)[rows, terms - 1]
+    rel = moment_err + _EPS * (np.abs(pref) + np.abs(power) + np.abs(log_m) + lg + terms[:, None] + 8.0)
+    with np.errstate(invalid="ignore"):  # 0 * inf: a moment that underflowed adds no term and no error
+        spread = np.cumsum(np.where(kept > 0.0, kept * rel, 0.0), axis=1)[rows, terms - 1]
+    ratio = z * z / ((terms + 1.0) * (nu + terms + 1.0))
+    return values, spread + t_m[rows, terms] / (1.0 - ratio)
+
+
 def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
     """Mode integral of p_nu(t, x, xi) f(xi) xi^n over the support [lo, hi]
     of the source profile f at every eval point x of xs, to rel_tol.
+
+    A point with z = x hi / (4t) <= _SERIES_Z takes heat_series when its
+    value is above _TINY and its error estimate meets rel_tol; it reports
+    0 panels.  Every other point goes to heat_quadrature, and only then is
+    scipy.special imported.
+
+    Returns (values, error_estimates, panel_counts, converged_flags); the
+    per-point results do not depend on the order of xs or on the other
+    points.
+    """
+    nu, n, t, rel_tol = float(nu), float(n), float(t), float(rel_tol)
+    xs = np.asarray(xs, dtype=np.float64)
+    value, err = np.zeros(xs.size), np.zeros(xs.size)
+    panels, ok = np.zeros(xs.size, np.int64), np.zeros(xs.size, bool)
+    near = np.flatnonzero(xs * float(profile.hi) / (4.0 * t) <= _SERIES_Z)
+    if near.size:
+        v, e = heat_series(nu, n, t, xs[near], profile)
+        good = (v >= _TINY) & (e <= rel_tol * v)
+        value[near[good]], err[near[good]], ok[near[good]] = v[good], e[good], True
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        value[rest], err[rest], panels[rest], ok[rest] = heat_quadrature(
+            nu, n, t, xs[rest], profile, rel_tol, max_depth)
+    return value, err, panels, ok
+
+
+def heat_quadrature(nu, n, t, xs, profile, rel_tol, max_depth):
+    """heat_rows by adaptive panels alone, for every point of xs.
 
     All points refine together on one breadth-first frontier.  A coarse
     whole-support panel fixes each point's magnitude scale (the integrand
     is nonnegative, so the scale cannot collapse by cancellation); a second
     sweep with a tightened budget runs only on the points the first missed.
-
-    Returns (values, error_estimates, panel_counts, converged_flags); the
-    per-point results do not depend on the order of xs or on the other
-    points.
+    A point has converged when its summed error estimate is within
+    rel_tol of its value.
     """
     nu, n, t, rel_tol, max_depth = float(nu), float(n), float(t), float(rel_tol), int(max_depth)
     xs = np.asarray(xs, dtype=np.float64)
@@ -216,11 +361,10 @@ def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
     value, err, panels, ok = adaptive(integrand, lo, hi, whole, 0.5 * rel_tol * scale, max_depth)
     miss = np.flatnonzero(~(ok & (err <= rel_tol * np.abs(value))))
     if miss.size:
-        value2, err2, panels2, ok2 = adaptive(
+        value2, err2, panels2, _ = adaptive(
             lambda rows, xi: integrand(miss[rows], xi), lo[miss], hi[miss], whole[miss],
             0.3 * rel_tol * np.maximum(np.abs(value[miss]), 1e-300), max_depth,
         )
         value[miss], err[miss] = value2, err2
         panels[miss] += panels2
-        ok[miss] = ok2 & (err2 <= rel_tol * np.abs(value2))
-    return value, err, panels, ok
+    return value, err, panels, err <= rel_tol * np.abs(value)

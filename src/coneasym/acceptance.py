@@ -1,4 +1,4 @@
-"""Acceptance suite: ten verifiable criteria over a fixed corpus.
+"""Acceptance suite: eleven verifiable criteria over a fixed corpus.
 
 Each criterion returns (passed, detail).  `run_all` wraps them with timing
 and is consumed by both the CLI selftest subcommand and the test suite, so
@@ -23,6 +23,7 @@ from .conesolve import (
     sectorial_sweep,
     solution_rows,
 )
+from ._kernels import heat_quadrature, heat_series
 from .fitrecover import peel_exponents, recover_lambda, recover_spectrum
 from .indicial import (
     conormal_poly_coeffs,
@@ -329,6 +330,8 @@ def criterion_4():
 
 
 def criterion_5():
+    """Fits quadrature output: heat_mode takes these points by the
+    ascending series, which writes the exponents nu + 2m in directly."""
     start = time.perf_counter()
     profile = RadialProfile("bump", 1.0, 2.0)
     grid = default_grid()
@@ -336,8 +339,10 @@ def criterion_5():
     lines = []
     for nu, lam in ((1.5, -2.25), (math.sqrt(2.0), -2.0)):
         problem = ModeProblem(n=1, lam=lam, t=1.0, profile=profile)
-        sol = heat_mode(problem, grid)
-        report = peel_exponents(sol.x, sol.values)
+        values, _, _, ok = heat_quadrature(problem.nu, 1, 1.0, grid, profile, 1e-9, 20)
+        if not ok.all():
+            problems.append(f"nu={nu}: quadrature missed rel_tol 1e-9 at {int((~ok).sum())} points")
+        report = peel_exponents(grid, values)
         lead = report.exponent
         rel0 = abs(lead - nu) / nu
         lines.append(f"nu={nu:.4f}: lead rel {rel0:.1e}")
@@ -550,6 +555,36 @@ def criterion_10():
     return not problems, detail
 
 
+# ---------------------------------------------------------------------------
+# 11. ascending series against the quadrature
+# ---------------------------------------------------------------------------
+
+
+def criterion_11():
+    """heat_series against heat_quadrature at rel_tol 1e-13, for the three
+    shapes, n = 1..3, nu up to 10 and points below, inside and above the
+    support: within 1e-13 relative, and within the two error estimates."""
+    start = time.perf_counter()
+    profiles = (RadialProfile("bump", 1.0, 2.0),
+                RadialProfile("gaussian", 0.8, 2.3, center=1.4, width=0.3),
+                RadialProfile("indicator", 0.9, 1.6))
+    worst, unbounded, points = 0.0, 0, 0
+    for profile in profiles:
+        lo, hi = profile.lo, profile.hi
+        x = np.concatenate([np.geomspace(1e-3, 0.9 * lo, 4), np.linspace(lo, hi, 5)[1:-1], [1.3 * hi]])
+        for n, nu, t in ((1, 10.0, 1.0), (2, 0.5, 0.1), (3, 4.0, 0.03)):
+            values, errs = heat_series(nu, n, t, x, profile)
+            ref, ref_errs, _, converged = heat_quadrature(nu, n, t, x, profile, 1e-13, 30)
+            gap = np.abs(values - ref)
+            worst = max(worst, float(np.max(gap / ref)))
+            unbounded += int(np.sum(gap > errs + ref_errs) + np.sum(~converged))
+            points += x.size
+    elapsed = time.perf_counter() - start
+    ok = worst <= 1e-13 and unbounded == 0 and elapsed < 1.0
+    return ok, (f"{points} points, worst relative gap {worst:.1e} (tol 1e-13), "
+                f"{unbounded} outside the error estimates, {elapsed:.2f}s (budget 1s)")
+
+
 CRITERIA = [
     (1, "templates: closed formula matches induction across the corpus", criterion_1),
     (2, "templates: hand-derived structures reproduced exactly", criterion_2),
@@ -561,6 +596,7 @@ CRITERIA = [
     (8, "end to end: spectrum recovery and algebraic round trips", criterion_8),
     (9, "weights: membership rule agrees with quadrature classifier", criterion_9),
     (10, "bessel: half-integer closed forms and Wronskian identity", criterion_10),
+    (11, "heat solver: ascending series agrees with the quadrature", criterion_11),
 ]
 
 

@@ -7,10 +7,11 @@ One cross-section mode with eigenvalue lam rides the radial operator
 with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
 
 * the heat solution a(t, x) = integral p_nu(t, x, xi) f(xi) xi^n dxi for
-  compactly supported radial sources f (adaptive Gauss-Legendre panels on
-  the support),
-* its exact small-x series (moment integrals against the kernel's
-  ascending expansion), used as an independent bridge to the templates,
+  compactly supported radial sources f (the kernel's ascending series
+  summed against moments of f where it converges, adaptive Gauss-Legendre
+  panels on the support elsewhere; see ``_kernels.heat_rows``),
+* its exact small-x series (the same moments, with e^(-x^2/(4t))
+  expanded too), the bridge to the templates,
 * the resolvent (lam_res - L)^(-1) f off the spectral ray via the
   regular/decaying Bessel pair, normalized by the exact Wronskian
   phi psi' - phi' psi = -x^(-n); all of its integrals for one call refine
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from ._kernels import adaptive, gl_panels, gl_sum, heat_rows
+from ._kernels import adaptive, gl_panels, heat_moments, heat_rows
 from .besselkit import bessel_i, bessel_k, check_order
 from .errors import QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
@@ -152,25 +153,20 @@ def heat_small_x_series(problem: ModeProblem, num_terms: int = 3) -> list:
     C_q assembled from moment integrals
         M_m = integral xi^((n+1)/2 + nu + 2m) e^(-xi^2/(4t)) f(xi) dxi.
     Pure powers, no logs: the independent bridge between solver output and
-    the leading template exponents of a single mode.
+    the leading template exponents of a single mode.  The moments are
+    heat_series's (see ``_kernels.heat_moments``).
     """
     nu = problem.nu
     n, t = problem.n, problem.t
-    moments = [
-        _support_integral(
-            problem.profile,
-            lambda xi, m=m: xi ** (0.5 * (n + 1) + nu + 2 * m) * np.exp(-xi * xi / (4.0 * t)),
-        )
-        for m in range(num_terms)
-    ]
+    log_moments, _ = heat_moments(nu, n, t, problem.profile, num_terms)
     out = []
     for q in range(num_terms):
         acc = 0.0
         for m in range(q + 1):
             l = q - m
             term = (
-                moments[m]
-                * math.exp(-(nu + 2 * m) * math.log(4.0 * t) - math.lgamma(nu + m + 1) - math.lgamma(m + 1))
+                math.exp(log_moments[m] - (nu + 2 * m) * math.log(4.0 * t)
+                         - math.lgamma(nu + m + 1) - math.lgamma(m + 1))
                 * ((-1.0) ** l)
                 / ((4.0 * t) ** l * math.factorial(l))
             )
@@ -178,12 +174,6 @@ def heat_small_x_series(problem: ModeProblem, num_terms: int = 3) -> list:
         coeff = acc / (2.0 * t)
         out.append((-problem.mu + 2 * q, coeff))
     return out
-
-
-def _support_integral(profile: RadialProfile, fn, panels: int = 48) -> float:
-    """Fixed-panel Gauss-Legendre integral of fn * profile over the support."""
-    edges = np.linspace(profile.lo, profile.hi, panels + 1)
-    return gl_sum(lambda x: fn(x) * profile(x), edges)
 
 
 def _d1(values, h, axis):

@@ -1,9 +1,12 @@
-"""Cold start: the exact-algebra and fitting commands never import scipy.
+"""Cold start: the exact-algebra, fitting and small-x solving commands
+never import scipy.
 
-``template`` and ``recover`` are exact algebra plus numpy, and ``fit`` is a
-numpy Gauss-Newton fit, so a fresh process that imports the CLI and runs
-them must not load scipy; only the calls that evaluate Bessel functions do.
-Each check runs in a fresh interpreter, since this test process has
+``template`` and ``recover`` are exact algebra plus numpy, ``fit`` is a
+numpy Gauss-Newton fit, and ``solve`` evaluates every point of the README
+scenario by the heat kernel's ascending series, so a fresh process that
+imports the CLI and runs them must not load scipy; only the calls that
+evaluate Bessel functions by scipy (the heat quadrature, the resolvent)
+do.  Each check runs in a fresh interpreter, since this test process has
 already imported scipy.
 """
 
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import coneasym
-from coneasym.conesolve import rows_to_csv
+from coneasym.conesolve import csv_to_rows, rows_to_csv
 from coneasym.fitrecover import FitReport, reports_from_jsonl, reports_to_jsonl
 
 SRC = str(Path(coneasym.__file__).resolve().parent.parent)
@@ -87,3 +90,23 @@ def test_fit_runs_without_scipy(tmp_path):
     assert _fresh(code) == {"code": 0, "scipy": []}
     reports = reports_from_jsonl(out.read_text())
     assert [(r.mode_j, round(r.exponent, 9)) for r in reports] == [(0, 0.0), (1, 2.0)]
+
+
+def test_solve_runs_without_scipy(tmp_path):
+    """``solve`` on the README circle scenario (modes 0-3, t in {0.5, 1, 2},
+    588 rows) loads no scipy module at all."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "cross_section": {"name": "circle", "radius": "1/2", "j_max": 8}, "gamma": 0, "modes": [0, 1, 2, 3],
+        "profile": {"shape": "bump", "support": [1.0, 2.0]}, "t": [0.5, 1.0, 2.0],
+        "x_grid": {"decades": [-4, -1], "points_per_decade": 16}, "rel_tol": 1e-9,
+    }))
+    out = tmp_path / "rows.csv"
+    code = (
+        "import json, sys\n"
+        "from coneasym import cli\n"
+        f"code = cli.main(['solve', '--scenario', {str(scenario)!r}, '--out', {str(out)!r}])\n"
+        f"print(json.dumps({{'code': code, 'scipy': {_SCIPY}}}))"
+    )
+    assert _fresh(code) == {"code": 0, "scipy": []}
+    assert len(csv_to_rows(out.read_text())) == 588

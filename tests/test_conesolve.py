@@ -24,7 +24,7 @@ from coneasym.conesolve import (
 from coneasym.besselkit import bessel_i, bessel_k
 from coneasym.errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from coneasym import _kernels
-from coneasym._kernels import adaptive, gl_panels, gl_sum, heat_rows, ive_native
+from coneasym._kernels import adaptive, gl_panels, gl_sum, heat_quadrature, heat_rows, heat_series, ive_native
 
 
 def _panel_nodes(edges):
@@ -162,7 +162,10 @@ def test_heat_rows_matches_dense_oracle(profile):
     (0.0, 1, 0.05, RadialProfile("gaussian", 0.8, 2.3, center=1.4, width=0.3), 1e-9, 20),
     (2.5, 2, 2.0, RadialProfile("indicator", 0.9, 1.6), 1e-9, 20),
     (4.0, 3, 0.05, RadialProfile("bump", 1.0, 2.0), 1e-11, 4),  # 13 of 24 points take the second sweep
-], ids=["bump", "gaussian", "indicator", "second-sweep"])
+    # series up to x = 0.5 (z = x hi / (4t) = 25), quadrature above
+    (2.0, 2, 0.01, RadialProfile("indicator", 1.0, 2.0), 1e-11, 20),
+    (4.0, 3, 0.01, RadialProfile("bump", 1.0, 2.0), 1e-11, 4),  # 4 of 13 quadrature points take the second sweep
+], ids=["bump", "gaussian", "indicator", "second-sweep", "straddle-indicator", "straddle-second-sweep"])
 def test_heat_rows_independent_of_batch(nu, n, t, profile, rel_tol, max_depth):
     """Each point alone, all points together and in reverse order give
     bit-identical values and the same panel counts."""
@@ -173,6 +176,58 @@ def test_heat_rows_independent_of_batch(nu, n, t, profile, rel_tol, max_depth):
     for k in range(4):
         assert np.array_equal(together[k], reverse[k][::-1])
         assert np.array_equal(together[k], np.concatenate([r[k] for r in alone]))
+
+
+_SERIES_PROFILES = [
+    RadialProfile("bump", 1.0, 2.0),
+    RadialProfile("gaussian", 0.8, 2.3, center=1.4, width=0.3),
+    RadialProfile("indicator", 0.9, 1.6),
+]
+
+
+@pytest.mark.parametrize("t", [0.01, 0.1, 0.5, 2.0])
+@pytest.mark.parametrize("profile", _SERIES_PROFILES, ids=["bump", "gaussian", "indicator"])
+def test_series_matches_quadrature(profile, t):
+    """The ascending series against the adaptive quadrature at rel_tol
+    1e-13, for n = 1..3 and nu up to 10, at points below, inside and above
+    the support wherever z = x hi / (4t) is in the series regime: within
+    1e-13 relative, and every gap within the sum of the two error
+    estimates."""
+    lo, hi = profile.lo, profile.hi
+    xs = np.concatenate([np.geomspace(1e-3, 0.9 * lo, 6), np.linspace(lo, hi, 7)[1:-1], hi * np.array([1.1, 1.5, 2.5])])
+    xs = xs[xs * hi / (4.0 * t) <= _kernels._SERIES_Z]
+    for n, nu in ((1, 0.0), (1, 10.0), (2, 0.5), (2, 6.5), (3, 1.0), (3, 4.0)):
+        values, errs = heat_series(nu, n, t, xs, profile)
+        ref, ref_errs, _, ok = heat_quadrature(nu, n, t, xs, profile, 1e-13, 30)
+        assert ok.all()
+        gap = np.abs(values - ref)
+        assert np.max(gap / ref) <= 1e-13, (n, nu)
+        assert np.all(gap <= errs + ref_errs), (n, nu)
+
+
+def test_heat_rows_takes_the_series_where_it_converges(bump12):
+    """Points in the series regime take heat_series's values and report 0
+    panels; the others take heat_quadrature's, as if solved alone."""
+    nu, n, t = 1.0, 1, 0.05
+    xs = np.array([1e-3, 0.5, 1.5, 2.5, 4.0])  # z = x hi / (4t) = 0.01 ... 40
+    series = xs * bump12.hi / (4.0 * t) <= _kernels._SERIES_Z
+    assert series.any() and not series.all()
+    values, errs, panels, ok = heat_rows(nu, n, t, xs, bump12, 1e-9, 20)
+    assert ok.all() and np.array_equal(panels == 0, series)
+    assert np.array_equal(values[series], heat_series(nu, n, t, xs[series], bump12)[0])
+    assert np.array_equal(values[~series], heat_quadrature(nu, n, t, xs[~series], bump12, 1e-9, 20)[0])
+
+
+def test_heat_rows_verdict_is_the_summed_error(bump12):
+    """A point has converged when its summed error estimate is within
+    rel_tol, even if some of its panels stopped at max_depth above their
+    share of the budget.  Of 512 points on (0, 10.9] at t = 0.05 and
+    rel_tol 1e-13, 53 at x in [7.9, 10.9] were flagged that way with
+    estimates of at most 3.4e-15 relative; these are the three cheapest."""
+    xs = np.linspace(10.9 / 512, 10.9, 512)[[372, 373, 508]]
+    values, errs, panels, ok = heat_rows(0.0, 1, 0.05, xs, bump12, 1e-13, 20)
+    assert np.all(panels > 0)
+    assert ok.all() and np.all(errs <= 1e-13 * values)
 
 
 def test_heat_mode_tail_points_need_second_sweep(bump12):
