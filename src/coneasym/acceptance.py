@@ -524,10 +524,10 @@ def criterion_10():
         k_half = math.sqrt(math.pi / (2.0 * z))
         k_three = k_half * (1.0 + 1.0 / z)
         checks = [
-            ("I 1/2", bessel_i(0.5, z, scaled=True), i_half),
-            ("I 3/2", bessel_i(1.5, z, scaled=True), i_three),
-            ("K 1/2", bessel_k(0.5, z, scaled=True), k_half),
-            ("K 3/2", bessel_k(1.5, z, scaled=True), k_three),
+            ("I 1/2", bessel_i(0.5, z), i_half),
+            ("I 3/2", bessel_i(1.5, z), i_three),
+            ("K 1/2", bessel_k(0.5, z), k_half),
+            ("K 3/2", bessel_k(1.5, z), k_three),
         ]
         for name, got, want in checks:
             r = rel(got, want)
@@ -539,8 +539,8 @@ def criterion_10():
     for nu in (0.0, 0.5, 1.0, 1.5, 2.5, 5.0, 10.5, 20.0, 35.0, 59.0):
         for z in z_grid:
             w = z * (
-                bessel_i(nu, z, scaled=True) * bessel_k(nu + 1.0, z, scaled=True)
-                + bessel_i(nu + 1.0, z, scaled=True) * bessel_k(nu, z, scaled=True)
+                bessel_i(nu, z) * bessel_k(nu + 1.0, z)
+                + bessel_i(nu + 1.0, z) * bessel_k(nu, z)
             )
             pairs += 1
             worst_w = max(worst_w, abs(w - 1.0))

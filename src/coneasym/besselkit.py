@@ -1,21 +1,18 @@
-"""Bessel evaluations used by the model-cone solvers.
+"""Exponentially scaled Bessel evaluations used by the model-cone solvers.
 
-Orders nu in [0, 60] and arguments 0 < |z| <= 1e4 are supported; outside
-that box a DomainError is raised rather than returning a value of unknown
-quality.  Real-argument I_nu uses the native series/asymptotic kernel, an
+bessel_i returns e^(-|Re z|) I_nu(z) and bessel_k returns e^z K_nu(z), the
+overflow-free pair (AMOS's scaled forms); callers fold the exponentials
+back into their own products.  Orders nu in [0, 60] and arguments
+0 < |z| <= 1e4 off the negative real axis are supported; outside that box
+a DomainError is raised rather than returning a value of unknown quality.
+Real-argument I uses the native series/asymptotic kernel, an
 implementation independent of scipy, with a relative-error target of
-1e-10; K and all complex arguments delegate to scipy.special, which meets
-the same target on this box.  I and K also take a complex ndarray: one box
-check and one scipy call for the whole array.  scipy.special is imported
-on the first call that needs it, not with this module.
-
-Scaling conventions for ``scaled=True``: I carries e^(-Re z), K carries
-e^(+z); for real z these are the classic overflow-free pairs.  Unscaled I
-raises DomainError past |Re z| = 700, where it would overflow, and so does
-unscaled real-argument K past z = 700, where it would underflow.
+1e-10; K and all complex arguments delegate to scipy.special's ive/kve,
+which meet the same target on this box.  I and K also take a complex
+ndarray: one box check and one scipy call for the whole array.
+scipy.special is imported on the first call that needs it, not with this
+module.
 """
-
-import math
 
 import numpy as np
 
@@ -24,9 +21,6 @@ from .errors import DomainError
 
 _NU_MAX = 60.0
 _Z_MAX = 1.0e4
-# exp overflow bound: unscaled I (resp. underflow of K) beyond this cannot
-# meet the relative-error contract in double precision.
-_UNSCALED_Z_MAX = 700.0
 
 
 def check_order(nu: float) -> float:
@@ -56,45 +50,26 @@ def _check_complex_arg(z):
     return arr if isinstance(z, np.ndarray) else complex(z)
 
 
-def bessel_i(nu, z, scaled: bool = False):
-    """Modified Bessel I_nu; native kernel for real z, scipy for complex z
+def bessel_i(nu, z):
+    """e^(-|Re z|) I_nu(z); native kernel for real z, scipy for complex z
     or a complex ndarray."""
     nu = check_order(nu)
     if isinstance(z, (complex, np.ndarray)):
         from scipy import special
 
         z = _check_complex_arg(z)
-        if not scaled and np.any(np.abs(np.real(z)) > _UNSCALED_Z_MAX):
-            raise DomainError(
-                f"unscaled I overflows for |Re z| > {_UNSCALED_Z_MAX}; request scaled=True"
-            )
-        value = special.ive(nu, z) if scaled else special.iv(nu, z)
+        value = special.ive(nu, z)
         return value if isinstance(z, np.ndarray) else complex(value)
-    z = _check_real_arg(z)
-    scaled_value = ive_native(nu, z)
-    if scaled:
-        return scaled_value
-    if z > _UNSCALED_Z_MAX:
-        raise DomainError(
-            f"unscaled I overflows for z={z}; request scaled=True"
-        )
-    return scaled_value * math.exp(z)
+    return ive_native(nu, _check_real_arg(z))
 
 
-def bessel_k(nu, z, scaled: bool = False):
-    """Modified Bessel K_nu (scipy-backed); z may be a complex ndarray."""
+def bessel_k(nu, z):
+    """e^z K_nu(z) (scipy-backed); z may be a complex ndarray."""
     from scipy import special
 
     nu = check_order(nu)
     if isinstance(z, (complex, np.ndarray)):
         z = _check_complex_arg(z)
-        value = special.kve(nu, z) if scaled else special.kv(nu, z)
+        value = special.kve(nu, z)
         return value if isinstance(z, np.ndarray) else complex(value)
-    z = _check_real_arg(z)
-    if scaled:
-        return float(special.kve(nu, z))
-    if z > _UNSCALED_Z_MAX:
-        raise DomainError(
-            f"unscaled K underflows for z={z}; request scaled=True"
-        )
-    return float(special.kv(nu, z))
+    return float(special.kve(nu, _check_real_arg(z)))

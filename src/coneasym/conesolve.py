@@ -13,7 +13,8 @@ with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
 * its exact small-x series (the same moments, with e^(-x^2/(4t))
   expanded too), the bridge to the templates,
 * the resolvent (lam_res - L)^(-1) f off the spectral ray via the
-  regular/decaying Bessel pair, normalized by the exact Wronskian
+  regular/decaying Bessel pair (in besselkit's scaled form, exponentials
+  folded back per integral), normalized by the exact Wronskian
   phi psi' - phi' psi = -x^(-n); all of its integrals for one call refine
   together on the shared adaptive frontier, with one array Bessel call per
   branch and level,
@@ -229,8 +230,6 @@ class ResolventModeSolution:
     lam: complex
     x: np.ndarray
     values: np.ndarray
-    coeff_regular: complex
-    coeff_decaying: complex
 
 
 def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
@@ -238,9 +237,10 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     """Solve (lam - L) u = f for one mode, lam off the ray (-inf, 0].
 
     u(x) = psi(x) * int_0^x phi f xi^n dxi + phi(x) * int_x^inf psi f xi^n dxi
-    with phi = x^((1-n)/2) I_nu(sqrt(lam) x) (regular at 0) and
-    psi = x^((1-n)/2) K_nu(sqrt(lam) x) (decaying); the pair's Wronskian
-    phi psi' - phi' psi = -x^(-n) makes the normalization constant 1.
+    with phi = x^((1-n)/2) I_nu(s x) (regular at 0) and
+    psi = x^((1-n)/2) K_nu(s x) (decaying), s = sqrt(lam); the pair's
+    Wronskian phi psi' - phi' psi = -x^(-n) makes the normalization
+    constant 1.
 
     Every integral is its own task on one adaptive frontier, each to
     1e-11 of its whole-interval panel estimate: phi f and psi f over the
@@ -248,8 +248,12 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     it.  A separate task per x keeps each partial integral's own relative
     accuracy, which a running sum over shared panels would not.
 
-    Once Re(sqrt(lam)) * hi passes 700, I_nu overflows on the support and
-    besselkit raises DomainError.
+    The Bessel pair is besselkit's scaled one, e^(-Re z) I and e^z K, with
+    each task's exponential folded into its integrand: phi f on [a, b]
+    carries e^(Re s (xi - b)) and psi f carries e^(Re s a - s xi), and
+    each point takes the matching factor back.  Every factor has modulus
+    at most 1, so nothing overflows or underflows early anywhere in the
+    Bessel box.
     """
     lam = complex(lam)
     if not (cmath.isfinite(lam) and math.isfinite(lam_mode)):
@@ -263,10 +267,10 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     sq = cmath.sqrt(lam)
     lo, hi = profile.lo, profile.hi
 
-    def phi(x):
+    def phi(x):  # e^(-Re(s) x) phi(x)
         return x ** (0.5 * (1 - n)) * bessel_i(nu, sq * x)
 
-    def psi(x):
+    def psi(x):  # e^(s x) psi(x)
         return x ** (0.5 * (1 - n)) * bessel_k(nu, sq * x)
 
     below, above = x_eval <= lo, x_eval >= hi
@@ -280,23 +284,23 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     def integrand(rows, xi):
         out = np.empty(xi.shape, complex)
         on_phi = rows < n_phi
-        out[on_phi] = phi(xi[on_phi])
-        out[~on_phi] = psi(xi[~on_phi])
+        x_phi, x_psi = xi[on_phi], xi[~on_phi]
+        out[on_phi] = phi(x_phi) * np.exp(sq.real * (x_phi - b[rows[on_phi], None]))
+        out[~on_phi] = psi(x_psi) * np.exp(sq.real * a[rows[~on_phi], None] - sq * x_psi)
         return out * profile(xi) * xi**n
 
     whole = gl_panels(integrand, np.arange(a.size), a, b)
     acc = adaptive(integrand, a, b, whole, 1e-11 * np.maximum(np.abs(whole), 1e-300), 18)[0]
-    coeff_decaying, coeff_regular = complex(acc[0]), complex(acc[n_phi])
 
     phi_x, psi_x = np.zeros(x_eval.size, complex), np.zeros(x_eval.size, complex)
     phi_x[~above] = phi(x_eval[~above])
     psi_x[~below] = psi(x_eval[~below])
-    values = np.where(below, phi_x * coeff_regular, psi_x * coeff_decaying)
-    values[inside] = psi_x[inside] * acc[1:n_phi] + phi_x[inside] * acc[n_phi + 1:]
-    return ResolventModeSolution(
-        n=n, lam_mode=lam_mode, lam=lam, x=x_eval, values=values,
-        coeff_regular=coeff_regular, coeff_decaying=coeff_decaying,
-    )
+    values = np.empty(x_eval.size, complex)
+    values[below] = phi_x[below] * np.exp(sq.real * (x_eval[below] - lo)) * acc[n_phi]
+    values[above] = psi_x[above] * np.exp(sq.real * hi - sq * x_eval[above]) * acc[0]
+    values[inside] = (psi_x[inside] * np.exp(-1j * sq.imag * inner) * acc[1:n_phi]
+                      + phi_x[inside] * acc[n_phi + 1:])
+    return ResolventModeSolution(n=n, lam_mode=lam_mode, lam=lam, x=x_eval, values=values)
 
 
 def resolvent_residual(n: int, lam_mode: float, lam, xs, values, fvals) -> float:

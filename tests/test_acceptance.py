@@ -1,4 +1,4 @@
-"""The ten acceptance criteria, one pass/fail line each.
+"""The eleven acceptance criteria, one pass/fail line each.
 
 Criteria live in coneasym.acceptance (also behind `coneasym selftest`);
 this module runs them once and asserts each outcome.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -176,11 +177,22 @@ def test_selftest_subset(capsys):
     assert "all criteria passed" in out
 
 
-def test_check_resolvent_overflow_exits_domain(tmp_path):
-    """|lam| = 100 on support [80, 90] puts sqrt(lam) xi at 900, past where
-    unscaled I_nu overflows: exit 8, not NaN in the sweep."""
+def test_check_resolvent_far_support(tmp_path):
+    """|lam| = 100 on support [80, 90] puts sqrt(lam) xi at 900, where I_nu
+    itself would overflow a double: the scaled Bessel pair still gives a
+    uniform sweep."""
     out = str(tmp_path / "sweep.json")
-    assert main(["check-resolvent", "--support", "80", "90", "--out", out]) == EXIT_CODES["domain"]
+    assert main(["check-resolvent", "--support", "80", "90", "--out", out]) == 0
+    assert json.loads(Path(out).read_text())["uniform_within_factor_2"] is True
+
+
+def test_check_resolvent_past_bessel_box_exits_domain(tmp_path):
+    """A support past |z| = 1e4 leaves the Bessel box at |lam| = 1: exit 8
+    from the first Bessel call, not after a sweep."""
+    out = str(tmp_path / "sweep.json")
+    start = time.perf_counter()
+    assert main(["check-resolvent", "--support", "20000", "30000", "--out", out]) == EXIT_CODES["domain"]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_check_resolvent(tmp_path):
