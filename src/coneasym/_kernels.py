@@ -85,26 +85,30 @@ def gl_sum(fn, edges):
     return sum(panels.tolist())
 
 
-def adaptive(fn, a, b, whole, abs_tol, max_depth):
-    """Adaptive bisection of fn on [a[i], b[i]] for every task i at once, by
-    local error control (Gander & Gautschi, "Adaptive quadrature -
-    revisited", BIT 40, 2000).
+def adaptive(fn, a, b, rel_tol, max_depth):
+    """Adaptive bisection of fn on [a[i], b[i]] for every task i at once,
+    under error control relative to each task's running estimate (as in
+    QUADPACK's QAG, Piessens et al. 1983, and Gander & Gautschi, "Adaptive
+    quadrature - revisited", BIT 40, 2000).
 
-    A panel is accepted when its estimate and the sum over its two halves
-    differ by at most abs_tol[i] times its share of the width of [a[i],
-    b[i]], or when it sits max_depth bisections deep.  whole[i] is the
-    one-panel estimate on [a[i], b[i]], which sets the scale of abs_tol.
-    The frontier is breadth-first: one gl_panels call halves every live
-    panel of every task.  Each task sums its accepted panels right to
-    left, as a depth-first bisection would, so its result depends neither
-    on the other tasks nor on the order in which panels are visited.
+    Each task starts from one panel on [a[i], b[i]].  At each level its
+    running estimate is the sum of its accepted pairs and of the pairs of
+    its live panels; a panel is accepted when its estimate and the sum over
+    its two halves differ by at most rel_tol times |running estimate| times
+    its share of the width of [a[i], b[i]], or when it sits max_depth
+    bisections deep.  The frontier is breadth-first: one gl_panels call
+    halves every live panel of every task.  Each task adds up its running
+    estimate in the order of its own panels and sums its accepted panels
+    right to left, as a depth-first bisection would, so its result depends
+    neither on the other tasks nor on the order in which panels are visited.
 
-    Returns arrays (value, error_estimate, panel_count, converged).
+    Returns arrays (value, error_estimate, panel_count).
     """
-    a, b, whole, abs_tol = np.broadcast_arrays(a, b, whole, abs_tol)
-    ok = np.ones(a.size, bool)
-    rows, lo, hi, coarse = np.arange(a.size), a, b, whole
-    accepted = [(rows[:0], lo[:0], whole[:0], lo[:0])]  # (task, lo, estimate, error) per level
+    a, b = np.broadcast_arrays(a, b)
+    rows, lo, hi = np.arange(a.size), a, b
+    coarse = gl_panels(fn, rows, lo, hi)
+    kept = np.zeros(a.size, coarse.dtype)  # each task's sum of accepted pairs
+    accepted = [(rows[:0], lo[:0], coarse[:0], lo[:0])]  # (task, lo, estimate, error) per level
     depth = 0
     while rows.size:
         mid = 0.5 * (lo + hi)
@@ -112,20 +116,22 @@ def adaptive(fn, a, b, whole, abs_tol, max_depth):
         left, right = halves[:rows.size], halves[rows.size:]
         pair = left + right
         e = np.abs(coarse - pair)
-        budget = abs_tol[rows] * (hi - lo) / (b - a)[rows]
+        running = kept.copy()
+        np.add.at(running, rows, pair)
+        budget = rel_tol * np.abs(running[rows]) * (hi - lo) / (b - a)[rows]
         done = (e <= budget) | (depth >= max_depth)
+        np.add.at(kept, rows[done], pair[done])
         accepted.append((rows[done], lo[done], pair[done], e[done]))
-        ok[rows[done & (e > budget)]] = False
         live = ~done
         rows, coarse = np.tile(rows[live], 2), np.concatenate([left[live], right[live]])
         lo, hi = np.concatenate([lo[live], mid[live]]), np.concatenate([mid[live], hi[live]])
         depth += 1
     rows, lo, pair, e = (np.concatenate(parts) for parts in zip(*accepted))
     order = np.lexsort((-lo, rows))
-    value, err = np.zeros(a.size, whole.dtype), np.zeros(a.size)
+    value, err = np.zeros(a.size, kept.dtype), np.zeros(a.size)
     np.add.at(value, rows[order], pair[order])
     np.add.at(err, rows[order], e[order])
-    return value, err, 2 * np.bincount(rows, minlength=a.size), ok
+    return value, err, 2 * np.bincount(rows, minlength=a.size)
 
 
 def _ive_series(nu, z):
@@ -333,12 +339,11 @@ def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
 def heat_quadrature(nu, n, t, xs, profile, rel_tol, max_depth):
     """heat_rows by adaptive panels alone, for every point of xs.
 
-    All points refine together on one breadth-first frontier.  A coarse
-    whole-support panel fixes each point's magnitude scale (the integrand
-    is nonnegative, so the scale cannot collapse by cancellation); a second
-    sweep with a tightened budget runs only on the points the first missed.
-    A point has converged when its summed error estimate is within
-    rel_tol of its value.
+    All points refine together on one breadth-first frontier, each against
+    half of rel_tol times its own running estimate (see ``adaptive``); the
+    integrand is nonnegative, so that estimate cannot collapse by
+    cancellation.  A point has converged when its summed error estimate is
+    within rel_tol of its value.
     """
     nu, n, t, rel_tol, max_depth = float(nu), float(n), float(t), float(rel_tol), int(max_depth)
     xs = np.asarray(xs, dtype=np.float64)
@@ -356,15 +361,5 @@ def heat_quadrature(nu, n, t, xs, profile, rel_tol, max_depth):
         return profile(xi) * kern * xi**n
 
     lo, hi = np.full(xs.size, float(profile.lo)), np.full(xs.size, float(profile.hi))
-    whole = gl_panels(integrand, np.arange(xs.size), lo, hi)
-    scale = np.where(whole == 0.0, 1e-300, np.abs(whole))
-    value, err, panels, ok = adaptive(integrand, lo, hi, whole, 0.5 * rel_tol * scale, max_depth)
-    miss = np.flatnonzero(~(ok & (err <= rel_tol * np.abs(value))))
-    if miss.size:
-        value2, err2, panels2, _ = adaptive(
-            lambda rows, xi: integrand(miss[rows], xi), lo[miss], hi[miss], whole[miss],
-            0.3 * rel_tol * np.maximum(np.abs(value[miss]), 1e-300), max_depth,
-        )
-        value[miss], err[miss] = value2, err2
-        panels[miss] += panels2
+    value, err, panels = adaptive(integrand, lo, hi, 0.5 * rel_tol, max_depth)
     return value, err, panels, err <= rel_tol * np.abs(value)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from ._kernels import adaptive, gl_panels, heat_moments, heat_rows
+from ._kernels import adaptive, heat_moments, heat_rows
 from .besselkit import bessel_i, bessel_k, check_order
 from .errors import QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
@@ -243,9 +243,9 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     constant 1.
 
     Every integral is its own task on one adaptive frontier, each to
-    1e-11 of its whole-interval panel estimate: phi f and psi f over the
-    support, phi f over [lo, x] and psi f over [x, hi] for each x inside
-    it.  A separate task per x keeps each partial integral's own relative
+    1e-11 of its own running estimate: phi f and psi f over the support,
+    phi f over [lo, x] and psi f over [x, hi] for each x inside it.  A
+    separate task per x keeps each partial integral's own relative
     accuracy, which a running sum over shared panels would not.
 
     The Bessel pair is besselkit's scaled one, e^(-Re z) I and e^z K, with
@@ -289,8 +289,7 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
         out[~on_phi] = psi(x_psi) * np.exp(sq.real * a[rows[~on_phi], None] - sq * x_psi)
         return out * profile(xi) * xi**n
 
-    whole = gl_panels(integrand, np.arange(a.size), a, b)
-    acc = adaptive(integrand, a, b, whole, 1e-11 * np.maximum(np.abs(whole), 1e-300), 18)[0]
+    acc = adaptive(integrand, a, b, 1e-11, 18)[0]
 
     phi_x, psi_x = np.zeros(x_eval.size, complex), np.zeros(x_eval.size, complex)
     phi_x[~above] = phi(x_eval[~above])

@@ -137,6 +137,18 @@ def test_solve_is_deterministic(tmp_path):
     assert Path(a).read_text() == Path(b).read_text()
 
 
+def test_solve_small_t_inside_wide_support(tmp_path):
+    """At t = 1e-6 the solution's Gaussian is 2e-3 wide on a support [1, 5]:
+    both points converge to values of about 1, and solve exits 0."""
+    scenario = _write_scenario(tmp_path, dict(SCENARIO, modes=[0], t=[1e-6],
+                                              profile={"shape": "indicator", "support": [1.0, 5.0]},
+                                              x_grid={"points": [1.5, 3.0]}))
+    out = str(tmp_path / "sol.csv")
+    assert main(["solve", "--scenario", scenario, "--out", out]) == 0
+    values = [float(line.split(",")[-1]) for line in Path(out).read_text().splitlines()[2:]]
+    assert values == pytest.approx([1.0, 1.0], abs=1e-8)
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["template", "--cross-section", "s2", "--gamma", "3.0", "--k", "3"]) == EXIT_CODES["window"]
     assert main(["template", "--cross-section", "s2", "--gamma", "0", "--k", "1"]) == EXIT_CODES["k_too_small"]
