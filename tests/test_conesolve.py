@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from coneasym.conesolve import (
     solution_rows,
 )
 from coneasym.errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
-from coneasym import _kernels
+from coneasym import _kernels, conesolve
 from coneasym._kernels import adaptive, gl_sum, heat_quadrature, heat_rows, heat_series, ive_native
 
 
@@ -52,6 +54,41 @@ def test_profile_shapes():
     for bad in ({"hi": math.inf}, {"lo": math.nan}, {"center": math.inf}, {"width": math.nan}):
         with pytest.raises(ScenarioError):
             RadialProfile(**dict({"shape": "gaussian", "lo": 1.0, "hi": 2.0}, **bad))
+
+
+def _bump_reference(lo, hi, xi):
+    """The bump at the float xi from the exact rational 1 - u^2 of the float
+    inputs: exp(m) for m = 1 - 1/(1 - u^2), taken as exp(float(m)) times
+    1 + (the exact remainder), which is far below 1 ulp of m."""
+    lo, hi, xi = Fraction(lo), Fraction(hi), Fraction(xi)
+    m = 1 - (hi - lo) ** 2 / (4 * (xi - lo) * (hi - xi))
+    return math.exp(float(m)) * (1.0 + float(m - Fraction(float(m))))
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (4.636363636363637, 10.903846153846153)])
+def test_bump_accurate_near_its_edges(lo, hi):
+    """At gaps of 1e-3 to 0.5 of the width from either edge the bump is
+    within 1e-12 relative of its exact value.  Forming 1 - u^2 directly
+    loses up to about 1e-11 to cancellation at a gap of 1e-3 W."""
+    bump, width = RadialProfile("bump", lo, hi), hi - lo
+    gaps = np.geomspace(1e-3, 0.5, 400)
+    xs = np.concatenate([lo + gaps * width, hi - gaps * width])
+    ref = np.array([_bump_reference(lo, hi, x) for x in xs])
+    assert np.max(np.abs(bump(xs) - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-3, 1e3), (1e-300, 1e-299), (1.0, 1e250)])
+def test_bump_vanishes_next_to_its_edges_without_warnings(lo, hi):
+    """The floats next to each edge give 0, and the support's midpoint 1,
+    with no divide-by-zero or overflow warning: 1 - u^2 rounds to 0 there,
+    and a support this wide or narrow would overflow or underflow the
+    squared width."""
+    bump = RadialProfile("bump", lo, hi)
+    xs = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo), 0.5 * lo + 0.5 * hi])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = bump(xs)
+    assert vals[0] == vals[1] == 0.0 and vals[2] == 1.0
 
 
 def test_mode_problem_rejects_non_finite(bump12):
@@ -271,6 +308,24 @@ def test_heat_rows_random_small_t_stress():
         assert ok.all() and panels.max() <= 2000, (shape, lo, hi, t, nu, n, rel_tol, xs, panels, ok)
 
 
+@pytest.mark.parametrize("profile, nu, n, t, xs, max_panels", [
+    (RadialProfile("bump", 2.977580674236194, 3.6318206352937787), 10.11588705637514, 1, 5.168197346985365e-06,
+     [3.6333503975359687, 3.6445610498360534], 200),
+    (RadialProfile("bump", 2.1300772564145203, 3.434079936027001), 5.812118155364853, 3, 1.4659681662432642e-06,
+     [3.4498666423601763], None),
+], ids=["past-upper-edge", "unconverged-past-upper-edge"])
+def test_heat_rows_near_bump_edge_converge(profile, nu, n, t, xs, max_panels):
+    """Points just past a bump's upper edge at small t and rel_tol 1e-12,
+    where the solution's Gaussian sees only the bump's flat tail.  While
+    the bump carried rounding noise at its edges, the first two points
+    took 13,634 and 15,680 panels and the third stopped unconverged after
+    6,612.  Now all three converge, the first two within 200 panels."""
+    values, errs, panels, ok = heat_rows(nu, n, t, np.array(xs), profile, 1e-12, 20)
+    assert ok.all() and np.all(errs <= 1e-12 * values), (values, errs)
+    if max_panels is not None:
+        assert panels.max() <= max_panels, panels
+
+
 def test_adaptive_bounds_block_size():
     """A level wider than the block goes to the integrand in several calls,
     none larger than the block, with the results of one task at a time."""
@@ -411,6 +466,37 @@ def test_resolvent_past_unscaled_range(bump12, lam):
     sol = resolvent_mode(1, -4.0, lam, bump12, xs)
     oracle = _resolvent_oracle(1, -4.0, lam, bump12, xs)
     assert np.max(np.abs(sol.values - oracle) / np.abs(oracle)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, lam_mode, lam, lo, hi, edge, gap", [
+    (1, -15 / 7, 1.0, 4.636363636363637, 10.903846153846153, "lower", 1.65e-3),
+    (2, -30 / 7, 10.0, 4.7727272727272725, 11.307692307692308, "upper", 9.75e-4),
+], ids=["lower-edge", "upper-edge"])
+def test_resolvent_near_edge_work_is_bounded(monkeypatch, n, lam_mode, lam, lo, hi, edge, gap):
+    """The benchmark's sweep grid, geomspace(1e-3, 2 hi, 160), with the
+    point nearest one bump edge moved to a gap of about 1e-3 of the width.
+    The sliver task between that point and the edge took 2,262 and 3,778
+    panels while the bump carried rounding noise there; every task now
+    takes at most 200, and the edge point and its neighbours match the
+    dense oracle."""
+    xs = np.geomspace(1e-3, 2.0 * hi, 160)
+    inside = np.flatnonzero((xs > lo) & (xs < hi))
+    k = inside[0] if edge == "lower" else inside[-1]
+    xs[k] = lo + gap * (hi - lo) if edge == "lower" else hi - gap * (hi - lo)
+    panels = []
+
+    def counted(*args):
+        out = adaptive(*args)
+        panels.append(out[2])
+        return out
+
+    monkeypatch.setattr(conesolve, "adaptive", counted)
+    profile = RadialProfile("bump", lo, hi)
+    sol = resolvent_mode(n, lam_mode, lam, profile, xs)
+    assert len(panels) == 1 and panels[0].max() <= 200, panels[0].max()
+    near = xs[k - 1:k + 2]
+    oracle = _resolvent_oracle(n, lam_mode, lam, profile, near)
+    assert np.max(np.abs(sol.values[k - 1:k + 2] - oracle) / np.abs(oracle)) <= 1e-10
 
 
 def test_spectrum_ray_rejected(bump12):
