@@ -47,7 +47,6 @@ from .indicial import (
     PoleSet,
     conormal_poly_coeffs,
     conormal_symbol,
-    conormal_symbol_power,
     indicial_roots,
     pole_set,
     root_multiplicity,
@@ -73,8 +72,6 @@ from .version import __version__
 from .weights import (
     admissible_window,
     locate_interval,
-    membership,
-    quadrature_membership,
     window_midpoint,
 )
 
@@ -90,15 +87,12 @@ __all__ = [
     "PoleSet",
     "indicial_roots",
     "conormal_symbol",
-    "conormal_symbol_power",
     "conormal_poly_coeffs",
     "root_multiplicity",
     "pole_set",
     "admissible_window",
     "window_midpoint",
     "locate_interval",
-    "membership",
-    "quadrature_membership",
     "Origin",
     "AsymTerm",
     "ExpansionTemplate",

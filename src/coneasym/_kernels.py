@@ -1,23 +1,20 @@
 """Low-level numerical kernels.
 
-A scalar scaled modified Bessel function of the first kind, the one
-Gauss-Legendre quadrature engine that every integral in the package goes
-through, and the model-cone heat solver on top of it.  The engine is a
-16-point rule on many panels at once, in blocks of at most _BLOCK panels
-per integrand call; an adaptive bisection whose breadth-first frontier
-refines every live panel of every task in one such call per level; and a
-fixed-panel sum.  ``heat_moments`` applies the same rule on fixed panels
+The one Gauss-Legendre quadrature engine that every integral in the
+package goes through, and the model-cone heat solver on top of it.  The
+engine is a 16-point rule on many panels at once, in blocks of at most
+_BLOCK panels per integrand call, and an adaptive bisection whose
+breadth-first frontier refines every live panel of every task in one such
+call per level.  ``heat_moments`` applies the same rule on fixed panels
 to all of its moments at once.
 
 ``heat_rows`` evaluates each point by ``heat_series``, the kernel's
 ascending series summed against fixed-panel moments of the source, where
 that series converges to rel_tol (z = x hi / (4t) at most _SERIES_Z), and
 every other point by ``heat_quadrature``, the adaptive engine with one
-``scipy.special.ive`` call per level.  The scalar series/asymptotic
-``ive_native`` is the independent oracle that the Bessel wrappers and the
-tests compare against.  scipy.special is imported only when some point
-falls to the quadrature, so the exact-algebra commands and the small-x
-solves start without it.
+``scipy.special.ive`` call per level.  scipy.special is imported only
+when some point falls to the quadrature, so the exact-algebra commands
+and the small-x solves start without it.
 
 Notation: the mode operator on the model cone of dimension n+1 is
 
@@ -42,10 +39,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Most panels in one integrand call: bounds the (panels x 16) node
 # temporaries.
 _BLOCK = 512
-
-# exp underflows to 0 below this; the scaled series start is formed in
-# log space so the check is exact.
-_LOG_TINY = -745.0
 
 _EPS = float(np.finfo(float).eps)
 # heat_rows evaluates points with z = x hi / (4t) up to this by heat_series.
@@ -77,12 +70,6 @@ def gl_panels(fn, rows, a, b):
         vals = fn(rows[s:s + _BLOCK], c[s:s + _BLOCK, None] + h[s:s + _BLOCK, None] * _GL_NODES)
         parts.append(h[s:s + _BLOCK] * np.sum(_GL_WEIGHTS * vals, axis=1))
     return np.concatenate(parts)
-
-
-def gl_sum(fn, edges):
-    """Sum of 16-point panels of fn(nodes) over consecutive edges (fixed panels)."""
-    panels = gl_panels(lambda _, nodes: fn(nodes), np.zeros(edges.size - 1, int), edges[:-1], edges[1:])
-    return sum(panels.tolist())
 
 
 def adaptive(fn, a, b, rel_tol, max_depth):
@@ -132,82 +119,6 @@ def adaptive(fn, a, b, rel_tol, max_depth):
     np.add.at(value, rows[order], pair[order])
     np.add.at(err, rows[order], e[order])
     return value, err, 2 * np.bincount(rows, minlength=a.size)
-
-
-def _ive_series(nu, z):
-    """e^(-z) I_nu(z) by the ascending series, summed outward from its
-    largest term.
-
-    The central index m* solves (m+1)(nu+m+1) = (z/2)^2; the term there is
-    formed with lgamma in log space, so the start never overflows, and the
-    two sweeps away from m* add strictly positive, decreasing terms (no
-    cancellation for real z >= 0).
-    """
-    half = 0.5 * z
-    q = half * half
-    m0 = 0.5 * (math.sqrt(nu * nu + 4.0 * q) - (nu + 2.0))
-    mstar = 0
-    if m0 > 0.0:
-        mstar = int(m0)
-    logt = (
-        (nu + 2.0 * mstar) * math.log(half)
-        - math.lgamma(mstar + 1.0)
-        - math.lgamma(nu + mstar + 1.0)
-        - z
-    )
-    if logt < _LOG_TINY:
-        return 0.0
-    t0 = math.exp(logt)
-    total = t0
-    t = t0
-    m = mstar
-    while m < mstar + 1000000:
-        m += 1
-        t *= q / (m * (nu + m))
-        total += t
-        if t <= total * 1e-17:
-            break
-    t = t0
-    m = mstar
-    while m > 0:
-        t *= m * (nu + m) / q
-        total += t
-        m -= 1
-        if t <= total * 1e-17:
-            break
-    return total
-
-
-def _ive_asym(nu, z):
-    """e^(-z) I_nu(z) by the large-argument expansion
-
-    (2 pi z)^(-1/2) * sum_m (-1)^m a_m(nu) / z^m,
-    a_m = prod_{i=1..m} (4 nu^2 - (2i-1)^2) / (8 i).
-
-    Valid only where the series has settled below 1e-15 before its terms
-    turn; the dispatcher guarantees that region.
-    """
-    fournu2 = 4.0 * nu * nu
-    term = 1.0
-    total = 1.0
-    m = 0
-    while m < 40:
-        m += 1
-        odd = 2.0 * m - 1.0
-        term *= -(fournu2 - odd * odd) / (8.0 * m * z)
-        total += term
-        if abs(term) <= abs(total) * 1e-17:
-            break
-    return total / math.sqrt(2.0 * math.pi * z)
-
-
-def ive_native(nu: float, z: float) -> float:
-    """Scaled modified Bessel e^(-z) I_nu(z) for real nu >= 0, z > 0, by the
-    series/asymptotic split in plain Python."""
-    nu, z = float(nu), float(z)
-    if z >= 40.0 and z >= 1.6 * nu * nu + 25.0:
-        return _ive_asym(nu, z)
-    return _ive_series(nu, z)
 
 
 def heat_moments(nu, n, t, profile, count):

@@ -5,18 +5,15 @@ overflow-free pair (AMOS's scaled forms); callers fold the exponentials
 back into their own products.  Orders nu in [0, 60] and arguments
 0 < |z| <= 1e4 off the negative real axis are supported; outside that box
 a DomainError is raised rather than returning a value of unknown quality.
-Real-argument I uses the native series/asymptotic kernel, an
-implementation independent of scipy, with a relative-error target of
-1e-10; K and all complex arguments delegate to scipy.special's ive/kve,
-which meet the same target on this box.  I and K also take a complex
-ndarray: one box check and one scipy call for the whole array.
-scipy.special is imported on the first call that needs it, not with this
-module.
+Both delegate to scipy.special's ive/kve, which meet a relative-error
+target of 1e-10 on this box.  z is a complex scalar (a real one is taken
+as complex) or a complex ndarray: one box check and one scipy call for
+the whole array.  scipy.special is imported on the first call, not with
+this module.
 """
 
 import numpy as np
 
-from ._kernels import ive_native
 from .errors import DomainError
 
 _NU_MAX = 60.0
@@ -31,13 +28,6 @@ def check_order(nu: float) -> float:
     return nu
 
 
-def _check_real_arg(z) -> float:
-    z = float(z)
-    if not 0.0 < z <= _Z_MAX:
-        raise DomainError(f"argument {z} outside (0, {_Z_MAX}]")
-    return z
-
-
 def _check_complex_arg(z):
     """Complex z, or a complex ndarray checked as a whole."""
     arr = np.asarray(z, dtype=complex)
@@ -50,26 +40,21 @@ def _check_complex_arg(z):
     return arr if isinstance(z, np.ndarray) else complex(z)
 
 
-def bessel_i(nu, z):
-    """e^(-|Re z|) I_nu(z); native kernel for real z, scipy for complex z
-    or a complex ndarray."""
-    nu = check_order(nu)
-    if isinstance(z, (complex, np.ndarray)):
-        from scipy import special
+def _scaled(fn, nu, z):
+    nu, z = check_order(nu), _check_complex_arg(z)
+    value = fn(nu, z)
+    return value if isinstance(z, np.ndarray) else complex(value)
 
-        z = _check_complex_arg(z)
-        value = special.ive(nu, z)
-        return value if isinstance(z, np.ndarray) else complex(value)
-    return ive_native(nu, _check_real_arg(z))
+
+def bessel_i(nu, z):
+    """e^(-|Re z|) I_nu(z) (scipy's ive); z may be a complex ndarray."""
+    from scipy import special
+
+    return _scaled(special.ive, nu, z)
 
 
 def bessel_k(nu, z):
-    """e^z K_nu(z) (scipy-backed); z may be a complex ndarray."""
+    """e^z K_nu(z) (scipy's kve); z may be a complex ndarray."""
     from scipy import special
 
-    nu = check_order(nu)
-    if isinstance(z, (complex, np.ndarray)):
-        z = _check_complex_arg(z)
-        value = special.kve(nu, z)
-        return value if isinstance(z, np.ndarray) else complex(value)
-    return float(special.kve(nu, _check_real_arg(z)))
+    return _scaled(special.kve, nu, z)

@@ -278,13 +278,26 @@ def cmd_check_resolvent(args) -> int:
     return 0
 
 
+def _criterion_ids(text):
+    """--criteria as a list of ids; an unknown or non-integer id is a
+    usage error that names the valid ones."""
+    from .acceptance import CRITERIA
+
+    valid = [cid for cid, _, _ in CRITERIA]
+    try:
+        ids = [int(v) for v in text.split(",")]
+    except ValueError:
+        ids = None
+    if ids is None or not set(ids) <= set(valid):
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: criterion ids are comma-separated integers among {', '.join(map(str, valid))}")
+    return ids
+
+
 def cmd_selftest(args) -> int:
     from . import acceptance
 
-    ids = None
-    if args.criteria:
-        ids = [int(v) for v in args.criteria.split(",")]
-    results = acceptance.run_all(ids)
+    results = acceptance.run_all(args.criteria)
     for result in results:
         sys.stdout.write(acceptance.format_line(result) + "\n")
     if all(r.passed for r in results):
@@ -345,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_resolvent)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--criteria", default=None, help="comma-separated criterion ids")
+    p.add_argument("--criteria", type=_criterion_ids, default=None, help="comma-separated criterion ids")
     p.set_defaults(fn=cmd_selftest)
     return parser
 

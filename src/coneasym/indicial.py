@@ -80,16 +80,6 @@ def conormal_symbol(n: int, lam, z):
     return z * z - (n - 1) * z + lam
 
 
-def conormal_symbol_power(n: int, lam, k: int, z):
-    """sigma_k(z) = prod_{i=0..k-1} sigma(z + 2i)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = 1
-    for i in range(k):
-        out = out * conormal_symbol(n, lam, z + 2 * i)
-    return out
-
-
 def conormal_poly_coeffs(n: int, lam, k: int) -> list:
     """Ascending coefficients of sigma_k, exact when lam is rational."""
     if k < 1:

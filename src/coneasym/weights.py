@@ -15,9 +15,6 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
-from ._kernels import gl_sum
 from .indicial import indicial_roots
 
 _TOL = 1e-12
@@ -78,56 +75,3 @@ def boundary_distance(n: int, gamma, x) -> float:
     top = 0.5 * (n + 1) - float(gamma)
     frac = (top - float(x)) / 2.0
     return 2.0 * abs(frac - round(frac))
-
-
-def membership(n: int, gamma, a, log_power: int = 0) -> bool:
-    """Whether omega x^a log^log_power x lies in H^{s,gamma} near the tip.
-
-    Strict inequality a > gamma - (n+1)/2; log powers never matter.  Floats
-    within 1e-12 of the boundary count as outside.
-    """
-    if log_power < 0:
-        raise ValueError("log_power must be >= 0")
-    if isinstance(a, Rational) and isinstance(gamma, Rational):
-        return Fraction(a) > Fraction(gamma) - Fraction(n + 1, 2)
-    return float(a) - (float(gamma) - 0.5 * (n + 1)) > _TOL
-
-
-# ---------------------------------------------------------------------------
-# Quadrature cross-check of the membership predicate: integrate the squared
-# weighted profile on [eps, 1] for shrinking eps and classify convergence by
-# comparing the increment ratio against the exact boundary-case ratio.
-# ---------------------------------------------------------------------------
-
-_EPS_LADDER = (1e-2, 1e-4, 1e-6)
-
-
-def tail_norm_integral(n: int, gamma, a, log_power: int, eps: float) -> float:
-    """integral_eps^1 of (x^((n+1)/2 - gamma + a) |log x|^log_power)^2 dx/x.
-
-    Per-decade Gauss-Legendre panels; the integrand is smooth on each
-    decade, so 16 points per panel are ample at these exponents.
-    """
-    two_delta = 2.0 * (0.5 * (n + 1) - float(gamma) + float(a))
-    two_m = 2 * log_power
-    edges = np.geomspace(eps, 1.0, max(2, int(round(-math.log10(eps))) * 8 + 1))
-    return gl_sum(lambda x: x ** (two_delta - 1.0) * np.abs(np.log(x)) ** two_m, edges)
-
-
-def quadrature_membership(n: int, gamma, a, log_power: int = 0) -> bool:
-    """Membership verdict from quadrature alone (no use of the predicate).
-
-    Computes I(eps) for eps = 1e-2, 1e-4, 1e-6 and the increment ratio
-    r = (I3-I2)/(I2-I1).  On the boundary profile x^0 |log x|^m the exact
-    ratio is (L3^q - L2^q)/(L2^q - L1^q) with q = 2m+1, L_i = log(1/eps_i);
-    divergence (non-membership) is r at or above that boundary ratio.
-    """
-    i1, i2, i3 = (tail_norm_integral(n, gamma, a, log_power, e) for e in _EPS_LADDER)
-    d21 = i2 - i1
-    d32 = i3 - i2
-    if d21 <= 0.0:
-        return True
-    q = 2 * log_power + 1
-    ls = [math.log(1.0 / e) for e in _EPS_LADDER]
-    boundary = (ls[2] ** q - ls[1] ** q) / (ls[1] ** q - ls[0] ** q)
-    return bool((d32 / d21) < boundary)

@@ -1,12 +1,17 @@
-"""The eleven acceptance criteria, one pass/fail line each.
+"""The ten acceptance criteria, one pass/fail line each, and planted
+faults that the criteria on the solvers' Bessel calls and on the pole
+orders must catch.
 
 Criteria live in coneasym.acceptance (also behind `coneasym selftest`);
 this module runs them once and asserts each outcome.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from coneasym import acceptance
+from coneasym import acceptance, besselkit
 
 _CACHE: dict = {}
 
@@ -24,3 +29,31 @@ def test_criterion(cid, capsys):
     with capsys.disabled():
         print(acceptance.format_line(result))
     assert result.passed, result.detail
+
+
+def test_criterion_10_catches_unscaled_complex_k(monkeypatch):
+    """A bessel_k that returns K itself, not e^z K, on complex arguments
+    (the resolvent's) and stays right on real ones."""
+    scaled = besselkit.bessel_k
+
+    def unscaled(nu, z):
+        value = scaled(nu, z)
+        return value * np.exp(-np.asarray(z)) if np.iscomplexobj(z) else value
+
+    monkeypatch.setattr(besselkit, "bessel_k", unscaled)
+    passed, detail = acceptance.criterion_10()
+    assert not passed
+    assert "K 1/2" in detail
+
+
+def test_criterion_4_catches_off_by_one_pole_orders(monkeypatch):
+    exact = acceptance.pole_set
+
+    def off_by_one(cross_section, k):
+        poles = exact(cross_section, k)
+        return replace(poles, poles=tuple(replace(p, order=p.order + 1) for p in poles.poles))
+
+    monkeypatch.setattr(acceptance, "pole_set", off_by_one)
+    passed, detail = acceptance.criterion_4()
+    assert not passed
+    assert "symbol multiplicities" in detail

@@ -189,6 +189,18 @@ def test_selftest_subset(capsys):
     assert "all criteria passed" in out
 
 
+@pytest.mark.parametrize("criteria", ["99", "3,99", "abc", "9"])
+def test_selftest_rejects_unknown_criteria(criteria, capsys):
+    """An id that names no criterion (9 was deleted) is a usage error that
+    lists the valid ids, not a pass over nothing."""
+    with pytest.raises(SystemExit) as err:
+        main(["selftest", "--criteria", criteria])
+    assert err.value.code == EXIT_CODES["usage"]
+    captured = capsys.readouterr()
+    assert "1, 2, 3, 4, 5, 6, 7, 8, 10, 11" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_check_resolvent_far_support(tmp_path):
     """|lam| = 100 on support [80, 90] puts sqrt(lam) xi at 900, where I_nu
     itself would overflow a double: the scaled Bessel pair still gives a

@@ -25,7 +25,7 @@ from coneasym.conesolve import (
 )
 from coneasym.errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from coneasym import _kernels, conesolve
-from coneasym._kernels import adaptive, gl_sum, heat_quadrature, heat_rows, heat_series, ive_native
+from coneasym._kernels import adaptive, heat_quadrature, heat_rows, heat_series
 
 
 def _panel_nodes(edges):
@@ -122,7 +122,8 @@ def test_mass_is_conserved():
     for profile in (RadialProfile("bump", 1.0, 2.0),
                     RadialProfile("gaussian", 0.8, 2.3, center=1.4, width=0.3),
                     RadialProfile("indicator", 0.9, 1.6)):
-        source = gl_sum(lambda xi: profile(xi) * xi, np.linspace(profile.lo, profile.hi, 201))
+        xi, wts = _panel_nodes(np.linspace(profile.lo, profile.hi, 201))
+        source = math.fsum(wts * profile(xi) * xi)
         for t in (0.05, 0.7, 3.0):
             x, w = _panel_nodes(np.linspace(0.0, profile.hi + 40.0 * math.sqrt(t), 33))
             a = heat_mode(ModeProblem(n=1, lam=0.0, t=t, profile=profile), x, rel_tol=1e-12).values
@@ -177,10 +178,10 @@ def test_heat_mode_tolerance_failure(bump12):
     RadialProfile("bump", 1.0, 2.0),
     RadialProfile("gaussian", 0.8, 2.3, center=1.4, width=0.3),
 ], ids=["bump", "gaussian"])
-def test_heat_rows_matches_dense_oracle(profile):
+def test_heat_rows_matches_dense_oracle(profile, ive_oracle):
     """Adaptive panels with scipy's ive against a dense fixed-panel sum of
-    the kernel through the plain-Python ive: 200 panels x 16 nodes over
-    the support."""
+    the kernel through the plain-Python ive (tests/conftest.py): 200
+    panels x 16 nodes over the support."""
     xi, wts = _panel_nodes(np.linspace(profile.lo, profile.hi, 201))
     wts = wts * profile(xi)
     xs = np.append(default_grid(decades=(-3, 0), points_per_decade=1), 1.5)
@@ -188,7 +189,7 @@ def test_heat_rows_matches_dense_oracle(profile):
         values, _, _, ok = heat_rows(nu, n, t, xs, profile, 1e-12, 20)
         assert ok.all()
         dense = [sum(w * (x * s) ** (0.5 * (1 - n)) / (2 * t) * math.exp(-(x - s) ** 2 / (4 * t))
-                     * ive_native(nu, x * s / (2 * t)) * s**n for w, s in zip(wts, xi))
+                     * ive_oracle(nu, x * s / (2 * t)) * s**n for w, s in zip(wts, xi))
                  for x in xs]
         assert np.max(np.abs(values - dense) / np.abs(dense)) <= 1e-12
 
@@ -399,8 +400,8 @@ def _resolvent_oracle(n, lam_mode, lam, profile, xs, panels=200):
 
     def log_integral(log_branch, a, b):
         shift = np.max(log_branch(np.array([a, b])).real)
-        edges = np.linspace(a, b, panels + 1)
-        return shift + cmath.log(gl_sum(lambda xi: np.exp(log_branch(xi) - shift) * profile(xi) * xi**n, edges))
+        xi, wts = _panel_nodes(np.linspace(a, b, panels + 1))
+        return shift + cmath.log(np.sum(wts * np.exp(log_branch(xi) - shift) * profile(xi) * xi**n))
 
     lo, hi = profile.lo, profile.hi
     out = []

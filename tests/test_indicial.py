@@ -11,7 +11,6 @@ from coneasym.errors import SpectrumError
 from coneasym.indicial import (
     conormal_poly_coeffs,
     conormal_symbol,
-    conormal_symbol_power,
     exact_sqrt,
     indicial_roots,
     pole_set,
@@ -92,20 +91,6 @@ def test_composed_symbol_roots_oracle():
         float(q) - 2 * i for q in (data.q_minus, data.q_plus) for i in range(k)
     )
     assert np.allclose(got, expected, atol=1e-6)
-
-
-def test_symbol_power_matches_coefficients():
-    rng = np.random.default_rng(7)
-    for n, lam in ((1, -4.0), (2, -6.0), (3, -7.0)):
-        for k in (1, 2, 4):
-            coeffs = [float(c) for c in conormal_poly_coeffs(n, lam, k)]
-            for _ in range(5):
-                z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                horner = 0j
-                for c in reversed(coeffs):
-                    horner = horner * z + c
-                direct = conormal_symbol_power(n, lam, k, z)
-                assert abs(direct - horner) <= 1e-12 * max(1.0, abs(direct))
 
 
 def test_root_multiplicity_exact():

@@ -1,9 +1,7 @@
-"""Weight windows, tile bookkeeping, membership classification."""
+"""Weight windows and tile bookkeeping."""
 
-import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +10,6 @@ from coneasym.weights import (
     boundary_distance,
     gamma_inside,
     locate_interval,
-    membership,
-    quadrature_membership,
     window_midpoint,
 )
 
@@ -77,63 +73,3 @@ def test_boundary_distance():
     assert boundary_distance(1, Fraction(0), Fraction(-3)) == 0
     assert boundary_distance(1, Fraction(0), Fraction(-2)) == 1.0
     assert abs(boundary_distance(1, Fraction(0), -2.5) - 0.5) < 1e-12
-
-
-@pytest.mark.parametrize(
-    "n,gamma,delta,log_power,expected",
-    [
-        (1, 0.0, 0.3, 0, True),
-        (1, 0.0, -0.3, 0, False),
-        (2, 0.25, 0.1, 2, True),
-        (2, 0.25, -0.1, 2, False),
-        (3, 0.5, 1.0, 1, True),
-        (3, 0.5, -1.0, 1, False),
-    ],
-)
-def test_membership_rule(n, gamma, delta, log_power, expected):
-    a = gamma - 0.5 * (n + 1) + delta
-    assert membership(n, gamma, a, log_power) is expected
-
-
-def test_membership_boundary_is_excluded():
-    """x^{gamma-(n+1)/2} just fails square-integrability near zero, with or
-    without logs."""
-    for log_power in (0, 1, 3):
-        assert membership(2, Fraction(1, 4), Fraction(1, 4) - Fraction(3, 2), log_power) is False
-
-
-def test_membership_log_independence():
-    a = 0.3 - 1.0 + 0.17
-    assert membership(1, 0.3, a, 0) == membership(1, 0.3, a, 4)
-
-
-@pytest.mark.parametrize("delta", [-0.6, -0.2, 0.2, 0.6])
-@pytest.mark.parametrize("log_power", [0, 1, 2])
-def test_quadrature_agrees_with_rule(delta, log_power):
-    n, gamma = 2, 0.1
-    a = gamma - 1.5 + delta
-    assert quadrature_membership(n, gamma, a, log_power) == membership(n, gamma, a, log_power)
-
-
-def test_quadrature_boundary_divergence():
-    # exactly at the threshold the integral diverges like a log power
-    assert quadrature_membership(1, 0.0, -1.0, 0) is False
-    assert quadrature_membership(1, 0.0, -1.0, 2) is False
-
-
-def test_membership_against_scipy_quad():
-    """Spot-check the tail integral against an independent quadrature."""
-    from scipy.integrate import quad
-
-    from coneasym.weights import tail_norm_integral
-
-    n, gamma, a, log_power = 2, 0.1, -0.9, 1
-    delta_prime = a - (gamma - 0.5 * (n + 1))
-
-    def integrand(x):
-        return x ** (2 * delta_prime - 1) * abs(math.log(x)) ** (2 * log_power)
-
-    for eps in (1e-2, 1e-4):
-        ours = tail_norm_integral(n, gamma, a, log_power, eps)
-        ref, _ = quad(integrand, eps, 1.0, limit=200)
-        assert abs(ours - ref) <= 1e-8 * max(1.0, abs(ref))
