@@ -25,7 +25,7 @@ from .conesolve import (
 )
 from ._kernels import heat_quadrature, heat_series
 from .fitrecover import peel_exponents, recover_lambda, recover_spectrum
-from .indicial import conormal_poly_coeffs, conormal_symbol, indicial_roots, pole_set, root_multiplicity
+from .indicial import TOL, conormal_poly_coeffs, conormal_symbol, indicial_roots, pole_set, root_multiplicity, same
 from .spectra import circle_spectrum, custom_spectrum, sphere_spectrum
 from .templates import Origin, template_closed_form, template_differences, template_inductive
 from .weights import admissible_window
@@ -208,11 +208,7 @@ def _compare_terms(template, expected) -> list:
         problems.append(f"{len(template.terms)} terms, expected {len(expected)}")
         return problems
     for term, (exp, log_power, origins) in zip(template.terms, expected):
-        if isinstance(exp, Fraction):
-            exp_ok = term.exponent == exp
-        else:
-            exp_ok = abs(float(term.exponent) - exp) <= 1e-12
-        if not exp_ok:
+        if not same(term.exponent, exp, TOL):
             problems.append(f"exponent {term.exponent} != {exp}")
         if term.max_log_power != log_power:
             problems.append(f"exp {term.exponent}: log {term.max_log_power} != {log_power}")
@@ -296,14 +292,10 @@ def criterion_4():
             data = indicial_roots(n, lam)
             s = data.q_minus + data.q_plus
             p = data.q_minus * data.q_plus
-            if isinstance(s, Fraction) and isinstance(p, Fraction):
-                if s != n - 1 or p != Fraction(lam):
-                    problems.append(f"{cs.name} lam={float(lam)}: exact Vieta failed")
-            else:
-                if abs(float(s) - (n - 1)) > 1e-12 * max(1.0, abs(n - 1.0)):
-                    problems.append(f"{cs.name} lam={float(lam)}: root sum {s}")
-                if abs(float(p) - float(lam)) > 1e-12 * max(1.0, abs(float(lam))):
-                    problems.append(f"{cs.name} lam={float(lam)}: root product {p}")
+            if not same(s, n - 1, TOL * max(1.0, n - 1.0)):
+                problems.append(f"{cs.name} lam={float(lam)}: root sum {s}")
+            if not same(p, lam, TOL * max(1.0, abs(float(lam)))):
+                problems.append(f"{cs.name} lam={float(lam)}: root product {p}")
 
     for cs in corpus():
         for k in (1, 4):  # the symbol itself, and the deepest power of criteria 2-3
@@ -450,13 +442,9 @@ def criterion_8():
             mu = indicial_roots(cs.n, cs.eigenvalues[j]).mu
             lam = recover_lambda(cs.n, -mu)
             trips += 1
-            if isinstance(lam, Fraction) and isinstance(cs.eigenvalues[j], Fraction):
-                if lam != cs.eigenvalues[j]:
-                    problems.append(f"{cs.name} j={j}: exact round trip broke")
-            else:
-                target = float(cs.eigenvalues[j])
-                if abs(float(lam) - target) > 1e-12 * max(1.0, abs(target)):
-                    problems.append(f"{cs.name} j={j}: round trip {lam} != {target}")
+            target = cs.eigenvalues[j]
+            if not same(lam, target, TOL * max(1.0, abs(float(target)))):
+                problems.append(f"{cs.name} j={j}: round trip {lam} != {target}")
     detail = f"recovered {lams} from solved modes; {trips} algebraic round trips"
     if problems:
         detail += "; " + "; ".join(problems[:3])

@@ -44,40 +44,30 @@ from .fitrecover import peel_exponents, recover_spectrum, reports_from_jsonl, re
 from .spectra import circle_spectrum, custom_spectrum, sphere_spectrum
 from .templates import render_uexp, template_closed_form, template_differences, template_inductive
 from .version import __version__
-from .weights import admissible_window, window_midpoint
+from .weights import admissible_window, gamma_inside, window_midpoint
 
-EXIT_CODES = {
-    "usage": 2,
-    "window": 3,
-    "k_too_small": 4,
-    "continuity": 5,
-    "quadrature": 6,
-    "spectrum_ray": 7,
-    "domain": 8,
-    "fit": 9,
-    "spectrum": 10,
-    "scenario": 11,
-    "selftest": 12,
-    "sectorial": 13,
-    "internal": 1,
-}
-
-_EXIT_DOC = """exit codes:
-  0   success
-  1   unexpected internal error
-  2   usage error
-  3   weight exponent outside the admissible window
-  4   power k too small (k >= 2 required)
-  5   continuity hypothesis s + 2k > (n+1)/p fails
-  6   quadrature tolerance not reached
-  7   resolvent parameter on the spectral ray
-  8   special-function argument outside its domain
-  9   exponent fit failed (degenerate samples / not spectral)
-  10  invalid cross-section spectrum
-  11  malformed scenario or i/o problem
-  12  selftest criterion failed
-  13  sectorial uniformity check failed
-"""
+# One row per exit code: (code, EXIT_CODES key, --help text, exception
+# classes).  main maps an exception to the code of the first class on its
+# MRO that a row lists, so a subclass inherits its base's code.
+_EXITS = (
+    (0, None, "success", ()),
+    (1, "internal", "unexpected internal error", (ConeAsymError,)),
+    (2, "usage", "usage error", ()),
+    (3, "window", "weight exponent outside the admissible window", (WindowViolation,)),
+    (4, "k_too_small", "power k too small (k >= 2 required)", (KTooSmall,)),
+    (5, "continuity", "continuity hypothesis s + 2k > (n+1)/p fails", (ContinuityHypothesisFailed,)),
+    (6, "quadrature", "quadrature tolerance not reached", (QuadratureFailure,)),
+    (7, "spectrum_ray", "resolvent parameter on the spectral ray", (SpectrumRay,)),
+    (8, "domain", "special-function argument outside its domain", (DomainError,)),
+    (9, "fit", "exponent fit failed (degenerate samples / not spectral)", (FitError, NotASpectralExponent)),
+    (10, "spectrum", "invalid cross-section spectrum", (SpectrumError,)),
+    (11, "scenario", "malformed scenario or i/o problem", (ScenarioError, OSError, ValueError, KeyError)),
+    (12, "selftest", "selftest criterion failed", ()),
+    (13, "sectorial", "sectorial uniformity check failed", ()),
+)
+EXIT_CODES = {key: code for code, key, _, _ in _EXITS if key}
+_EXIT_DOC = "exit codes:\n" + "".join(f"  {code:<4}{text}\n" for code, _, text, _ in _EXITS)
+_ERROR_EXITS = {cls: code for code, _, _, classes in _EXITS for cls in classes}
 
 
 def _parse_number(text):
@@ -139,8 +129,8 @@ class Scenario:
         window = admissible_window(cs.n, cs.lambda1)
         if window is None:
             raise WindowViolation("admissible weight window is empty")
-        lo, hi = float(window[0]), float(window[1])
-        if not lo < float(gamma) < hi:
+        if not gamma_inside(window, gamma):
+            lo, hi = float(window[0]), float(window[1])
             raise WindowViolation(f"gamma={float(gamma)} outside window ({lo}, {hi})")
         modes = tuple(int(j) for j in data.get("modes", [0]))
         if not modes:
@@ -363,35 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Exception class -> EXIT_CODES key; main looks up the first class on the
-# raised exception's MRO, so a subclass inherits its base's code.
-_ERROR_EXITS = {
-    WindowViolation: "window",
-    KTooSmall: "k_too_small",
-    ContinuityHypothesisFailed: "continuity",
-    QuadratureFailure: "quadrature",
-    SpectrumRay: "spectrum_ray",
-    DomainError: "domain",
-    FitError: "fit",
-    NotASpectralExponent: "fit",
-    SpectrumError: "spectrum",
-    ScenarioError: "scenario",
-    ConeAsymError: "internal",
-    OSError: "scenario",
-    ValueError: "scenario",
-    KeyError: "scenario",
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except tuple(_ERROR_EXITS) as exc:
-        key = next(_ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in _ERROR_EXITS)
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CODES[key]
+        return next(_ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in _ERROR_EXITS)
 
 
 if __name__ == "__main__":

@@ -23,16 +23,13 @@ with the bounds it broke.
 
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
-from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
 from . import jsonio
 from .errors import DegenerateSamples, NotASpectralExponent, ScenarioError
+from .indicial import exact_or_float, less
 from .version import __version__
-
-_TOL = 1e-12
 
 LADDER_TERMS = 4
 # Acceptance bounds of `recover_spectrum`.  Solver output on the default
@@ -262,15 +259,9 @@ def recover_lambda(n: int, exponent):
     Exact for rational input; exponents below 0 (beyond 1e-12) cannot be
     spectral leading exponents and raise NotASpectralExponent.
     """
-    if isinstance(exponent, Rational):
-        e = Fraction(exponent)
-        if e < 0:
-            raise NotASpectralExponent(f"exponent {float(e)} is negative")
-        mu = -e
-        return mu * (n - 1 - mu)
-    e = float(exponent)
-    if e < -_TOL:
-        raise NotASpectralExponent(f"exponent {e} is negative")
+    (e,) = exact_or_float(exponent)
+    if less(e, 0):
+        raise NotASpectralExponent(f"exponent {float(e)} is negative")
     mu = -e
     return mu * (n - 1 - mu)
 

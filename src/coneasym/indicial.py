@@ -26,8 +26,41 @@ from numbers import Rational
 
 from .errors import PositiveEigenvalue
 
-_TOL = 1e-12
-_MERGE_TOL = 1e-9
+# The number policy: values stay exact Fractions while every input is
+# rational, and become floats otherwise.  Float comparisons allow TOL;
+# float locations and exponents merge within MERGE_TOL.
+TOL = 1e-12
+MERGE_TOL = 1e-9
+
+
+def exact_or_float(*values) -> tuple:
+    """The values as Fractions when all are rational, else as floats.
+
+    A numpy integer becomes a Fraction of Python ints, which cannot overflow.
+    """
+    exact = []
+    for v in values:
+        if isinstance(v, Fraction):
+            exact.append(v)
+        elif isinstance(v, Rational):
+            exact.append(Fraction(int(v.numerator), int(v.denominator)))
+        else:
+            return tuple(map(float, values))
+    return tuple(exact)
+
+
+def less(a, b) -> bool:
+    """a < b: exact for two rationals, else a float comparison with margin TOL."""
+    if isinstance(a, Rational) and isinstance(b, Rational):
+        return a < b
+    return float(a) < float(b) - TOL
+
+
+def same(a, b, tol) -> bool:
+    """a == b: exact for two rationals, else floats within tol."""
+    if isinstance(a, Rational) and isinstance(b, Rational):
+        return a == b
+    return abs(float(a) - float(b)) <= tol
 
 
 def exact_sqrt(value: Fraction):
@@ -55,21 +88,13 @@ class IndicialData:
 
 def indicial_roots(n: int, lam) -> IndicialData:
     """Indicial data of one mode: nu, mu = (n-1)/2 - nu, and q^{+/-}."""
-    if isinstance(lam, Rational):
-        lam = Fraction(lam)
-        if lam > 0:
-            raise PositiveEigenvalue(f"eigenvalue {lam} is positive")
-        half = Fraction(n - 1, 2)
-        disc = half * half - lam
-        nu = exact_sqrt(disc)
-        if nu is None:
-            nu = math.sqrt(float(disc))
-    else:
-        lam = float(lam)
-        if lam > _TOL:
-            raise PositiveEigenvalue(f"eigenvalue {lam} is positive")
-        half = 0.5 * (n - 1)
-        nu = math.sqrt(half * half - lam)
+    lam, half = exact_or_float(lam, Fraction(n - 1, 2))
+    if less(0, lam):
+        raise PositiveEigenvalue(f"eigenvalue {lam} is positive")
+    disc = half * half - lam
+    nu = exact_sqrt(disc) if isinstance(disc, Fraction) else None
+    if nu is None:
+        nu = math.sqrt(disc)
     q_minus = half - nu
     q_plus = half + nu
     return IndicialData(n=n, lam=lam, nu=nu, mu=q_minus, q_minus=q_minus, q_plus=q_plus)
@@ -84,14 +109,13 @@ def conormal_poly_coeffs(n: int, lam, k: int) -> list:
     """Ascending coefficients of sigma_k, exact when lam is rational."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    exact = isinstance(lam, Rational)
-    lam = Fraction(lam) if exact else float(lam)
-    coeffs = [Fraction(1)] if exact else [1.0]
+    lam, one, zero = exact_or_float(lam, 1, 0)
+    coeffs = [one]
     for i in range(k):
         const = 4 * i * i - 2 * i * (n - 1) + lam
         lin = 4 * i - (n - 1)
-        factor = [const, lin, Fraction(1) if exact else 1.0]
-        out = [Fraction(0) if exact else 0.0] * (len(coeffs) + 2)
+        factor = [const, lin, one]
+        out = [zero] * (len(coeffs) + 2)
         for a, ca in enumerate(coeffs):
             for b, cb in enumerate(factor):
                 out[a + b] += ca * cb
@@ -196,7 +220,7 @@ def group_locations(entries):
     inexact.sort(key=lambda e: float(e[0]))
     clusters: list = []
     for entry in inexact:
-        if clusters and not float(entry[0]) - float(clusters[-1][-1][0]) > _MERGE_TOL:
+        if clusters and not float(entry[0]) - float(clusters[-1][-1][0]) > MERGE_TOL:
             clusters[-1].append(entry)
         else:
             clusters.append([entry])
@@ -205,7 +229,7 @@ def group_locations(entries):
         values = [float(e[0]) for e in cluster]
         center = sum(values) / len(values)
         key, approximate = None, max(values) > min(values)
-        for k in [k for k in exact if abs(float(k) - center) <= _MERGE_TOL]:
+        for k in [k for k in exact if abs(float(k) - center) <= MERGE_TOL]:
             cluster.extend(exact.pop(k))
             key, approximate = k, True
         groups.append((center, key, cluster, approximate))

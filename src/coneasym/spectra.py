@@ -2,19 +2,17 @@
 
 A cross section is described by the nonpositive eigenvalues of its
 Laplacian, listed strictly decreasing starting from 0, together with their
-multiplicities.  Eigenvalues are kept exact (fractions) whenever the
-constructor can produce them exactly; otherwise floats are used and all
-comparisons apply a 1e-12 tolerance.
+multiplicities.  Rational eigenvalues stay exact Fractions and are judged
+exactly; any other value becomes a float and is judged with the 1e-12
+tolerance of ``indicial.TOL``.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import BadMultiplicity, NonZeroTop, NotDecreasing, PositiveEigenvalue
-
-_TOL = 1e-12
+from .indicial import TOL, exact_or_float, less, same
 
 
 @dataclass(frozen=True)
@@ -49,19 +47,15 @@ def _validate(n, eigenvalues, multiplicities):
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise BadMultiplicity(f"multiplicities must be positive integers, got {m!r}")
     top = eigenvalues[0]
-    if abs(float(top)) > _TOL:
+    if not same(top, 0, TOL):
         raise NonZeroTop(f"top eigenvalue must be 0, got {top!r}")
     if multiplicities[0] != 1:
         raise NonZeroTop("the zero eigenvalue must be simple")
     for lam in eigenvalues[1:]:
-        if float(lam) > _TOL:
+        if less(0, lam):
             raise PositiveEigenvalue(f"eigenvalue {lam!r} is positive")
     for prev, cur in zip(eigenvalues, eigenvalues[1:]):
-        exact = isinstance(prev, Rational) and isinstance(cur, Rational)
-        if exact:
-            if not cur < prev:
-                raise NotDecreasing(f"eigenvalues not strictly decreasing at {cur!r}")
-        elif not float(cur) < float(prev) - _TOL:
+        if not less(cur, prev):
             raise NotDecreasing(f"eigenvalues not strictly decreasing at {cur!r}")
 
 
@@ -74,13 +68,8 @@ def custom_spectrum(n: int, pairs, name: str = "custom") -> CrossSection:
     eigenvalues = []
     multiplicities = []
     for lam, mult in pairs:
-        if isinstance(lam, Rational):
-            lam = Fraction(lam)
-        else:
-            lam = float(lam)
-            if abs(lam) <= _TOL:
-                lam = Fraction(0)
-        eigenvalues.append(lam)
+        (lam,) = exact_or_float(lam)
+        eigenvalues.append(Fraction(0) if same(lam, 0, TOL) else lam)
         multiplicities.append(mult)
     return CrossSection(n, name, tuple(eigenvalues), tuple(multiplicities))
 
@@ -109,15 +98,9 @@ def circle_spectrum(radius=None, j_max: int = 8, *, radius_squared=None) -> Cros
     if (radius is None) == (radius_squared is None):
         raise BadMultiplicity("give exactly one of radius or radius_squared")
     if radius_squared is None:
-        if isinstance(radius, Rational):
-            radius_squared = Fraction(radius) ** 2
-        else:
-            radius_squared = float(radius) ** 2
-    if float(radius_squared) <= 0:
+        radius_squared = exact_or_float(radius)[0] ** 2
+    (r2,) = exact_or_float(radius_squared)
+    if r2 <= 0:
         raise BadMultiplicity("radius must be positive")
-    if isinstance(radius_squared, Rational):
-        r2 = Fraction(radius_squared)
-        pairs = [(-Fraction(j * j) / r2, 1 if j == 0 else 2) for j in range(j_max + 1)]
-    else:
-        pairs = [(-(j * j) / float(radius_squared), 1 if j == 0 else 2) for j in range(j_max + 1)]
+    pairs = [(-(j * j) / r2, 1 if j == 0 else 2) for j in range(j_max + 1)]
     return custom_spectrum(1, pairs, name="circle")

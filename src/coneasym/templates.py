@@ -21,17 +21,16 @@ Coincident exponents merge with the larger log bound; every term is a
 candidate (its realized coefficient may vanish identically).
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 
 from . import jsonio
-from .errors import ContinuityHypothesisFailed, KTooSmall, TruncationTooShort, WindowViolation
-from .indicial import group_locations, indicial_roots, pole_set
+from .errors import ContinuityHypothesisFailed, KTooSmall, ScenarioError, TruncationTooShort, WindowViolation
+from .indicial import MERGE_TOL, exact_or_float, group_locations, indicial_roots, less, pole_set, same
 from .weights import admissible_window, boundary_distance, gamma_inside, locate_interval
 
-_MERGE_TOL = 1e-9
 _BOUNDARY_TOL = 1e-9
 # the eps of the remainder x^(gamma + 2k - (n+1)/2 - eps) that render_uexp states
 _REMAINDER_EPS = 1e-3
@@ -139,9 +138,8 @@ def _precheck(cross_section, gamma, k):
 
 
 def _remainder_exponent(n, gamma, k):
-    if isinstance(gamma, Rational):
-        return Fraction(gamma) + 2 * k - Fraction(n + 1, 2)
-    return float(gamma) + 2 * k - 0.5 * (n + 1)
+    gamma, half = exact_or_float(gamma, Fraction(n + 1, 2))
+    return gamma + 2 * k - half
 
 
 def _truncation_sufficient(cross_section, gamma, k) -> bool:
@@ -149,13 +147,8 @@ def _truncation_sufficient(cross_section, gamma, k) -> bool:
     below the bottom of the deepest contributing tile J_k."""
     n = cross_section.n
     mu_last = indicial_roots(n, cross_section.eigenvalues[-1]).mu
-    if isinstance(gamma, Rational):
-        bottom = Fraction(n + 1, 2) - Fraction(gamma) - 2 * k
-    else:
-        bottom = 0.5 * (n + 1) - float(gamma) - 2 * k
-    if isinstance(mu_last, Rational) and isinstance(bottom, Rational):
-        return Fraction(mu_last) < Fraction(bottom)
-    return float(mu_last) < float(bottom)
+    half, gamma = exact_or_float(Fraction(n + 1, 2), gamma)
+    return less(mu_last, half - gamma - 2 * k)
 
 
 def _finish(cross_section, gamma, k, bag, window):
@@ -279,11 +272,7 @@ def template_differences(a: ExpansionTemplate, b: ExpansionTemplate) -> list:
         diffs.append(f"term count {len(a.terms)} vs {len(b.terms)}")
     for ta, tb in zip(a.terms, b.terms):
         ea, eb = ta.exponent, tb.exponent
-        if isinstance(ea, Rational) and isinstance(eb, Rational):
-            same = Fraction(ea) == Fraction(eb)
-        else:
-            same = abs(float(ea) - float(eb)) <= _MERGE_TOL
-        if not same:
+        if not same(ea, eb, MERGE_TOL):
             diffs.append(f"exponent {float(ea)} vs {float(eb)}")
             continue
         if ta.max_log_power != tb.max_log_power:
@@ -323,8 +312,12 @@ class ExpansionReport:
 def render_uexp(template: ExpansionTemplate, s: float = 0.0, p: float = 2.0) -> ExpansionReport:
     """Render the pointwise expansion; needs s + 2k > (n+1)/p.
 
-    The stated remainder exponent sits 1e-3 below the template's.
+    s must be finite and 1 < p < inf, the range of the L^p Mellin-Sobolev
+    spaces H_p^{s,gamma}.  The stated remainder exponent sits 1e-3 below
+    the template's.
     """
+    if not (math.isfinite(float(s)) and 1 < float(p) < math.inf):
+        raise ScenarioError(f"need finite s and 1 < p < inf, got s={float(s):g}, p={float(p):g}")
     if not float(s) + 2 * template.k > (template.n + 1) / float(p):
         raise ContinuityHypothesisFailed(
             f"s + 2k = {float(s) + 2 * template.k} must exceed (n+1)/p = "

@@ -13,11 +13,8 @@ a > gamma - (n+1)/2, regardless of the log power.
 
 import math
 from fractions import Fraction
-from numbers import Rational
 
-from .indicial import indicial_roots
-
-_TOL = 1e-12
+from .indicial import exact_or_float, indicial_roots, less
 
 
 def admissible_window(n: int, lambda1=None):
@@ -31,16 +28,12 @@ def admissible_window(n: int, lambda1=None):
     hi = Fraction(n + 1, 2)
     if lambda1 is not None:
         if n <= 2:
-            bound = Fraction(n - 1, 2) ** 2 - 1
-            if isinstance(lambda1, Rational):
-                if not Fraction(lambda1) < bound:
-                    return None
-            elif not float(lambda1) < float(bound) - _TOL:
+            if not less(lambda1, Fraction(n - 1, 2) ** 2 - 1):
                 return None
         nu1 = indicial_roots(n, lambda1).nu
         lo = max(lo, 1 - nu1, key=float)
         hi = min(hi, nu1 - 1, key=float)
-    if not float(lo) < float(hi) - _TOL:
+    if not less(lo, hi):
         return None
     return (lo, hi)
 
@@ -49,24 +42,18 @@ def gamma_inside(window, gamma) -> bool:
     if window is None:
         return False
     lo, hi = window
-    return float(lo) + _TOL < float(gamma) < float(hi) - _TOL
+    return less(lo, gamma) and less(gamma, hi)
 
 
 def window_midpoint(window):
-    lo, hi = window
-    if isinstance(lo, Rational) and isinstance(hi, Rational):
-        return (Fraction(lo) + Fraction(hi)) / 2
-    return 0.5 * (float(lo) + float(hi))
+    lo, hi = exact_or_float(*window)
+    return (lo + hi) / 2
 
 
 def locate_interval(n: int, gamma, x):
     """Index m with x in J_m, or None when x >= (n+1)/2 - gamma."""
-    if isinstance(gamma, Rational) and isinstance(x, Rational):
-        top = Fraction(n + 1, 2) - Fraction(gamma)
-        m = math.ceil((top - Fraction(x)) / 2)
-    else:
-        top = 0.5 * (n + 1) - float(gamma)
-        m = math.ceil((top - float(x)) / 2)
+    top, gamma, x = exact_or_float(Fraction(n + 1, 2), gamma, x)
+    m = math.ceil((top - gamma - x) / 2)
     return m if m >= 1 else None
 
 

@@ -22,6 +22,17 @@ def test_every_exit_code_is_documented():
     assert documented == set(cli.EXIT_CODES.values()) | {0}
 
 
+def test_number_policy_has_one_home():
+    """spectra, weights, templates and fitrecover take the exact-or-float
+    policy (TOL, MERGE_TOL and the helpers) from indicial: none defines a
+    tolerance of its own or imports numbers.Rational to branch on."""
+    for name in ("spectra", "weights", "templates", "fitrecover"):
+        module = importlib.import_module(f"coneasym.{name}")
+        assert not hasattr(module, "_TOL") and not hasattr(module, "_MERGE_TOL"), name
+        source = Path(module.__file__).read_text()
+        assert not re.search(r"^\s*(from numbers import|import numbers)", source, re.M), name
+
+
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,42 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["recover", "--fits", str(old_fits), "--n", "1", "--gamma", "0", "--k", "3"]) == EXIT_CODES["scenario"]
     assert "old peel format" in capsys.readouterr().err
+
+
+def test_exact_top_eigenvalue_off_zero_is_a_spectrum_error(tmp_path, capsys):
+    """An exact top eigenvalue of 1/10^15 is not 0: exit 10, no template."""
+    custom = tmp_path / "custom.json"
+    custom.write_text(json.dumps({"n": 1, "eigenvalues": ["1/1000000000000000", "-4", "-16", "-36"],
+                                  "multiplicities": [1, 2, 2, 2]}))
+    assert main(["template", "--custom", str(custom), "--gamma", "0", "--k", "3"]) == EXIT_CODES["spectrum"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "top eigenvalue must be 0" in captured.err
+
+
+def test_solve_and_template_share_the_window_margin(tmp_path):
+    """A float gamma 1e-13 below the window top of the circle r = 1/2 is
+    rejected by solve as by template; the exact gamma 1 - 1/10^13 is inside."""
+    gamma = 1 - 1e-13
+    assert main(["template", "--cross-section", "circle", "--radius", "1/2", "--gamma", repr(gamma),
+                 "--k", "3"]) == EXIT_CODES["window"]
+    scenario = _write_scenario(tmp_path, dict(SCENARIO, gamma=gamma))
+    assert main(["solve", "--scenario", scenario]) == EXIT_CODES["window"]
+    exact = Scenario.from_dict(dict(SCENARIO, gamma="9999999999999/10000000000000"))
+    assert exact.gamma == 1 - Fraction(1, 10**13)
+
+
+@pytest.mark.parametrize("flag,value", [("--p", "0"), ("--p", "-1"), ("--p", "1"), ("--p", "inf"),
+                                        ("--p", "nan"), ("--s", "inf"), ("--s", "nan")])
+def test_template_text_rejects_s_and_p_outside_their_range(flag, value, capsys):
+    """--text needs a finite s and 1 < p < inf: anything else is a typed
+    scenario error (exit 11), not a traceback, a report or a continuity
+    failure."""
+    argv = ["template", "--cross-section", "s2", "--gamma", "0", "--k", "3", "--text", flag, value]
+    assert main(argv) == EXIT_CODES["scenario"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1 < p < inf" in captured.err
 
 
 def test_selftest_subset(capsys):

@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 
 from coneasym.errors import SpectrumError
 from coneasym.indicial import (
+    TOL,
     conormal_poly_coeffs,
     conormal_symbol,
+    exact_or_float,
     exact_sqrt,
     indicial_roots,
+    less,
     pole_set,
     root_multiplicity,
+    same,
 )
 from coneasym.spectra import circle_spectrum, custom_spectrum
 
@@ -24,6 +28,47 @@ def test_exact_sqrt():
     assert exact_sqrt(Fraction(0)) == 0
     assert exact_sqrt(Fraction(2)) is None
     assert exact_sqrt(Fraction(1, 3)) is None
+
+
+_RATIONALS = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-10**6, max_value=10**6).map(np.int64),
+    st.fractions(max_denominator=10**18),
+)
+_FLOATS = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@given(a=st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6))
+@settings(max_examples=200, deadline=None)
+def test_policy_compares_two_fractions_exactly(a):
+    """Two Fractions compare exactly, even 1e-15 apart."""
+    b = a + Fraction(1, 10**15)
+    assert less(a, b) and not less(b, a) and not less(a, a)
+    assert not same(a, b, TOL) and same(a, Fraction(a), 0.0)
+
+
+@given(a=_FLOATS, b=_FLOATS, exact=st.sampled_from(["none", "a", "b"]))
+@settings(max_examples=300, deadline=None)
+def test_policy_compares_float_and_mixed_pairs_as_floats(a, b, exact):
+    """A float pair, or a float and a Fraction, compares as floats within TOL."""
+    x = Fraction(a) if exact == "a" else a
+    y = Fraction(b) if exact == "b" else b
+    assert less(x, y) == (a < b - TOL)
+    assert same(x, y, TOL) == (abs(a - b) <= TOL)
+    assert same(x, x + TOL / 2, TOL)
+
+
+@given(values=st.lists(_RATIONALS, min_size=1, max_size=4), extra=_FLOATS)
+@settings(max_examples=200, deadline=None)
+def test_exact_or_float(values, extra):
+    """All-rational input (int, numpy.int64, Fraction) comes back as
+    Fractions; one float among the values turns them all into floats."""
+    exact = exact_or_float(*values)
+    assert all(type(v) is Fraction and type(v.numerator) is int for v in exact)
+    assert list(exact) == [Fraction(v) for v in values]
+    inexact = exact_or_float(*values, extra)
+    assert all(type(v) is float for v in inexact)
+    assert list(inexact) == [float(v) for v in values] + [extra]
 
 
 @given(

@@ -41,6 +41,14 @@ def test_window_midpoint_and_inside():
     assert not gamma_inside(window, 2.0)
 
 
+def test_exact_gamma_at_the_window_edge_is_judged_exactly():
+    """On the circle r = 1/2 the window is (-1, 1): an exact gamma 1/10^13
+    below its top lies inside, a float one stays within the 1e-12 margin."""
+    window = admissible_window(1, Fraction(-4))
+    assert gamma_inside(window, 1 - Fraction(1, 10**13))
+    assert not gamma_inside(window, 1 - 1e-13)
+
+
 @given(
     n=st.integers(min_value=1, max_value=5),
     gamma_num=st.integers(min_value=-6, max_value=6),
