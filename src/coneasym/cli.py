@@ -205,8 +205,7 @@ def _write_output(text: str, out: str | None):
 def cmd_template(args) -> int:
     cs = build_cross_section(_cross_section_args(args))
     gamma = resolve_gamma(args.gamma, cs)
-    build = template_inductive if args.inductive else template_closed_form
-    template = build(cs, gamma, args.k)
+    template = template_closed_form(cs, gamma, args.k)
     if args.check:
         other = template_inductive(cs, gamma, args.k)
         diffs = template_differences(template, other)
@@ -273,7 +272,7 @@ def _criterion_ids(text):
     usage error that names the valid ones."""
     from .acceptance import CRITERIA
 
-    valid = [cid for cid, _, _ in CRITERIA]
+    valid = [cid for cid, *_ in CRITERIA]
     try:
         ids = [int(v) for v in text.split(",")]
     except ValueError:
@@ -316,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--inductive", action="store_true", help="build by induction instead of the closed formula")
     p.add_argument("--check", action="store_true", help="cross-check both constructions")
     p.add_argument("--text", action="store_true", help="human-readable expansion instead of JSON")
     p.add_argument("--out", default=None)

@@ -115,7 +115,6 @@ class ModeSolution:
     problem: ModeProblem
     x: np.ndarray
     values: np.ndarray
-    quadrature_error_estimate: float
 
 
 def default_grid(decades=(-4, -1), points_per_decade: int = 16) -> np.ndarray:
@@ -136,7 +135,7 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
         raise ScenarioError("x_eval must be a nonempty 1-d array of finite positive points")
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ScenarioError("rel_tol must be finite and positive")
-    values, errs, _, ok = heat_rows(
+    values, _, _, ok = heat_rows(
         check_order(problem.nu), problem.n, problem.t, x_eval, problem.profile, rel_tol, max_depth
     )
     if not np.all(ok):
@@ -145,14 +144,7 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
             f"{bad} of {x_eval.size} eval points missed rel_tol={rel_tol} "
             f"within depth {max_depth}"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(values != 0.0, np.abs(errs / values), 0.0)
-    return ModeSolution(
-        problem=problem,
-        x=x_eval,
-        values=values,
-        quadrature_error_estimate=float(rel.max()),
-    )
+    return ModeSolution(problem=problem, x=x_eval, values=values)
 
 
 def heat_small_x_series(problem: ModeProblem, num_terms: int = 3) -> list:
@@ -368,8 +360,8 @@ def solution_rows(solutions) -> list:
     """Flatten ModeSolutions (tagged with mode index) into CSV rows."""
     rows = []
     for mode_j, sol in solutions:
-        for x, v in zip(sol.x, sol.values):
-            rows.append((mode_j, sol.problem.nu, sol.problem.t, float(x), float(v)))
+        nu, t = sol.problem.nu, sol.problem.t
+        rows.extend((mode_j, nu, t, float(x), float(v)) for x, v in zip(sol.x, sol.values))
     return rows
 
 

@@ -94,7 +94,7 @@ def indicial_roots(n: int, lam) -> IndicialData:
     disc = half * half - lam
     nu = exact_sqrt(disc) if isinstance(disc, Fraction) else None
     if nu is None:
-        nu = math.sqrt(disc)
+        nu = math.sqrt(max(disc, 0.0))  # a float lam in (0, TOL] counts as zero
     q_minus = half - nu
     q_plus = half + nu
     return IndicialData(n=n, lam=lam, nu=nu, mu=q_minus, q_minus=q_minus, q_plus=q_plus)

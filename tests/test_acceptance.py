@@ -1,11 +1,14 @@
-"""The ten acceptance criteria, one pass/fail line each, and planted
-faults that the criteria on the solvers' Bessel calls and on the pole
-orders must catch.
+"""The ten acceptance criteria, one pass/fail line each, planted faults
+that the criteria on the solvers' Bessel calls and on the pole orders
+must catch, and run_all's verdict on a criterion that overruns its
+budget or raises.
 
 Criteria live in coneasym.acceptance (also behind `coneasym selftest`);
 this module runs them once and asserts each outcome.
 """
 
+import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +25,8 @@ def _results():
     return _CACHE
 
 
-@pytest.mark.parametrize("cid", [cid for cid, _, _ in acceptance.CRITERIA],
-                         ids=[f"criterion_{cid}" for cid, _, _ in acceptance.CRITERIA])
+@pytest.mark.parametrize("cid", [cid for cid, *_ in acceptance.CRITERIA],
+                         ids=[f"criterion_{cid}" for cid, *_ in acceptance.CRITERIA])
 def test_criterion(cid, capsys):
     result = _results()[cid]
     with capsys.disabled():
@@ -41,9 +44,8 @@ def test_criterion_10_catches_unscaled_complex_k(monkeypatch):
         return value * np.exp(-np.asarray(z)) if np.iscomplexobj(z) else value
 
     monkeypatch.setattr(besselkit, "bessel_k", unscaled)
-    passed, detail = acceptance.criterion_10()
-    assert not passed
-    assert "K 1/2" in detail
+    _, problems = acceptance.criterion_10()
+    assert any("K 1/2" in p for p in problems)
 
 
 def test_criterion_4_catches_off_by_one_pole_orders(monkeypatch):
@@ -54,6 +56,23 @@ def test_criterion_4_catches_off_by_one_pole_orders(monkeypatch):
         return replace(poles, poles=tuple(replace(p, order=p.order + 1) for p in poles.poles))
 
     monkeypatch.setattr(acceptance, "pole_set", off_by_one)
-    passed, detail = acceptance.criterion_4()
-    assert not passed
-    assert "symbol multiplicities" in detail
+    _, problems = acceptance.criterion_4()
+    assert any("symbol multiplicities" in p for p in problems)
+
+
+def test_run_all_fails_a_criterion_over_budget_or_raising(monkeypatch):
+    def slow():
+        time.sleep(0.05)
+        return "slept", []
+
+    def broken():
+        raise ValueError("planted")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "slow", slow, 0.01), (2, "broken", broken, 5.0),
+                                                 (3, "quick", lambda: ("ok", []), 5.0)])
+    slow_result, broken_result, quick = acceptance.run_all()
+    assert not slow_result.passed
+    assert re.fullmatch(r"slept, budget 0.01s; took \d+\.\d\ds, over the budget", slow_result.detail)
+    assert not broken_result.passed
+    assert "raised ValueError: planted" in broken_result.detail
+    assert quick.passed and quick.detail == "ok, budget 5s"

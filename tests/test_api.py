@@ -23,10 +23,11 @@ def test_every_exit_code_is_documented():
 
 
 def test_number_policy_has_one_home():
-    """spectra, weights, templates and fitrecover take the exact-or-float
-    policy (TOL, MERGE_TOL and the helpers) from indicial: none defines a
-    tolerance of its own or imports numbers.Rational to branch on."""
-    for name in ("spectra", "weights", "templates", "fitrecover"):
+    """spectra, weights, templates, fitrecover and acceptance take the
+    exact-or-float policy (TOL, MERGE_TOL and the helpers) from indicial:
+    none defines a tolerance of its own or imports numbers.Rational to
+    branch on."""
+    for name in ("spectra", "weights", "templates", "fitrecover", "acceptance"):
         module = importlib.import_module(f"coneasym.{name}")
         assert not hasattr(module, "_TOL") and not hasattr(module, "_MERGE_TOL"), name
         source = Path(module.__file__).read_text()

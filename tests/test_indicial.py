@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coneasym.errors import SpectrumError
+from coneasym.errors import SpectrumError, TruncationTooShort
 from coneasym.indicial import (
     TOL,
     conormal_poly_coeffs,
@@ -20,7 +20,8 @@ from coneasym.indicial import (
     root_multiplicity,
     same,
 )
-from coneasym.spectra import circle_spectrum, custom_spectrum
+from coneasym.spectra import CrossSection, circle_spectrum, custom_spectrum
+from coneasym.templates import template_inductive
 
 
 def test_exact_sqrt():
@@ -113,6 +114,17 @@ def test_indicial_roots_exact_path():
 def test_positive_eigenvalue_rejected():
     with pytest.raises(SpectrumError):
         indicial_roots(2, Fraction(1))
+
+
+def test_float_eigenvalue_within_tol_above_zero_is_zero():
+    """A float lam in (0, TOL] counts as zero: for n = 1 its discriminant
+    -lam is negative, and nu must still be 0, here and in the templates."""
+    data = indicial_roots(1, 5e-13)
+    assert (data.nu, data.q_minus, data.q_plus) == (0.0, 0.0, 0.0)
+    cross_section = CrossSection(1, "x", (5e-13, -4.0), (1, 2))
+    with pytest.warns(TruncationTooShort):
+        template = template_inductive(cross_section, 0.0, 2)
+    assert template.exponents() == [0, 2]
 
 
 def test_conormal_symbol_values():
