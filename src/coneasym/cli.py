@@ -78,8 +78,16 @@ def _parse_number(text):
 
 
 def build_cross_section(spec: dict):
+    """Cross-section of a spec: custom whenever it lists eigenvalues,
+    whatever its name; else the built-in spectrum the name selects."""
     name = spec.get("name", "custom")
     j_max = int(spec.get("j_max", 8))
+    if name == "custom" or "eigenvalues" in spec:
+        pairs = list(zip(
+            [_parse_number(v) for v in spec["eigenvalues"]],
+            [int(m) for m in spec["multiplicities"]],
+        ))
+        return custom_spectrum(int(spec["n"]), pairs, name=name)
     if name.startswith("s") and name[1:].isdigit():
         return sphere_spectrum(int(name[1:]), j_max)
     if name == "sphere":
@@ -92,12 +100,6 @@ def build_cross_section(spec: dict):
             j_max=j_max,
             radius_squared=_parse_number(radius_squared) if radius_squared is not None else None,
         )
-    if name == "custom" or ("eigenvalues" in spec):
-        pairs = list(zip(
-            [_parse_number(v) for v in spec["eigenvalues"]],
-            [int(m) for m in spec["multiplicities"]],
-        ))
-        return custom_spectrum(int(spec["n"]), pairs, name=spec.get("name", "custom"))
     raise ScenarioError(f"unknown cross-section spec {spec!r}")
 
 

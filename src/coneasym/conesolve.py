@@ -15,9 +15,11 @@ with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
 * the resolvent (lam_res - L)^(-1) f off the spectral ray via the
   regular/decaying Bessel pair (in besselkit's scaled form, exponentials
   folded back per integral), normalized by the exact Wronskian
-  phi psi' - phi' psi = -x^(-n); all of its integrals for one call refine
-  together on the shared adaptive frontier, with one array Bessel call per
-  branch and level,
+  phi psi' - phi' psi = -x^(-n); the support is cut into fixed cells,
+  running sums carry the cell integrals to each cell edge, and each point
+  adds its remainders to its cell's edges.  The cell and remainder
+  integrals of one call refine together on the shared adaptive frontier,
+  with one array Bessel call per branch and level,
 * finite-difference residual checks for both.
 """
 
@@ -224,6 +226,12 @@ def heat_pde_residual(n: int, lam: float, ts, xs, values) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Equal cells of the support in resolvent_mode.  Fewer cells lengthen each
+# point's remainders, more add cell tasks; on the benchmark's resolvent ops
+# 10 evaluated the fewest Bessel nodes, and 8 to 12 took the same time.
+_CELLS = 10
+
+
 @dataclass(frozen=True)
 class ResolventModeSolution:
     n: int
@@ -243,18 +251,26 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     Wronskian phi psi' - phi' psi = -x^(-n) makes the normalization
     constant 1.
 
-    Every integral is its own task on one adaptive frontier, each to
-    1e-11 of its own running estimate: phi f and psi f over the support,
-    phi f over [lo, x] and psi f over [x, hi] for each x inside it.  A
-    separate task per x keeps each partial integral's own relative
-    accuracy, which a running sum over shared panels would not.
+    [lo, hi] is cut into _CELLS equal cells g_0 = lo < ... < g_C = hi,
+    which depend only on the support.  Every integral is its own task on
+    one adaptive frontier, each to 1e-11 of its own running estimate:
+    phi f and psi f on every cell, and for each x inside cell j, phi f on
+    [g_j, x] and psi f on [x, g_(j+1)] (none of zero width, so a point on a
+    cell edge takes one remainder).  Running sums carry the cells to each
+    edge, and each point adds its own two remainders to the sums at the
+    edges of its cell.  So a point's value depends only on the support,
+    lam and x, not on the other points, and no point integrates the whole
+    support again (the prefix/suffix form of the Green's-function
+    solution in Greengard & Rokhlin, "On the numerical solution of two-point
+    boundary value problems", CPAM 44, 1991).
 
     The Bessel pair is besselkit's scaled one, e^(-Re z) I and e^z K, with
     each task's exponential folded into its integrand: phi f on [a, b]
-    carries e^(Re s (xi - b)) and psi f carries e^(Re s a - s xi), and
-    each point takes the matching factor back.  Every factor has modulus
-    at most 1, so nothing overflows or underflows early anywhere in the
-    Bessel box.
+    carries e^(Re s (xi - b)) and psi f carries e^(Re s a - s xi).  The
+    running sums fold from edge to edge by e^(Re s (g_j - g_(j+1))), the
+    remainders take the factor from their cell's edge to x, and each point
+    takes the matching factor back.  Every factor has modulus at most 1,
+    so nothing overflows or underflows early anywhere in the Bessel box.
     """
     lam = complex(lam)
     if not (cmath.isfinite(lam) and math.isfinite(lam_mode)):
@@ -276,11 +292,15 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
 
     below, above = x_eval <= lo, x_eval >= hi
     inside = ~(below | above)
-    # tasks: phi f on [lo, hi], then on [lo, x] per inner x; psi f likewise
+    edges = np.linspace(lo, hi, _CELLS + 1)
     inner = x_eval[inside]
-    n_phi = inner.size + 1
-    a = np.concatenate([np.full(n_phi, lo), [lo], inner])
-    b = np.concatenate([[hi], inner, np.full(n_phi, hi)])
+    cell = np.searchsorted(edges, inner, side="right") - 1
+    left, right = edges[cell], edges[cell + 1]
+    on_left, on_right = inner > left, inner < right  # remainders of nonzero width
+    # tasks: phi f on each cell, then on [g_j, x]; psi f on each cell, then on [x, g_(j+1)]
+    n_phi = _CELLS + int(on_left.sum())
+    a = np.concatenate([edges[:-1], left[on_left], edges[:-1], inner[on_right]])
+    b = np.concatenate([edges[1:], inner[on_left], edges[1:], right[on_right]])
 
     def integrand(rows, xi):
         out = np.empty(xi.shape, complex)
@@ -291,15 +311,28 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
         return out * profile(xi) * xi**n
 
     acc = adaptive(integrand, a, b, 1e-11, 18)[0]
+    cell_phi, rest_phi = acc[:_CELLS], acc[_CELLS:n_phi]
+    cell_psi, rest_psi = acc[n_phi:n_phi + _CELLS], acc[n_phi + _CELLS:]
+    # prefix[j] = e^(-Re s g_j) int_lo^g_j phi f, suffix[j] = e^(Re s g_j) int_g_j^hi psi f
+    fold = np.exp(sq.real * (edges[:-1] - edges[1:]))
+    prefix, suffix = np.zeros(_CELLS + 1, complex), np.zeros(_CELLS + 1, complex)
+    for j in range(_CELLS):
+        prefix[j + 1] = prefix[j] * fold[j] + cell_phi[j]
+    for j in reversed(range(_CELLS)):
+        suffix[j] = cell_psi[j] + suffix[j + 1] * fold[j]
+    # e^(-Re s x) int_lo^x phi f and e^(Re s x) int_x^hi psi f at each inner x
+    upto = prefix[cell] * np.exp(sq.real * (left - inner))
+    upto[on_left] += rest_phi
+    past = suffix[cell + 1] * np.exp(sq.real * (inner - right))
+    past[on_right] += rest_psi
 
     phi_x, psi_x = np.zeros(x_eval.size, complex), np.zeros(x_eval.size, complex)
     phi_x[~above] = phi(x_eval[~above])
     psi_x[~below] = psi(x_eval[~below])
     values = np.empty(x_eval.size, complex)
-    values[below] = phi_x[below] * np.exp(sq.real * (x_eval[below] - lo)) * acc[n_phi]
-    values[above] = psi_x[above] * np.exp(sq.real * hi - sq * x_eval[above]) * acc[0]
-    values[inside] = (psi_x[inside] * np.exp(-1j * sq.imag * inner) * acc[1:n_phi]
-                      + phi_x[inside] * acc[n_phi + 1:])
+    values[below] = phi_x[below] * np.exp(sq.real * (x_eval[below] - lo)) * suffix[0]
+    values[above] = psi_x[above] * np.exp(sq.real * hi - sq * x_eval[above]) * prefix[-1]
+    values[inside] = psi_x[inside] * np.exp(-1j * sq.imag * inner) * upto + phi_x[inside] * past
     return ResolventModeSolution(n=n, lam_mode=lam_mode, lam=lam, x=x_eval, values=values)
 
 

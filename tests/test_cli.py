@@ -194,6 +194,21 @@ def test_exact_top_eigenvalue_off_zero_is_a_spectrum_error(tmp_path, capsys):
     assert "top eigenvalue must be 0" in captured.err
 
 
+def test_custom_spectrum_is_custom_whatever_its_name(tmp_path, capsys):
+    """A spec that lists eigenvalues is custom even when its name is that of
+    a built-in cross-section: named s2, circle or sphere it gives the
+    template it gives named x (not the round S^2 one, not exit 10 or 3)."""
+    outputs = {}
+    for name in ("x", "s2", "circle", "sphere"):
+        custom = tmp_path / f"{name}.json"
+        custom.write_text(json.dumps({"name": name, "n": 1, "eigenvalues": ["0", "-4", "-16", "-36"],
+                                      "multiplicities": [1, 2, 2, 2]}))
+        assert main(["template", "--custom", str(custom), "--gamma", "0", "--k", "3"]) == 0, name
+        outputs[name] = capsys.readouterr().out
+    assert outputs["s2"] == outputs["circle"] == outputs["sphere"] == outputs["x"]
+    assert json.loads(outputs["x"])["n"] == 1
+
+
 def test_solve_and_template_share_the_window_margin(tmp_path):
     """A float gamma 1e-13 below the window top of the circle r = 1/2 is
     rejected by solve as by template; the exact gamma 1 - 1/10^13 is inside."""

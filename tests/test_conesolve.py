@@ -500,6 +500,50 @@ def test_resolvent_near_edge_work_is_bounded(monkeypatch, n, lam_mode, lam, lo, 
     assert np.max(np.abs(sol.values[k - 1:k + 2] - oracle) / np.abs(oracle)) <= 1e-10
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.75 * math.pi, -0.75 * math.pi], ids=["arg0", "arg3pi/4", "arg-3pi/4"])
+@pytest.mark.parametrize("modulus", [1.0, 1e2, 1e4])
+def test_resolvent_points_on_cell_edges(bump12, theta, modulus):
+    """Points on every cell edge (lo and hi among them), 1e-3 of the width
+    inside each edge, and on both sides of the support: a point on an edge
+    takes no zero-width task, so nothing warns, and each value matches the
+    dense oracle and the point solved alone."""
+    lo, hi = bump12.lo, bump12.hi
+    edges = np.linspace(lo, hi, conesolve._CELLS + 1)
+    gap = 1e-3 * (hi - lo)
+    xs = np.concatenate([[0.5], edges, edges[:-1] + gap, edges[1:] - gap, [2.5]])
+    lam = modulus * cmath.exp(1j * theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = resolvent_mode(2, -3.0, lam, bump12, xs)
+        alone = np.concatenate([resolvent_mode(2, -3.0, lam, bump12, xs[i:i + 1]).values
+                                for i in range(xs.size)])
+    oracle = _resolvent_oracle(2, -3.0, lam, bump12, xs)
+    assert np.max(np.abs(together.values - oracle) / np.abs(oracle)) <= 1e-10
+    assert np.array_equal(together.values, alone)
+
+
+def test_resolvent_bessel_work_is_bounded(monkeypatch):
+    """One resolvent_sweep op (160 points on geomspace(1e-3, 2 hi), bump on
+    [5, 12.5], n = 2, lam = 10 e^(3 pi i / 4)) evaluates at most 4,000
+    Bessel nodes.  With a task over [lo, x] and one over [x, hi] for every
+    inner point, it evaluated 7,983; on fixed cells with one remainder per
+    point it evaluates 2,895."""
+    nodes = []
+
+    def counted(fn):
+        def wrapped(nu, z):
+            nodes.append(np.size(z))
+            return fn(nu, z)
+        return wrapped
+
+    monkeypatch.setattr(conesolve, "bessel_i", counted(conesolve.bessel_i))
+    monkeypatch.setattr(conesolve, "bessel_k", counted(conesolve.bessel_k))
+    hi = 12.5
+    resolvent_mode(2, -6.0, 10.0 * cmath.exp(0.75j * math.pi), RadialProfile("bump", 5.0, hi),
+                   np.geomspace(1e-3, 2.0 * hi, 160))
+    assert sum(nodes) <= 4000, sum(nodes)
+
+
 def test_spectrum_ray_rejected(bump12):
     for lam in (-1.0 + 0.0j, 0.0 + 0.0j):
         with pytest.raises(SpectrumRay):
