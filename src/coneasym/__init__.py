@@ -13,7 +13,6 @@ from .conesolve import (
     ResolventModeSolution,
     default_grid,
     heat_mode,
-    heat_pde_residual,
     heat_small_x_series,
     resolvent_mode,
     resolvent_residual,
@@ -108,7 +107,6 @@ __all__ = [
     "default_grid",
     "heat_mode",
     "heat_small_x_series",
-    "heat_pde_residual",
     "resolvent_mode",
     "resolvent_residual",
     "sectorial_sweep",

@@ -82,20 +82,22 @@ def adaptive(fn, a, b, rel_tol, max_depth):
     running estimate is the sum of its accepted pairs and of the pairs of
     its live panels; a panel is accepted when its estimate and the sum over
     its two halves differ by at most rel_tol times |running estimate| times
-    its share of the width of [a[i], b[i]], or when it sits max_depth
-    bisections deep.  The frontier is breadth-first: one gl_panels call
-    halves every live panel of every task.  Each task adds up its running
-    estimate in the order of its own panels and sums its accepted panels
-    right to left, as a depth-first bisection would, so its result depends
-    neither on the other tasks nor on the order in which panels are visited.
+    its share of the width of [a[i], b[i]], when it sits max_depth
+    bisections deep, or when that budget is not finite (a nan or inf
+    integrand would otherwise refine every panel to max_depth).  The
+    frontier is breadth-first: one gl_panels call halves every live panel
+    of every task.  Each task keeps one running total of its accepted
+    pairs, their errors and their panel count, added level by level in the
+    order of its own panels; that total is both the running estimate the
+    budget reads and the returned value, so a task's result depends neither
+    on the other tasks nor on their order.
 
     Returns arrays (value, error_estimate, panel_count).
     """
     a, b = np.broadcast_arrays(a, b)
     rows, lo, hi = np.arange(a.size), a, b
     coarse = gl_panels(fn, rows, lo, hi)
-    kept = np.zeros(a.size, coarse.dtype)  # each task's sum of accepted pairs
-    accepted = [(rows[:0], lo[:0], coarse[:0], lo[:0])]  # (task, lo, estimate, error) per level
+    value, err, panels = np.zeros(a.size, coarse.dtype), np.zeros(a.size), np.zeros(a.size, np.int64)
     depth = 0
     while rows.size:
         mid = 0.5 * (lo + hi)
@@ -103,22 +105,18 @@ def adaptive(fn, a, b, rel_tol, max_depth):
         left, right = halves[:rows.size], halves[rows.size:]
         pair = left + right
         e = np.abs(coarse - pair)
-        running = kept.copy()
+        running = value.copy()
         np.add.at(running, rows, pair)
         budget = rel_tol * np.abs(running[rows]) * (hi - lo) / (b - a)[rows]
-        done = (e <= budget) | (depth >= max_depth)
-        np.add.at(kept, rows[done], pair[done])
-        accepted.append((rows[done], lo[done], pair[done], e[done]))
+        done = (e <= budget) | (depth >= max_depth) | ~np.isfinite(budget)
+        np.add.at(value, rows[done], pair[done])
+        np.add.at(err, rows[done], e[done])
+        np.add.at(panels, rows[done], 2)
         live = ~done
         rows, coarse = np.tile(rows[live], 2), np.concatenate([left[live], right[live]])
         lo, hi = np.concatenate([lo[live], mid[live]]), np.concatenate([mid[live], hi[live]])
         depth += 1
-    rows, lo, pair, e = (np.concatenate(parts) for parts in zip(*accepted))
-    order = np.lexsort((-lo, rows))
-    value, err = np.zeros(a.size, kept.dtype), np.zeros(a.size)
-    np.add.at(value, rows[order], pair[order])
-    np.add.at(err, rows[order], e[order])
-    return value, err, 2 * np.bincount(rows, minlength=a.size)
+    return value, err, panels
 
 
 def heat_moments(nu, n, t, profile, count):

@@ -495,15 +495,15 @@ def criterion_11():
 
 # (id, name, criterion, time budget in seconds)
 CRITERIA = [
-    (1, "templates: closed formula matches induction across the corpus", criterion_1, 10.0),
-    (2, "templates: hand-derived structures reproduced exactly", criterion_2, 5.0),
-    (3, "templates: integer exponent ladders for round spheres", criterion_3, 5.0),
+    (1, "templates: closed formula matches induction across the corpus", criterion_1, 4.0),
+    (2, "templates: hand-derived structures reproduced exactly", criterion_2, 1.0),
+    (3, "templates: integer exponent ladders for round spheres", criterion_3, 1.0),
     (4, "indicial algebra: Vieta, pole orders, double root at zero", criterion_4, 1.0),
-    (5, "heat modes: leading and second exponents of the fitted ladder", criterion_5, 60.0),
-    (6, "heat solver: parabolic scaling identity", criterion_6, 5.0),
-    (7, "resolvent: sectorial sweep uniform within a factor 2", criterion_7, 30.0),
-    (8, "end to end: spectrum recovery and algebraic round trips", criterion_8, 5.0),
-    (10, "bessel: the solvers' calls against closed forms and the Wronskian", criterion_10, 5.0),
+    (5, "heat modes: leading and second exponents of the fitted ladder", criterion_5, 3.0),
+    (6, "heat solver: parabolic scaling identity", criterion_6, 1.0),
+    (7, "resolvent: sectorial sweep uniform within a factor 2", criterion_7, 3.0),
+    (8, "end to end: spectrum recovery and algebraic round trips", criterion_8, 1.0),
+    (10, "bessel: the solvers' calls against closed forms and the Wronskian", criterion_10, 3.0),
     (11, "heat solver: ascending series agrees with the quadrature", criterion_11, 1.0),
 ]
 

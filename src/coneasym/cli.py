@@ -25,7 +25,6 @@ from .conesolve import (
     rows_to_series,
     sectorial_sweep,
     solution_rows,
-    sweep_to_json,
 )
 from .errors import (
     ConeAsymError,
@@ -44,7 +43,7 @@ from .fitrecover import peel_exponents, recover_spectrum, reports_from_jsonl, re
 from .spectra import circle_spectrum, custom_spectrum, sphere_spectrum
 from .templates import render_uexp, template_closed_form, template_differences, template_inductive
 from .version import __version__
-from .weights import admissible_window, gamma_inside, window_midpoint
+from .weights import require_window, window_midpoint
 
 # One row per exit code: (code, EXIT_CODES key, --help text, exception
 # classes).  main maps an exception to the code of the first class on its
@@ -105,10 +104,7 @@ def build_cross_section(spec: dict):
 
 def resolve_gamma(gamma, cross_section):
     if gamma == "midpoint":
-        window = admissible_window(cross_section.n, cross_section.lambda1)
-        if window is None:
-            raise WindowViolation("cannot take midpoint of an empty window")
-        return window_midpoint(window)
+        return window_midpoint(require_window(cross_section))
     return _parse_number(gamma)
 
 
@@ -128,12 +124,7 @@ class Scenario:
     def from_dict(data: dict) -> "Scenario":
         cs = build_cross_section(data["cross_section"])
         gamma = resolve_gamma(data.get("gamma", "midpoint"), cs)
-        window = admissible_window(cs.n, cs.lambda1)
-        if window is None:
-            raise WindowViolation("admissible weight window is empty")
-        if not gamma_inside(window, gamma):
-            lo, hi = float(window[0]), float(window[1])
-            raise WindowViolation(f"gamma={float(gamma)} outside window ({lo}, {hi})")
+        require_window(cs, gamma)
         modes = tuple(int(j) for j in data.get("modes", [0]))
         if not modes:
             raise ScenarioError("modes must list at least one mode index")
@@ -263,7 +254,7 @@ def cmd_recover(args) -> int:
 def cmd_check_resolvent(args) -> int:
     profile = RadialProfile("bump", args.support[0], args.support[1])
     report = sectorial_sweep(args.n, args.lam_mode, profile)
-    _write_output(sweep_to_json(report), args.out)
+    _write_output(jsonio.dumps({"generator": f"coneasym {__version__}", **report}), args.out)
     if not report["uniform_within_factor_2"]:
         return EXIT_CODES["sectorial"]
     return 0

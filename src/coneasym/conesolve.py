@@ -20,7 +20,8 @@ with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
   adds its remainders to its cell's edges.  The cell and remainder
   integrals of one call refine together on the shared adaptive frontier,
   with one array Bessel call per branch and level,
-* finite-difference residual checks for both.
+* the resolvent's finite-difference residual |(lam_res - L) u - f| on a
+  uniform grid.
 """
 
 import cmath
@@ -29,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
 from ._kernels import adaptive, heat_moments, heat_rows
 from .besselkit import bessel_i, bessel_k, check_order
-from .errors import QuadratureFailure, ScenarioError, SpectrumRay
+from .errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
 from .version import __version__
 
@@ -130,7 +130,10 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
               max_depth: int = 20) -> ModeSolution:
     """Heat solution of one mode at x_eval, each point to rel_tol.
 
-    The mode's order nu must lie in besselkit's order range (DomainError).
+    The mode's order nu must lie in besselkit's order range, and every
+    value must be finite: scipy.special.ive, which the heat quadrature
+    calls at w = x xi / (2t), returns nan past w of about 1.0965e9
+    (DomainError either way).
     """
     x_eval = np.asarray(x_eval, dtype=float)
     if x_eval.ndim != 1 or x_eval.size == 0 or not np.all(np.isfinite(x_eval) & (x_eval > 0)):
@@ -140,6 +143,13 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
     values, _, _, ok = heat_rows(
         check_order(problem.nu), problem.n, problem.t, x_eval, problem.profile, rel_tol, max_depth
     )
+    bad = x_eval[~np.isfinite(values)]
+    if bad.size:
+        raise DomainError(
+            f"heat value not finite at {bad.size} of {x_eval.size} eval points, x = {bad[:5].tolist()}"
+            f"{' ...' if bad.size > 5 else ''} at t = {problem.t}: scipy.special.ive returns nan for "
+            f"arguments x xi / (2t) above about 1.0965e9"
+        )
     if not np.all(ok):
         bad = int(np.sum(~ok))
         raise QuadratureFailure(
@@ -180,45 +190,14 @@ def heat_small_x_series(problem: ModeProblem, num_terms: int = 3) -> list:
     return out
 
 
-def _d1(values, h, axis):
+def _d1(v, h):
     """Fourth-order first derivative, interior points only."""
-    v = np.moveaxis(values, axis, 0)
-    out = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12.0 * h)
-    return np.moveaxis(out, 0, axis)
+    return (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12.0 * h)
 
 
-def _d2(values, h, axis):
+def _d2(v, h):
     """Fourth-order second derivative, interior points only."""
-    v = np.moveaxis(values, axis, 0)
-    out = (-v[4:] + 16 * v[3:-1] - 30 * v[2:-2] + 16 * v[1:-3] - v[:-4]) / (12.0 * h * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def heat_pde_residual(n: int, lam: float, ts, xs, values) -> float:
-    """max |d_t a - (a'' + (n/x) a' + (lam/x^2) a)| over interior grid points.
-
-    ts and xs must be uniformly spaced with at least 5 points each; the
-    stencils are fourth order, so smooth fields on moderate grids resolve
-    residuals well below 1e-6.
-    """
-    ts = np.asarray(ts, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (ts.size, xs.size):
-        raise ScenarioError("values must have shape (len(ts), len(xs))")
-    if ts.size < 5 or xs.size < 5:
-        raise ScenarioError("need at least 5 points per axis")
-    ht = ts[1] - ts[0]
-    hx = xs[1] - xs[0]
-    if not (np.allclose(np.diff(ts), ht) and np.allclose(np.diff(xs), hx)):
-        raise ScenarioError("grids must be uniform")
-    at = _d1(values, ht, axis=0)[:, 2:-2]
-    ax = _d1(values, hx, axis=1)[2:-2, :]
-    axx = _d2(values, hx, axis=1)[2:-2, :]
-    xin = xs[2:-2]
-    vin = values[2:-2, 2:-2]
-    spatial = axx + (n / xin) * ax + (lam / xin**2) * vin
-    return float(np.max(np.abs(at - spatial)))
+    return (-v[4:] + 16 * v[3:-1] - 30 * v[2:-2] + 16 * v[1:-3] - v[:-4]) / (12.0 * h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +323,8 @@ def resolvent_residual(n: int, lam_mode: float, lam, xs, values, fvals) -> float
     hx = xs[1] - xs[0]
     if not np.allclose(np.diff(xs), hx):
         raise ScenarioError("grid must be uniform")
-    d1 = _d1(values, hx, axis=0)
-    d2 = _d2(values, hx, axis=0)
+    d1 = _d1(values, hx)
+    d2 = _d2(values, hx)
     xin = xs[2:-2]
     uin = values[2:-2]
     lu = d2 + (n / xin) * d1 + (lam_mode / xin**2) * uin
@@ -430,8 +409,3 @@ def rows_to_series(rows) -> list:
         series.append((mode_j, t, np.array([p[0] for p in pts]), np.array([p[1] for p in pts])))
     return series
 
-
-def sweep_to_json(report: dict) -> str:
-    payload = {"generator": f"coneasym {__version__}"}
-    payload.update(report)
-    return jsonio.dumps(payload)

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import jsonio
-from .errors import ContinuityHypothesisFailed, KTooSmall, ScenarioError, TruncationTooShort, WindowViolation
+from .errors import ContinuityHypothesisFailed, KTooSmall, ScenarioError, TruncationTooShort
 from .indicial import MERGE_TOL, exact_or_float, group_locations, indicial_roots, less, pole_set, same
-from .weights import admissible_window, boundary_distance, gamma_inside, locate_interval
+from .weights import boundary_distance, locate_interval, require_window
 
 _BOUNDARY_TOL = 1e-9
 # the eps of the remainder x^(gamma + 2k - (n+1)/2 - eps) that render_uexp states
@@ -126,15 +126,7 @@ class _TermBag:
 def _precheck(cross_section, gamma, k):
     if k < 2:
         raise KTooSmall(f"templates require k >= 2, got {k}")
-    window = admissible_window(cross_section.n, cross_section.lambda1)
-    if window is None:
-        raise WindowViolation("admissible weight window is empty for this spectrum")
-    if not gamma_inside(window, gamma):
-        raise WindowViolation(
-            f"gamma={float(gamma)} outside the admissible window "
-            f"({float(window[0])}, {float(window[1])})"
-        )
-    return window
+    return require_window(cross_section, gamma)
 
 
 def _remainder_exponent(n, gamma, k):

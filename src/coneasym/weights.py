@@ -14,6 +14,7 @@ a > gamma - (n+1)/2, regardless of the log power.
 import math
 from fractions import Fraction
 
+from .errors import WindowViolation
 from .indicial import exact_or_float, indicial_roots, less
 
 
@@ -39,10 +40,22 @@ def admissible_window(n: int, lambda1=None):
 
 
 def gamma_inside(window, gamma) -> bool:
-    if window is None:
-        return False
     lo, hi = window
     return less(lo, gamma) and less(gamma, hi)
+
+
+def require_window(cross_section, gamma=None):
+    """The admissible window of the cross-section; WindowViolation when it
+    is empty or, given gamma, when gamma is not inside it."""
+    window = admissible_window(cross_section.n, cross_section.lambda1)
+    if window is None:
+        raise WindowViolation("admissible weight window is empty for this spectrum")
+    if gamma is not None and not gamma_inside(window, gamma):
+        raise WindowViolation(
+            f"gamma={float(gamma)} outside the admissible window "
+            f"({float(window[0])}, {float(window[1])})"
+        )
+    return window
 
 
 def window_midpoint(window):

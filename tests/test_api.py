@@ -1,5 +1,6 @@
 """Package surface: the public names and the documented exit codes."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -61,3 +62,27 @@ def test_benchmark_called_names_resolve():
         module = importlib.import_module(module_name)
         for name in names:
             assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def _referenced_names(path):
+    """Names a module reads, imports or takes as an attribute; the names it
+    only defines or assigns are not among them."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_public_name_only_tests_reach():
+    """Every name in coneasym.__all__ is used by the package itself, outside
+    __init__.py, or by the benchmark: a public name that only tests reach
+    is a second home for some rule."""
+    package = Path(coneasym.__file__).resolve().parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"] + list(_PERFBENCH.glob("*.py"))
+    used = set().union(*(_referenced_names(p) for p in paths))
+    assert sorted(set(coneasym.__all__) - used) == []

@@ -15,7 +15,6 @@ from coneasym.conesolve import (
     csv_to_rows,
     default_grid,
     heat_mode,
-    heat_pde_residual,
     heat_small_x_series,
     resolvent_mode,
     resolvent_residual,
@@ -97,6 +96,14 @@ def test_mode_problem_rejects_non_finite(bump12):
             ModeProblem(n=1, lam=lam, t=t, profile=bump12)
 
 
+def _heat_residual(n, lam, ts, xs, values):
+    """max |u_t - L u| over the interior of a uniform (t, x) grid: u_t by
+    the fourth-order stencil in t, L u from resolvent_residual at resolvent
+    parameter 0 with source -u_t, one interior time row at a time."""
+    u_t = conesolve._d1(values, ts[1] - ts[0])
+    return max(resolvent_residual(n, lam, 0.0, xs, u, -du) for u, du in zip(values[2:-2], u_t))
+
+
 def test_exact_self_similar_solution_satisfies_pde():
     """t^(-(n+1)/2) exp(-x^2/4t) solves the lam = 0 radial heat equation."""
     for n in (1, 2, 3):
@@ -104,7 +111,7 @@ def test_exact_self_similar_solution_satisfies_pde():
         xs = np.linspace(0.5, 2.0, 151)
         tt, xx = np.meshgrid(ts, xs, indexing="ij")
         values = tt ** (-0.5 * (n + 1)) * np.exp(-xx * xx / (4.0 * tt))
-        assert heat_pde_residual(n, 0.0, ts, xs, values) < 1e-6
+        assert _heat_residual(n, 0.0, ts, xs, values) < 1e-6
 
 
 def test_solver_output_satisfies_pde(bump12):
@@ -112,7 +119,7 @@ def test_solver_output_satisfies_pde(bump12):
     xs = np.linspace(0.5, 1.0, 51)
     values = np.array([heat_mode(ModeProblem(n=1, lam=-4.0, t=float(t), profile=bump12), xs).values
                        for t in ts])
-    assert heat_pde_residual(1, -4.0, ts, xs, values) < 5e-6
+    assert _heat_residual(1, -4.0, ts, xs, values) < 5e-6
 
 
 def test_mass_is_conserved():
@@ -288,6 +295,18 @@ def test_heat_mode_small_t_points_take_bounded_work(profile, t, xs, expected):
     assert np.array_equal(sol.values, values)
     if expected is not None:
         assert np.all(np.abs(values - expected) <= 1e-8), values
+
+
+@pytest.mark.parametrize("t, x", [(1e-9, 1.5), (1e-6, 3000.0)])
+def test_non_finite_heat_kernel_stops_and_raises_domain_error(bump12, t, x):
+    """scipy.special.ive returns nan past w = x xi / (2t) of about 1.0965e9.
+    The quadrature then stops at once, where it refined every panel to
+    max_depth (2,097,152 panels), and heat_mode names the point and the
+    range with a DomainError, not a QuadratureFailure."""
+    values, _, panels, ok = heat_rows(0.5, 1, t, np.array([x]), bump12, 1e-9, 20)
+    assert panels[0] <= 64 and not ok[0] and np.isnan(values[0])
+    with pytest.raises(DomainError, match=rf"x = \[{x}\].*1\.0965e9"):
+        heat_mode(ModeProblem(n=1, lam=-0.25, t=t, profile=bump12), [x])
 
 
 def test_heat_rows_random_small_t_stress():
