@@ -6,126 +6,44 @@ high accuracy, and closes the loop by recovering eigenvalues from the
 numerically observed exponents.
 """
 
-from .conesolve import (
-    ModeProblem,
-    ModeSolution,
-    RadialProfile,
-    ResolventModeSolution,
-    default_grid,
-    heat_mode,
-    heat_small_x_series,
-    resolvent_mode,
-    resolvent_residual,
-    sectorial_sweep,
-)
-from .errors import (
-    ConeAsymError,
-    ContinuityHypothesisFailed,
-    DegenerateSamples,
-    DomainError,
-    FitError,
-    KTooSmall,
-    NotASpectralExponent,
-    QuadratureFailure,
-    ScenarioError,
-    SpectrumError,
-    SpectrumRay,
-    TruncationTooShort,
-    WindowViolation,
-)
-from .fitrecover import (
-    FitReport,
-    RecoverySummary,
-    peel_exponents,
-    recover_lambda,
-    recover_spectrum,
-)
-from .indicial import (
-    IndicialData,
-    Pole,
-    PoleSet,
-    conormal_poly_coeffs,
-    conormal_symbol,
-    indicial_roots,
-    pole_set,
-    root_multiplicity,
-)
-from .spectra import (
-    CrossSection,
-    circle_spectrum,
-    custom_spectrum,
-    harmonic_multiplicity,
-    sphere_spectrum,
-)
-from .templates import (
-    AsymTerm,
-    ExpansionReport,
-    ExpansionTemplate,
-    Origin,
-    render_uexp,
-    template_closed_form,
-    template_differences,
-    template_inductive,
-)
-from .version import __version__
-from .weights import (
-    admissible_window,
-    locate_interval,
-    window_midpoint,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "CrossSection",
-    "circle_spectrum",
-    "custom_spectrum",
-    "harmonic_multiplicity",
-    "sphere_spectrum",
-    "IndicialData",
-    "Pole",
-    "PoleSet",
-    "indicial_roots",
-    "conormal_symbol",
-    "conormal_poly_coeffs",
-    "root_multiplicity",
-    "pole_set",
-    "admissible_window",
-    "window_midpoint",
-    "locate_interval",
-    "Origin",
-    "AsymTerm",
-    "ExpansionTemplate",
-    "ExpansionReport",
-    "template_closed_form",
-    "template_inductive",
-    "template_differences",
-    "render_uexp",
-    "RadialProfile",
-    "ModeProblem",
-    "ModeSolution",
-    "ResolventModeSolution",
-    "default_grid",
-    "heat_mode",
-    "heat_small_x_series",
-    "resolvent_mode",
-    "resolvent_residual",
-    "sectorial_sweep",
-    "FitReport",
-    "RecoverySummary",
-    "peel_exponents",
-    "recover_lambda",
-    "recover_spectrum",
-    "ConeAsymError",
-    "SpectrumError",
-    "WindowViolation",
-    "KTooSmall",
-    "ContinuityHypothesisFailed",
-    "DomainError",
-    "QuadratureFailure",
-    "SpectrumRay",
-    "FitError",
-    "DegenerateSamples",
-    "NotASpectralExponent",
-    "ScenarioError",
-    "TruncationTooShort",
-]
+# Each public name and the module that is its one home.  The package
+# imports a module only when one of its names is first read (PEP 562), so
+# `import coneasym` loads no numpy and the exact algebra stays numpy-free.
+_HOMES = {
+    "version": ("__version__",),
+    "spectra": ("CrossSection", "circle_spectrum", "custom_spectrum", "harmonic_multiplicity",
+                "sphere_spectrum"),
+    "indicial": ("IndicialData", "Pole", "PoleSet", "indicial_roots", "conormal_symbol",
+                 "conormal_poly_coeffs", "root_multiplicity", "pole_set"),
+    "weights": ("admissible_window", "window_midpoint", "locate_interval"),
+    "templates": ("Origin", "AsymTerm", "ExpansionTemplate", "ExpansionReport", "template_closed_form",
+                  "template_inductive", "template_differences", "render_uexp"),
+    "conesolve": ("RadialProfile", "ModeProblem", "ModeSolution", "ResolventModeSolution", "default_grid",
+                  "heat_mode", "heat_small_x_series", "resolvent_mode", "resolvent_residual",
+                  "sectorial_sweep"),
+    "fitrecover": ("peel_exponents",),
+    "recovery": ("FitReport", "RecoverySummary", "recover_lambda", "recover_spectrum"),
+    "errors": ("ConeAsymError", "SpectrumError", "WindowViolation", "KTooSmall",
+               "ContinuityHypothesisFailed", "DomainError", "QuadratureFailure", "SpectrumRay", "FitError",
+               "DegenerateSamples", "NotASpectralExponent", "ScenarioError", "TruncationTooShort"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = list(_HOME_OF)
+
+
+def __getattr__(name):
+    """A public name from its home module, or a submodule of the package."""
+    home = _HOME_OF.get(name)
+    if home is not None:
+        value = getattr(importlib.import_module(f".{home}", __name__), name)
+    else:
+        try:
+            value = importlib.import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value

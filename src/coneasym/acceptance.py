@@ -26,8 +26,9 @@ from .conesolve import (
     solution_rows,
 )
 from ._kernels import heat_quadrature, heat_series
-from .fitrecover import peel_exponents, recover_lambda, recover_spectrum
+from .fitrecover import peel_exponents
 from .indicial import TOL, conormal_poly_coeffs, conormal_symbol, indicial_roots, pole_set, root_multiplicity, same
+from .recovery import recover_lambda, recover_spectrum
 from .spectra import circle_spectrum, custom_spectrum, sphere_spectrum
 from .templates import Origin, template_closed_form, template_differences, template_inductive
 from .weights import admissible_window

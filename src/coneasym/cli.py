@@ -11,21 +11,9 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import jsonio
-from .conesolve import (
-    ModeProblem,
-    RadialProfile,
-    csv_to_rows,
-    default_grid,
-    heat_mode,
-    rows_to_csv,
-    rows_to_series,
-    sectorial_sweep,
-    solution_rows,
-)
 from .errors import (
     ConeAsymError,
     ContinuityHypothesisFailed,
@@ -39,11 +27,31 @@ from .errors import (
     SpectrumRay,
     WindowViolation,
 )
-from .fitrecover import peel_exponents, recover_spectrum, reports_from_jsonl, reports_to_jsonl
-from .spectra import circle_spectrum, custom_spectrum, sphere_spectrum
+from .recovery import recover_spectrum, reports_from_jsonl, reports_to_jsonl
+from .spectra import circle_spectrum, custom_spectrum, require_dimension, sphere_spectrum
 from .templates import render_uexp, template_closed_form, template_differences, template_inductive
 from .version import __version__
-from .weights import require_window, window_midpoint
+from .weights import require_power, require_window, window_midpoint
+
+# numpy, the solvers and the ladder fit are imported by the commands that
+# use them, so that `template` and `recover` start without numpy.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .conesolve import RadialProfile
+
+
+def __getattr__(name):
+    """Bind the ladder fit on first use.  `cmd_fit` calls it as the module
+    attribute ``peel_exponents``, so a wrapper set on that attribute sees
+    every call."""
+    if name != "peel_exponents":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .fitrecover import peel_exponents
+
+    globals()[name] = peel_exponents
+    return peel_exponents
+
 
 # One row per exit code: (code, EXIT_CODES key, --help text, exception
 # classes).  main maps an exception to the code of the first class on its
@@ -115,13 +123,17 @@ class Scenario:
     cross_section: object
     modes: tuple
     gamma: object
-    profile: RadialProfile
+    profile: "RadialProfile"
     t_values: tuple
-    x_grid: np.ndarray
+    x_grid: "np.ndarray"
     rel_tol: float
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
+        import numpy as np
+
+        from .conesolve import RadialProfile, default_grid
+
         cs = build_cross_section(data["cross_section"])
         gamma = resolve_gamma(data.get("gamma", "midpoint"), cs)
         require_window(cs, gamma)
@@ -174,6 +186,8 @@ class Scenario:
 
 def solve_scenario(scenario: Scenario) -> list:
     """Run every (mode, t) task; deterministic row order."""
+    from .conesolve import ModeProblem, heat_mode, solution_rows
+
     solutions = []
     for j in scenario.modes:
         for t in scenario.t_values:
@@ -228,6 +242,8 @@ def _cross_section_args(args) -> dict:
 
 
 def cmd_solve(args) -> int:
+    from .conesolve import rows_to_csv
+
     with open(args.scenario) as fh:
         scenario = Scenario.from_dict(jsonio.loads(fh.read()))
     rows = solve_scenario(scenario)
@@ -236,14 +252,21 @@ def cmd_solve(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .conesolve import csv_to_rows, rows_to_series
+
     with open(args.csv) as fh:
         series = rows_to_series(csv_to_rows(fh.read()))
-    reports = [replace(peel_exponents(x, v), mode_j=mode_j, t=t) for mode_j, t, x, v in series]
+    peel = sys.modules[__name__].peel_exponents  # see __getattr__
+    reports = [replace(peel(x, v), mode_j=mode_j, t=t) for mode_j, t, x, v in series]
     _write_output(reports_to_jsonl(reports), args.out)
     return 0
 
 
 def cmd_recover(args) -> int:
+    if not math.isfinite(args.gamma):
+        raise ScenarioError(f"gamma must be finite, got {args.gamma}")
+    require_dimension(args.n)
+    require_power(args.k)
     with open(args.fits) as fh:
         reports = reports_from_jsonl(fh.read())
     summary = recover_spectrum(reports, n=args.n, gamma=args.gamma, k=args.k)
@@ -252,6 +275,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_check_resolvent(args) -> int:
+    from .conesolve import RadialProfile, sectorial_sweep
+
     profile = RadialProfile("bump", args.support[0], args.support[1])
     report = sectorial_sweep(args.n, args.lam_mode, profile)
     _write_output(jsonio.dumps({"generator": f"coneasym {__version__}", **report}), args.out)

@@ -30,7 +30,7 @@ class WindowViolation(ConeAsymError):
 
 
 class KTooSmall(ConeAsymError):
-    """Template construction requires a power k >= 2."""
+    """Templates and recovery require a power k >= 2."""
 
 
 class ContinuityHypothesisFailed(ConeAsymError):

@@ -1,4 +1,4 @@
-"""Exponent fitting and inverse spectral recovery.
+"""Exponent fitting: the ladder fit of one (mode, t) series.
 
 Near the tip each mode's heat solution is a ladder of pure powers,
     a(t, x) = sum_q C_q(t) x^(e0 + 2q),    e0 = -mu_j,
@@ -14,35 +14,19 @@ the four terms leave out grows with x y / 4t (y in the source's
 support), so where the whole grid leaves an rms above RMS_TOL the fit
 drops upper half decades, down to one decade of x.
 
-`recover_spectrum` groups the reports by mode across t.  It accepts a
-mode only when every report has |d - 2| <= STEP_TOL and relative rms
-<= RMS_TOL, and e0 moves by at most SPREAD_TOL over t; it then maps the
-mean e0 to lam = mu (n - 1 - mu) with mu = -e0.  Any other mode is flagged
-with the bounds it broke.
+The reports it returns, their files and the recovery of eigenvalues from
+them live in `recovery`, which needs no numpy.
 """
 
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
-from .errors import DegenerateSamples, NotASpectralExponent, ScenarioError
-from .indicial import exact_or_float, less
-from .version import __version__
+from .errors import DegenerateSamples
+from .recovery import RMS_TOL, FitReport
 
 LADDER_TERMS = 4
-# Acceptance bounds of `recover_spectrum`.  Solver output on the default
-# grid (x in [1e-4, 1e-1], t in [0.5, 2], circle modes 0-3, bump sources)
-# sits at |d - 2| <= 1.2e-7, rms <= 2e-14 and an e0 spread <= 1e-14 over t.
-# An x^(e0 + 1.5) term of relative size 3e-2 at x = 0.1 takes the second
-# rung: d moves by about 0.5 and the rms stays at 1e-11 or more however
-# far the grid is cut.  `peel_exponents` cuts the grid until the rms is
-# at most RMS_TOL; grids reaching x = 1 at t = 1, or x = 0.1 at t = 0.1
-# and 0.01, then fit at |d - 2| <= 1.1e-7 and rms <= 6e-13.
-STEP_TOL = 1e-6
-RMS_TOL = 1e-12
-SPREAD_TOL = 1e-9
 # Stopping rules of `least_squares`: a relative step of at most _XTOL, or
 # a fall in cost below _COST_ROUNDING * sqrt(m * cost), the rounding error
 # of a sum of m squares of order-1 terms; it gives up after _MAX_NFEV
@@ -112,47 +96,6 @@ def least_squares(fun, x0) -> LeastSquaresResult:
     return LeastSquaresResult(x=theta, fun=r, success=success, nfev=nfev)
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Ladder fit of one series: v ~ sum_q coefficients[q] x^(exponent + q step)."""
-
-    exponent: float
-    stderr: float
-    step: float
-    step_stderr: float
-    coefficients: tuple
-    coefficient_stderr: tuple
-    residual_rms: float
-    n_samples: int
-    window: tuple
-    mode_j: int | None = None
-    t: float | None = None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def report_from_dict(d: dict) -> FitReport:
-    if "step" not in d and "peel_index" in d:
-        raise ScenarioError("fit file is in the old peel format; rerun `coneasym fit` on its CSV")
-    missing = [f.name for f in fields(FitReport) if f.default is MISSING and f.name not in d]
-    if missing:
-        raise ScenarioError(f"fit report lacks {', '.join(missing)}")
-    return FitReport(
-        exponent=float(d["exponent"]),
-        stderr=float(d["stderr"]),
-        step=float(d["step"]),
-        step_stderr=float(d["step_stderr"]),
-        coefficients=tuple(float(c) for c in d["coefficients"]),
-        coefficient_stderr=tuple(float(c) for c in d["coefficient_stderr"]),
-        residual_rms=float(d["residual_rms"]),
-        n_samples=int(d["n_samples"]),
-        window=tuple(float(w) for w in d["window"]),
-        mode_j=d.get("mode_j"),
-        t=d.get("t"),
-    )
-
-
 def _ladder(x, weight, theta):
     """Columns x^(e0 + q d) / |v| of the ladder with theta = (e0, d)."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,8 +121,12 @@ def peel_exponents(x, values) -> FitReport:
     (x^2 / t)^4, so the fit first takes the whole grid and then, while its
     relative rms is above RMS_TOL, drops the top half decade, down to one
     decade above the lowest x.  The report's ``window`` is the x range of the fit it returns.
-    `fit` calls this once per series under this name, which the benchmark
-    (perfbench/tracing.py) wraps as ``coneasym.cli.peel_exponents``.
+
+    `cli` binds this name lazily, so that its import loads no numpy: the
+    module ``__getattr__`` of `cli` imports it on first use and stores it
+    as ``coneasym.cli.peel_exponents``, and `fit` calls it once per series
+    through that module attribute.  A wrapper set there, as the benchmark
+    (perfbench/tracing.py) sets one, therefore sees every call.
     """
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -251,106 +198,3 @@ def _fit_ladder(x, values, e_start) -> FitReport:
         n_samples=int(x.size),
         window=(float(x[0]), float(x[-1])),
     )
-
-
-def recover_lambda(n: int, exponent):
-    """Eigenvalue from a spectral exponent e = -mu_j: lam = mu (n-1-mu).
-
-    Exact for rational input; exponents below 0 (beyond 1e-12) cannot be
-    spectral leading exponents and raise NotASpectralExponent.
-    """
-    (e,) = exact_or_float(exponent)
-    if less(e, 0):
-        raise NotASpectralExponent(f"exponent {float(e)} is negative")
-    mu = -e
-    return mu * (n - 1 - mu)
-
-
-@dataclass(frozen=True)
-class RecoverySummary:
-    recovered: tuple
-    flagged: tuple
-    visible_mu_window: tuple
-
-    def lambdas(self) -> list:
-        return [entry["lambda"] for entry in self.recovered]
-
-    def to_json(self) -> str:
-        return jsonio.dumps(
-            {
-                "generator": f"coneasym {__version__}",
-                "recovered": list(self.recovered),
-                "flagged": list(self.flagged),
-                "visible_mu_window": list(self.visible_mu_window),
-            }
-        )
-
-
-def recover_spectrum(reports, n: int, gamma, k: int) -> RecoverySummary:
-    """Map ladder fits, grouped by mode across t, to eigenvalues.
-
-    Each recovered entry carries ``lambda``, a ``provenance`` (mode, its
-    times, the mean e0, and ``peel_index`` 0: the exponent is the ladder's
-    base) and the ``evidence`` the bounds were checked on; a mode that
-    breaks a bound is flagged with the same fields and a ``reason``.
-    """
-    groups: dict = {}
-    for report in reports:
-        groups.setdefault(report.mode_j, []).append(report)
-    recovered = []
-    flagged = []
-    for mode_j, group in groups.items():
-        exponents = [r.exponent for r in group]
-        exponent = math.fsum(exponents) / len(exponents)
-        prov = {
-            "mode_j": mode_j,
-            "t": [r.t for r in group],
-            "exponent": exponent,
-            "peel_index": 0,
-        }
-        evidence = {
-            "step_deviation": max(abs(r.step - 2.0) for r in group),
-            "exponent_spread": max(exponents) - min(exponents),
-            "residual_rms": max(r.residual_rms for r in group),
-        }
-        reasons = [
-            f"{key} {evidence[key]:.3g} > {bound:.0e}"
-            for key, bound in (("step_deviation", STEP_TOL), ("exponent_spread", SPREAD_TOL),
-                               ("residual_rms", RMS_TOL))
-            if not evidence[key] <= bound
-        ]
-        if -SPREAD_TOL < exponent < 0.0:
-            exponent = 0.0  # fit noise around the constant mode
-        if exponent < 0.0:
-            reasons.append("negative leading exponent")
-        if reasons:
-            flagged.append({**prov, "evidence": evidence, "reason": "; ".join(reasons)})
-            continue
-        lam = float(recover_lambda(n, exponent)) + 0.0  # drop any -0.0
-        recovered.append({"lambda": lam, "provenance": prov, "evidence": evidence})
-    recovered.sort(key=lambda entry: -entry["lambda"])
-    top = 0.5 * (n + 1) - float(gamma)
-    return RecoverySummary(
-        recovered=tuple(recovered),
-        flagged=tuple(flagged),
-        visible_mu_window=(top - 2 * k, top - 2.0),
-    )
-
-
-def reports_to_jsonl(reports) -> str:
-    lines = [jsonio.dumps_line({"generator": f"coneasym {__version__}"})]
-    lines.extend(jsonio.dumps_line(r.as_dict()) for r in reports)
-    return "\n".join(lines) + "\n"
-
-
-def reports_from_jsonl(text: str) -> list:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        data = jsonio.loads(line)
-        if "generator" in data and "exponent" not in data:
-            continue
-        out.append(report_from_dict(data))
-    return out

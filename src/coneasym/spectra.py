@@ -38,9 +38,14 @@ class CrossSection:
         return self.eigenvalues[1] if len(self.eigenvalues) > 1 else None
 
 
-def _validate(n, eigenvalues, multiplicities):
+def require_dimension(n):
+    """BadMultiplicity unless the cross-section dimension n is a positive integer."""
     if not isinstance(n, int) or n < 1:
         raise BadMultiplicity(f"cross-section dimension must be a positive integer, got {n!r}")
+
+
+def _validate(n, eigenvalues, multiplicities):
+    require_dimension(n)
     if len(eigenvalues) != len(multiplicities) or not eigenvalues:
         raise BadMultiplicity("eigenvalues and multiplicities must have equal nonzero length")
     for m in multiplicities:

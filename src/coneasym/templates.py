@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import jsonio
-from .errors import ContinuityHypothesisFailed, KTooSmall, ScenarioError, TruncationTooShort
+from .errors import ContinuityHypothesisFailed, ScenarioError, TruncationTooShort
 from .indicial import MERGE_TOL, exact_or_float, group_locations, indicial_roots, less, pole_set, same
-from .weights import boundary_distance, locate_interval, require_window
+from .weights import boundary_distance, locate_interval, require_power, require_window
 
 _BOUNDARY_TOL = 1e-9
 # the eps of the remainder x^(gamma + 2k - (n+1)/2 - eps) that render_uexp states
@@ -124,8 +124,7 @@ class _TermBag:
 
 
 def _precheck(cross_section, gamma, k):
-    if k < 2:
-        raise KTooSmall(f"templates require k >= 2, got {k}")
+    require_power(k)
     return require_window(cross_section, gamma)
 
 

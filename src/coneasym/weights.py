@@ -14,7 +14,7 @@ a > gamma - (n+1)/2, regardless of the log power.
 import math
 from fractions import Fraction
 
-from .errors import WindowViolation
+from .errors import KTooSmall, WindowViolation
 from .indicial import exact_or_float, indicial_roots, less
 
 
@@ -56,6 +56,13 @@ def require_window(cross_section, gamma=None):
             f"({float(window[0])}, {float(window[1])})"
         )
     return window
+
+
+def require_power(k: int):
+    """KTooSmall unless k >= 2: a template of power k, and the window of mu
+    that recovery can see at power k, span the tiles J_2, ..., J_k."""
+    if k < 2:
+        raise KTooSmall(f"templates require k >= 2, got {k}")
 
 
 def window_midpoint(window):

@@ -24,15 +24,26 @@ def test_every_exit_code_is_documented():
 
 
 def test_number_policy_has_one_home():
-    """spectra, weights, templates, fitrecover and acceptance take the
+    """spectra, weights, templates, fitrecover, recovery and acceptance take the
     exact-or-float policy (TOL, MERGE_TOL and the helpers) from indicial:
     none defines a tolerance of its own or imports numbers.Rational to
     branch on."""
-    for name in ("spectra", "weights", "templates", "fitrecover", "acceptance"):
+    for name in ("spectra", "weights", "templates", "fitrecover", "recovery", "acceptance"):
         module = importlib.import_module(f"coneasym.{name}")
         assert not hasattr(module, "_TOL") and not hasattr(module, "_MERGE_TOL"), name
         source = Path(module.__file__).read_text()
         assert not re.search(r"^\s*(from numbers import|import numbers)", source, re.M), name
+
+
+def test_power_and_dimension_rules_have_one_home():
+    """template and recover check k >= 2 through weights.require_power and
+    the cross-section dimension through spectra.require_dimension: no other
+    module raises KTooSmall or words the dimension rule itself."""
+    package = Path(coneasym.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        source = path.read_text()
+        assert ("raise KTooSmall" in source) == (path.name == "weights.py"), path.name
+        assert ("dimension must be a positive integer" in source) == (path.name == "spectra.py"), path.name
 
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -10,6 +10,7 @@ import pytest
 
 from coneasym.cli import EXIT_CODES, Scenario, build_cross_section, main
 from coneasym.errors import ScenarioError
+from coneasym.recovery import reports_to_jsonl
 
 SCENARIO = {
     "cross_section": {"name": "circle", "radius": "1/2", "j_max": 3},
@@ -181,6 +182,35 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["recover", "--fits", str(old_fits), "--n", "1", "--gamma", "0", "--k", "3"]) == EXIT_CODES["scenario"]
     assert "old peel format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+def test_recover_rejects_non_finite_gamma_before_reading_fits(tmp_path, gamma, capsys):
+    """A non-finite --gamma is a scenario error (exit 11) that names gamma,
+    raised before the fit file is read: here the file does not exist."""
+    argv = ["recover", "--fits", str(tmp_path / "absent.jsonl"), "--n", "1", f"--gamma={gamma}", "--k", "3"]
+    assert main(argv) == EXIT_CODES["scenario"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma must be finite" in captured.err
+
+
+@pytest.mark.parametrize("flag, value, exit_key, message", [
+    ("--k", "1", "k_too_small", "k >= 2"), ("--k", "-3", "k_too_small", "k >= 2"),
+    ("--n", "0", "spectrum", "dimension must be a positive integer"),
+    ("--n", "-1", "spectrum", "dimension must be a positive integer"),
+])
+def test_recover_checks_k_and_n_as_template_does(tmp_path, capsys, flag, value, exit_key, message):
+    """recover rejects a power k < 2 (exit 4) and a cross-section dimension
+    n < 1 (exit 10) with template's own checks, not with an empty summary."""
+    fits = tmp_path / "fits.jsonl"
+    fits.write_text(reports_to_jsonl([]))
+    args = {"--n": "1", "--gamma": "0", "--k": "3", flag: value}
+    argv = ["recover", "--fits", str(fits)] + [item for pair in args.items() for item in pair]
+    assert main(argv) == EXIT_CODES[exit_key]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_exact_top_eigenvalue_off_zero_is_a_spectrum_error(tmp_path, capsys):

@@ -9,18 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coneasym import fitrecover
+from coneasym import fitrecover, recovery
 from coneasym.conesolve import ModeProblem, RadialProfile, default_grid, heat_mode, heat_small_x_series
 from coneasym.errors import DegenerateSamples, NotASpectralExponent, ScenarioError
-from coneasym.fitrecover import (
-    FitReport,
-    least_squares,
-    peel_exponents,
-    recover_lambda,
-    recover_spectrum,
-    reports_from_jsonl,
-    reports_to_jsonl,
-)
+from coneasym.fitrecover import least_squares, peel_exponents
+from coneasym.recovery import FitReport, recover_lambda, recover_spectrum, reports_from_jsonl, reports_to_jsonl
 
 
 def _grid(lo=1e-4, hi=1e-1, count=49):
@@ -250,9 +243,9 @@ def test_fit_drops_decades_the_ladder_cannot_reach(bump12, decades, t):
         report = peel_exponents(sol.x, sol.values)
         assert report.window[0] == sol.x[0]
         assert report.window[1] >= 10 * sol.x[0] * (1 - 1e-9)
-        assert report.residual_rms <= fitrecover.RMS_TOL
+        assert report.residual_rms <= recovery.RMS_TOL
         assert report.exponent == pytest.approx(2.0 * j, abs=1e-11)
-        assert report.step == pytest.approx(2.0, abs=fitrecover.STEP_TOL)
+        assert report.step == pytest.approx(2.0, abs=recovery.STEP_TOL)
         tops.append(report.window[1] / sol.x[-1])
     assert min(tops) < 0.5
 
