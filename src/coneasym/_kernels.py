@@ -5,8 +5,8 @@ package goes through, and the model-cone heat solver on top of it.  The
 engine is a 16-point rule on many panels at once, in blocks of at most
 _BLOCK panels per integrand call, and an adaptive bisection whose
 breadth-first frontier refines every live panel of every task in one such
-call per level.  ``heat_moments`` applies the same rule on fixed panels
-to all of its moments at once.
+call per level.  ``heat_moments`` applies the same rule to all of its
+moments at once, on one memoized node set of fixed panels.
 
 ``heat_rows`` evaluates each point by ``heat_series``, the kernel's
 ascending series summed against fixed-panel moments of the source, where
@@ -30,6 +30,7 @@ exp(-(x-xi)^2/(4t)) and e^(-w) I_nu(w), w = x xi/(2t), so no intermediate
 overflows for any (t, x, xi) in range.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -128,27 +129,32 @@ def heat_moments(nu, n, t, profile, count):
     _moment_panels(t, profile) panels, shifted by the maximum of its
     log-integrand without f (f <= 1 for every shape) so that nothing
     overflows; its error bound is the difference from the sum on half as
-    many panels plus the rounding of the shifted exponents.  M_m depends
-    only on (nu, n, t, profile, m), not on count.
+    many panels plus the rounding of the shifted exponents.  Both sums map
+    one memoized _moment_rule node set and take one exp over it; each M_m
+    is a row sum, so it depends only on (nu, n, t, profile, m), not count.
     """
     lo, hi = float(profile.lo), float(profile.hi)
     p = 0.5 * (n + 1) + nu + 2.0 * np.arange(count)
-    peak = np.clip(np.sqrt(2.0 * t * p), lo, hi)
+    peak = np.minimum(np.maximum(np.sqrt(2.0 * t * p), lo), hi)
     shift = p * np.log(peak) - peak * peak / (4.0 * t)
-
-    def sums(panels):
-        edges = np.linspace(lo, hi, panels + 1)
-        c, h = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-        xi = (c[:, None] + h[:, None] * _GL_NODES).ravel()
-        weights = (h[:, None] * _GL_WEIGHTS).ravel() * profile(xi)
-        return np.sum(np.exp(np.outer(p, np.log(xi)) - xi * xi / (4.0 * t) - shift[:, None]) * weights, axis=1)
-
-    panels = _moment_panels(t, profile)
-    fine, coarse = sums(panels), sums(panels // 2)
+    u, w, split = _moment_rule(_moment_panels(t, profile))
+    xi = lo + (hi - lo) * u
+    terms = np.exp(p[:, None] * np.log(xi) - (xi**2 / (4.0 * t) + shift[:, None])) * ((hi - lo) * w * profile(xi))
+    fine, coarse = terms[:, :split].sum(axis=1), terms[:, split:].sum(axis=1)
     quad = np.divide(np.abs(fine - coarse), fine, out=np.zeros(count), where=fine > 0.0)
     rounding = _EPS * (p * max(abs(math.log(lo)), abs(math.log(hi))) + hi * hi / (4.0 * t) + 8.0)
     with np.errstate(divide="ignore"):
         return shift + np.log(fine), quad + rounding
+
+
+@functools.lru_cache(maxsize=16)
+def _moment_rule(panels):
+    """The rule on [0, 1] in panels, then panels // 2, equal panels: read-only nodes, weights, split."""
+    sizes = (panels, panels // 2)
+    nodes = np.concatenate([(np.arange(k)[:, None] + 0.5 * (1.0 + _GL_NODES)).ravel() / k for k in sizes])
+    weights = np.concatenate([np.tile(0.5 * _GL_WEIGHTS / k, k) for k in sizes])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights, _GL_NODES.size * panels
 
 
 def _moment_panels(t, profile):
@@ -161,23 +167,19 @@ def _moment_panels(t, profile):
 
 
 def _series_length(nu, z):
-    """Number of series terms for each z = x hi / (4t): the first K at which
-    the ratio bound r_K = z^2 / ((K+1)(nu+K+1)) of consecutive terms is at
-    most 1/2 and the bound z^2K Gamma(nu+1) / (K! Gamma(nu+K+1)) on
-    T_K / T_0 is below _SERIES_TAIL.  Depends on z and nu alone."""
-    logz, q = np.log(z)[:, None], (z * z)[:, None]
-    top = 16
-    while True:
-        k = np.arange(1, top + 1)
-        log_bound = 2.0 * k * logz - _lgammas(k + 1.0) - _lgammas(nu + k + 1.0) + math.lgamma(nu + 1.0)
-        ok = (log_bound <= math.log(_SERIES_TAIL)) & (q <= 0.5 * (k + 1.0) * (nu + k + 1.0))
-        if ok[:, -1].all():
-            return k[np.argmax(ok, axis=1)]
-        top *= 2
-
-
-def _lgammas(v):
-    return np.array([math.lgamma(u) for u in v.tolist()])
+    """Term count K for each z = x hi / (4t) > 0, and lg_m = log(m! Gamma(nu+m+1))
+    for m up to the largest K.  K is the first K at which the ratio bound
+    r_K = z^2 / ((K+1)(nu+K+1)) of consecutive terms is at most 1/2 and the
+    bound z^2K Gamma(nu+1) / (K! Gamma(nu+K+1)) on T_K / T_0 is at most
+    _SERIES_TAIL: the first K with z <= z_K = min(sqrt((K+1)(nu+K+1)/2),
+    exp((log _SERIES_TAIL + lg_K - lg_0) / 2K)), searched in their running max."""
+    lg, cap = [math.lgamma(nu + 1.0)], [0.0]
+    while cap[-1] < z.max():
+        k = len(lg)
+        lg.append(math.lgamma(k + 1.0) + math.lgamma(nu + k + 1.0))
+        cap.append(max(cap[-1], min(math.sqrt(0.5 * (k + 1) * (nu + k + 1)),
+                                    math.exp((math.log(_SERIES_TAIL) + lg[k] - lg[0]) / (2 * k)))))
+    return np.searchsorted(cap, z), np.array(lg)
 
 
 def heat_series(nu, n, t, xs, profile):
@@ -188,7 +190,8 @@ def heat_series(nu, n, t, xs, profile):
 
     with the moments M_m of heat_moments.  It holds for every x > 0; every
     term is positive, so nothing cancels.  Terms are formed in log space
-    and summed in order of m up to each point's own _series_length.
+    and summed in order of m, by one cumulative sum read at each point's
+    own _series_length, so no sum's order depends on the other points.
 
     Returns (values, error_estimates): each estimate adds the truncation
     bound T_K / (1 - r_K), the moment errors weighted by their terms and
@@ -198,22 +201,18 @@ def heat_series(nu, n, t, xs, profile):
     nu, n, t = float(nu), float(n), float(t)
     xs = np.asarray(xs, dtype=np.float64)
     z = xs * float(profile.hi) / (4.0 * t)
-    terms = _series_length(nu, z)
-    log_m, moment_err = heat_moments(nu, n, t, profile, int(terms.max()) + 1)
-    m = np.arange(log_m.size)
-    log_x = np.log(xs / (4.0 * t))[:, None]
-    pref = (0.5 * (1.0 - n) * np.log(xs) - xs * xs / (4.0 * t) - math.log(2.0 * t))[:, None]
-    power = (nu + 2.0 * m) * log_x
-    lg = _lgammas(m + 1.0) + _lgammas(nu + m + 1.0)
-    t_m = np.exp(pref + power + log_m - lg)
-    kept = np.where(m < terms[:, None], t_m, 0.0)
+    terms, lg = _series_length(nu, z)
+    log_m, moment_err = heat_moments(nu, n, t, profile, lg.size)
+    power = (nu + 2.0 * np.arange(lg.size)) * np.log(xs / (4.0 * t))[:, None]
+    pref = 0.5 * (1.0 - n) * np.log(xs) - xs * xs / (4.0 * t) - math.log(2.0 * t)
+    t_m = np.exp(power + (pref[:, None] + (log_m - lg)))
+    kept = np.where(np.arange(lg.size) < terms[:, None], t_m, 0.0)
     rows = np.arange(xs.size)
-    values = np.cumsum(kept, axis=1)[rows, terms - 1]
-    rel = moment_err + _EPS * (np.abs(pref) + np.abs(power) + np.abs(log_m) + lg + terms[:, None] + 8.0)
-    with np.errstate(invalid="ignore"):  # 0 * inf: a moment that underflowed adds no term and no error
-        spread = np.cumsum(np.where(kept > 0.0, kept * rel, 0.0), axis=1)[rows, terms - 1]
-    ratio = z * z / ((terms + 1.0) * (nu + terms + 1.0))
-    return values, spread + t_m[rows, terms] / (1.0 - ratio)
+    values = kept.cumsum(axis=1)[rows, terms - 1]
+    per_m = np.where(log_m > -np.inf, moment_err + _EPS * (np.abs(log_m) + lg + 8.0), 0.0)  # 0 for an underflow
+    rel = _EPS * (np.abs(power) + (np.abs(pref) + terms)[:, None]) + per_m
+    spread = (kept * rel).cumsum(axis=1)[rows, terms - 1]
+    return values, spread + t_m[rows, terms] / (1.0 - z * z / ((terms + 1.0) * (nu + terms + 1.0)))
 
 
 def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
@@ -231,15 +230,13 @@ def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
     """
     nu, n, t, rel_tol = float(nu), float(n), float(t), float(rel_tol)
     xs = np.asarray(xs, dtype=np.float64)
-    value, err = np.zeros(xs.size), np.zeros(xs.size)
-    panels, ok = np.zeros(xs.size, np.int64), np.zeros(xs.size, bool)
-    near = np.flatnonzero(xs * float(profile.hi) / (4.0 * t) <= _SERIES_Z)
-    if near.size:
-        v, e = heat_series(nu, n, t, xs[near], profile)
-        good = (v >= _TINY) & (e <= rel_tol * v)
-        value[near[good]], err[near[good]], ok[near[good]] = v[good], e[good], True
-    rest = np.flatnonzero(~ok)
-    if rest.size:
+    value, err, panels = np.zeros(xs.size), np.zeros(xs.size), np.zeros(xs.size, np.int64)
+    near = xs * float(profile.hi) / (4.0 * t) <= _SERIES_Z
+    if near.any():
+        value[near], err[near] = heat_series(nu, n, t, xs[near], profile)
+    ok = (value >= _TINY) & (err <= rel_tol * value)
+    rest = ~ok
+    if rest.any():
         value[rest], err[rest], panels[rest], ok[rest] = heat_quadrature(
             nu, n, t, xs[rest], profile, rel_tol, max_depth)
     return value, err, panels, ok

@@ -34,6 +34,7 @@ from ._kernels import adaptive, heat_moments, heat_rows
 from .besselkit import bessel_i, bessel_k, check_order
 from .errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
+from .spectra import require_dimension
 from .version import __version__
 
 _SHAPES = ("bump", "gaussian", "indicator")
@@ -98,6 +99,7 @@ class ModeProblem:
     profile: RadialProfile
 
     def __post_init__(self):
+        require_dimension(self.n)
         if not (math.isfinite(self.t) and self.t > 0):
             raise ScenarioError("t must be finite and positive")
         if not math.isfinite(self.lam):
@@ -251,6 +253,7 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     takes the matching factor back.  Every factor has modulus at most 1,
     so nothing overflows or underflows early anywhere in the Bessel box.
     """
+    require_dimension(n)
     lam = complex(lam)
     if not (cmath.isfinite(lam) and math.isfinite(lam_mode)):
         raise ScenarioError("resolvent parameter and mode eigenvalue must be finite")

@@ -47,6 +47,18 @@ def test_power_and_dimension_rules_have_one_home():
 
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_README = _PERFBENCH.parent / "README.md"
+
+
+def test_readme_python_quick_start_prints_what_it_says(capsys):
+    """README's Python quick start runs, and each line it prints is the
+    comment of its print call, up to the first comma."""
+    block = re.search(r"```python\n(.*?)```", _README.read_text(), re.S).group(1)
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    claims = [line.split("#", 1)[1].split(",")[0].strip() for line in prints]
+    assert claims
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == claims
 
 
 def test_benchmark_wrapped_names_resolve():

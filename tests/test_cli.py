@@ -213,6 +213,16 @@ def test_recover_checks_k_and_n_as_template_does(tmp_path, capsys, flag, value, 
     assert message in captured.err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_check_resolvent_rejects_a_dimension_below_one(tmp_path, capsys, n):
+    """check-resolvent takes --n through the solvers' dimension check: exit
+    10 with the spectrum error, not a sweep on a cone of dimension n+1 < 2."""
+    out = tmp_path / "sweep.json"
+    assert main(["check-resolvent", "--n", n, "--out", str(out)]) == EXIT_CODES["spectrum"]
+    assert not out.exists()
+    assert "dimension must be a positive integer" in capsys.readouterr().err
+
+
 def test_exact_top_eigenvalue_off_zero_is_a_spectrum_error(tmp_path, capsys):
     """An exact top eigenvalue of 1/10^15 is not 0: exit 10, no template."""
     custom = tmp_path / "custom.json"

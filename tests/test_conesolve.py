@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from coneasym.conesolve import (
@@ -22,7 +24,7 @@ from coneasym.conesolve import (
     sectorial_sweep,
     solution_rows,
 )
-from coneasym.errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
+from coneasym.errors import BadMultiplicity, DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from coneasym import _kernels, conesolve
 from coneasym._kernels import adaptive, heat_quadrature, heat_rows, heat_series
 
@@ -181,6 +183,17 @@ def test_heat_mode_tolerance_failure(bump12):
         heat_mode(problem, np.array([0.5]), rel_tol=1e-15, max_depth=1)
 
 
+@pytest.mark.parametrize("n", [0, -1, 1.5])
+def test_solvers_reject_a_dimension_below_one(bump12, n):
+    """ModeProblem and resolvent_mode check the cross-section dimension by
+    spectra's rule: a spectrum error (exit 10), not a silent solve or an
+    untyped TypeError from the indicial roots."""
+    with pytest.raises(BadMultiplicity, match="dimension must be a positive integer"):
+        ModeProblem(n=n, lam=-4.0, t=1.0, profile=bump12)
+    with pytest.raises(BadMultiplicity, match="dimension must be a positive integer"):
+        resolvent_mode(n, -4.0, 1.0 + 1.0j, bump12, np.array([1.5]))
+
+
 @pytest.mark.parametrize("profile", [
     RadialProfile("bump", 1.0, 2.0),
     RadialProfile("gaussian", 0.8, 2.3, center=1.4, width=0.3),
@@ -247,6 +260,58 @@ def test_series_matches_quadrature(profile, t):
         gap = np.abs(values - ref)
         assert np.max(gap / ref) <= 1e-13, (n, nu)
         assert np.all(gap <= errs + ref_errs), (n, nu)
+
+
+def _terms_by_the_rule(nu, z):
+    """The series length rule term by term: the first K with
+    r_K = z^2 / ((K+1)(nu+K+1)) <= 1/2 and
+    log(z^2K Gamma(nu+1) / (K! Gamma(nu+K+1))) <= log _SERIES_TAIL."""
+    k = 1
+    while not (z * z / ((k + 1) * (nu + k + 1)) <= 0.5 and 2 * k * math.log(z) - math.lgamma(k + 1)
+               - math.lgamma(nu + k + 1) + math.lgamma(nu + 1) <= math.log(_kernels._SERIES_TAIL)):
+        k += 1
+    return k
+
+
+@given(nu=st.floats(0.0, 60.0), zs=st.lists(st.floats(0.0, 25.0, exclude_min=True), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_series_length_follows_its_rule(nu, zs):
+    """Each point's term count is the rule's, and lg holds
+    log(m! Gamma(nu+m+1)) for every m up to the largest count."""
+    terms, lg = _kernels._series_length(nu, np.array(zs))
+    assert terms.tolist() == [_terms_by_the_rule(nu, z) for z in zs]
+    assert lg.tolist() == [math.lgamma(m + 1) + math.lgamma(nu + m + 1) for m in range(max(terms) + 1)]
+
+
+@pytest.mark.parametrize("nu, n, t, profile", [
+    (0.0, 1, 1.0, RadialProfile("bump", 1.0, 2.0)),
+    (2.5, 2, 0.05, RadialProfile("gaussian", 0.8, 2.3, center=1.4, width=0.3)),
+    (7.0, 3, 1e-4, RadialProfile("indicator", 0.9, 1.6)),
+], ids=["floor", "mid", "cap"])
+def test_heat_moments_do_not_depend_on_count(nu, n, t, profile):
+    """Moment m and its error bound are bit-identical whatever the count
+    asked for, so a point's series does not depend on the largest term
+    count in its batch."""
+    for count in range(1, 13):
+        short = _kernels.heat_moments(nu, n, t, profile, count)
+        longer = _kernels.heat_moments(nu, n, t, profile, count + 5)
+        assert all(np.array_equal(a, b[:count]) for a, b in zip(short, longer)), count
+
+
+def test_moment_rule_is_a_bounded_read_only_memo():
+    """The moment rule for a panel count is built once and refuses writes;
+    the memo is bounded.  Both of its rules integrate u^k on [0, 1] for
+    k < 32 to rounding."""
+    nodes, weights, split = _kernels._moment_rule(48)
+    assert _kernels._moment_rule(48)[0] is nodes
+    assert (split, nodes.size, weights.size) == (16 * 48, 16 * 72, 16 * 72)
+    assert _kernels._moment_rule.cache_info().maxsize <= 32
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    for part in (slice(0, split), slice(split, None)):
+        moments = [np.sum(weights[part] * nodes[part] ** k) for k in range(32)]
+        assert np.allclose(moments, 1.0 / np.arange(1, 33), rtol=1e-14, atol=0)
 
 
 def test_heat_rows_takes_the_series_where_it_converges(bump12):
