@@ -15,10 +15,10 @@ _HOMES = {
     "version": ("__version__",),
     "spectra": ("CrossSection", "circle_spectrum", "custom_spectrum", "harmonic_multiplicity",
                 "sphere_spectrum"),
-    "indicial": ("IndicialData", "Pole", "PoleSet", "indicial_roots", "conormal_symbol",
+    "indicial": ("IndicialData", "Pole", "indicial_roots", "conormal_symbol",
                  "conormal_poly_coeffs", "root_multiplicity", "pole_set"),
     "weights": ("admissible_window", "window_midpoint", "locate_interval"),
-    "templates": ("Origin", "AsymTerm", "ExpansionTemplate", "ExpansionReport", "template_closed_form",
+    "templates": ("Origin", "AsymTerm", "ExpansionTemplate", "template_closed_form",
                   "template_inductive", "template_differences", "render_uexp"),
     "conesolve": ("RadialProfile", "ModeProblem", "ModeSolution", "ResolventModeSolution", "default_grid",
                   "heat_mode", "heat_small_x_series", "resolvent_mode", "resolvent_residual",

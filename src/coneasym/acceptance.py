@@ -17,13 +17,11 @@ import numpy as np
 from .conesolve import (
     ModeProblem,
     RadialProfile,
-    csv_to_rows,
+    csv_to_series,
     default_grid,
     heat_mode,
-    rows_to_csv,
-    rows_to_series,
     sectorial_sweep,
-    solution_rows,
+    solutions_to_csv,
 )
 from ._kernels import heat_quadrature, heat_series
 from .fitrecover import peel_exponents
@@ -74,14 +72,14 @@ def corpus() -> list:
     ]
 
 
-def gamma_grid(cross_section, count: int = 5) -> list:
-    """Interior weight exponents lo + i/(count+1) * (hi-lo); exact when
-    the window bounds are exact."""
+def gamma_grid(cross_section) -> list:
+    """Five interior weight exponents lo + i/6 * (hi-lo); exact when the
+    window bounds are exact."""
     window = admissible_window(cross_section.n, cross_section.lambda1)
     if window is None:
         return []
     lo, hi = window
-    return [lo + (hi - lo) * Fraction(i, count + 1) for i in range(1, count + 1)]
+    return [lo + (hi - lo) * Fraction(i, 6) for i in range(1, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +285,11 @@ def criterion_4():
     for cs in corpus():
         for k in (1, 4):  # the symbol itself, and the deepest power of criteria 2-3
             coeffs = [conormal_poly_coeffs(cs.n, lam, k) for lam in cs.eigenvalues]
-            for pole in pole_set(cs, k).poles:
+            for pole in pole_set(cs, k):
                 problems.extend(_pole_problems(cs, k, pole, coeffs))
 
     circle = circle_spectrum(radius=Fraction(1, 2), j_max=2)
-    poles = pole_set(circle, 1)
-    zero = [p for p in poles.poles if p.location == 0]
+    zero = [p for p in pole_set(circle, 1) if p.location == 0]
     if len(zero) != 1 or zero[0].order != 2:
         problems.append(f"k=1 pole at 0: {zero}")
     if root_multiplicity(conormal_poly_coeffs(1, Fraction(0), 1), Fraction(0)) != 2:
@@ -391,7 +388,7 @@ def criterion_8():
         solutions.append((j, heat_mode(problem, grid)))
     reports = [
         replace(peel_exponents(x, v), mode_j=mode_j, t=t)
-        for mode_j, t, x, v in rows_to_series(csv_to_rows(rows_to_csv(solution_rows(solutions))))
+        for mode_j, t, x, v in csv_to_series(solutions_to_csv(solutions))
     ]
     summary = recover_spectrum(reports, n=1, gamma=0.0, k=3)
     lams = sorted(summary.lambdas())

@@ -7,6 +7,7 @@ digits; JSON artifacts carry a 'generator' version field and CSV files a
 """
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -68,7 +69,7 @@ _EXITS = (
     (8, "domain", "special-function argument outside its domain", (DomainError,)),
     (9, "fit", "exponent fit failed (degenerate samples / not spectral)", (FitError, NotASpectralExponent)),
     (10, "spectrum", "invalid cross-section spectrum", (SpectrumError,)),
-    (11, "scenario", "malformed scenario or i/o problem", (ScenarioError, OSError, ValueError, KeyError)),
+    (11, "scenario", "malformed scenario or i/o problem", (ScenarioError, OSError, ValueError, KeyError, TypeError)),
     (12, "selftest", "selftest criterion failed", ()),
     (13, "sectorial", "sectorial uniformity check failed", ()),
 )
@@ -84,21 +85,26 @@ def _parse_number(text):
     return text
 
 
+def _integer(value, what):
+    """value, unless it is not a JSON integer (ScenarioError)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def build_cross_section(spec: dict):
     """Cross-section of a spec: custom whenever it lists eigenvalues,
-    whatever its name; else the built-in spectrum the name selects."""
+    whatever its name; else the built-in spectrum the name selects.
+    n and the multiplicities go to spectra's rules unconverted."""
     name = spec.get("name", "custom")
-    j_max = int(spec.get("j_max", 8))
+    j_max = _integer(spec.get("j_max", 8), "j_max")
     if name == "custom" or "eigenvalues" in spec:
-        pairs = list(zip(
-            [_parse_number(v) for v in spec["eigenvalues"]],
-            [int(m) for m in spec["multiplicities"]],
-        ))
-        return custom_spectrum(int(spec["n"]), pairs, name=name)
+        pairs = list(zip([_parse_number(v) for v in spec["eigenvalues"]], spec["multiplicities"]))
+        return custom_spectrum(spec["n"], pairs, name=name)
     if name.startswith("s") and name[1:].isdigit():
         return sphere_spectrum(int(name[1:]), j_max)
     if name == "sphere":
-        return sphere_spectrum(int(spec["n"]), j_max)
+        return sphere_spectrum(spec["n"], j_max)
     if name == "circle":
         radius = spec.get("radius")
         radius_squared = spec.get("radius_squared")
@@ -137,7 +143,7 @@ class Scenario:
         cs = build_cross_section(data["cross_section"])
         gamma = resolve_gamma(data.get("gamma", "midpoint"), cs)
         require_window(cs, gamma)
-        modes = tuple(int(j) for j in data.get("modes", [0]))
+        modes = tuple(_integer(j, "mode index") for j in data.get("modes", [0]))
         if not modes:
             raise ScenarioError("modes must list at least one mode index")
         for j in modes:
@@ -168,11 +174,6 @@ class Scenario:
             if not (per_decade.is_integer() and per_decade >= 1):
                 raise ScenarioError(f"points_per_decade must be an integer of at least 1, got {per_decade}")
             grid = default_grid(dec, int(per_decade))
-        if grid.size == 0 or not np.all(grid > 0):
-            raise ScenarioError("x grid must be positive")
-        rel_tol = float(data.get("rel_tol", 1e-9))
-        if not (math.isfinite(rel_tol) and rel_tol > 0):
-            raise ScenarioError("rel_tol must be finite and positive")
         return Scenario(
             cross_section=cs,
             modes=modes,
@@ -180,13 +181,14 @@ class Scenario:
             profile=profile,
             t_values=ts,
             x_grid=grid,
-            rel_tol=rel_tol,
+            rel_tol=float(data.get("rel_tol", 1e-9)),
         )
 
 
 def solve_scenario(scenario: Scenario) -> list:
-    """Run every (mode, t) task; deterministic row order."""
-    from .conesolve import ModeProblem, heat_mode, solution_rows
+    """(mode_j, ModeSolution) of every (mode, t) task, modes then times in
+    scenario order; heat_mode checks the grid and rel_tol."""
+    from .conesolve import ModeProblem, heat_mode
 
     solutions = []
     for j in scenario.modes:
@@ -198,7 +200,7 @@ def solve_scenario(scenario: Scenario) -> list:
                 profile=scenario.profile,
             )
             solutions.append((j, heat_mode(problem, scenario.x_grid, rel_tol=scenario.rel_tol)))
-    return solution_rows(solutions)
+    return solutions
 
 
 def _write_output(text: str, out: str | None):
@@ -220,19 +222,16 @@ def cmd_template(args) -> int:
             sys.stderr.write("construction mismatch:\n" + "\n".join(diffs) + "\n")
             return EXIT_CODES["internal"]
     if args.text:
-        report = render_uexp(template, s=args.s, p=args.p)
-        _write_output(report.text() + "\n", args.out)
+        _write_output(render_uexp(template, s=args.s, p=args.p) + "\n", args.out)
     else:
-        payload = jsonio.loads(template.to_json())
-        payload = {"generator": f"coneasym {__version__}", **payload}
-        _write_output(jsonio.dumps(payload), args.out)
+        _write_output(jsonio.dumps({"generator": f"coneasym {__version__}", **template.as_dict()}), args.out)
     return 0
 
 
 def _cross_section_args(args) -> dict:
     if args.custom:
         with open(args.custom) as fh:
-            return jsonio.loads(fh.read())
+            return json.loads(fh.read())
     spec = {"name": args.cross_section, "j_max": args.j_max}
     if args.radius is not None:
         spec["radius"] = args.radius
@@ -242,20 +241,19 @@ def _cross_section_args(args) -> dict:
 
 
 def cmd_solve(args) -> int:
-    from .conesolve import rows_to_csv
+    from .conesolve import solutions_to_csv
 
     with open(args.scenario) as fh:
-        scenario = Scenario.from_dict(jsonio.loads(fh.read()))
-    rows = solve_scenario(scenario)
-    _write_output(rows_to_csv(rows), args.out)
+        scenario = Scenario.from_dict(json.loads(fh.read()))
+    _write_output(solutions_to_csv(solve_scenario(scenario)), args.out)
     return 0
 
 
 def cmd_fit(args) -> int:
-    from .conesolve import csv_to_rows, rows_to_series
+    from .conesolve import csv_to_series
 
     with open(args.csv) as fh:
-        series = rows_to_series(csv_to_rows(fh.read()))
+        series = csv_to_series(fh.read())
     peel = sys.modules[__name__].peel_exponents  # see __getattr__
     reports = [replace(peel(x, v), mode_j=mode_j, t=t) for mode_j, t, x, v in series]
     _write_output(reports_to_jsonl(reports), args.out)

@@ -128,8 +128,19 @@ def default_grid(decades=(-4, -1), points_per_decade: int = 16) -> np.ndarray:
     return np.geomspace(10.0**lo, 10.0**hi, count)
 
 
-def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
-              max_depth: int = 20) -> ModeSolution:
+def _eval_points(x_eval) -> np.ndarray:
+    """x_eval as a float array, which must be 1-d, nonempty, finite and positive."""
+    x_eval = np.asarray(x_eval, dtype=float)
+    if x_eval.ndim != 1 or x_eval.size == 0 or not np.all(np.isfinite(x_eval) & (x_eval > 0)):
+        raise ScenarioError("x_eval must be a nonempty 1-d array of finite positive points")
+    return x_eval
+
+
+# Bisections after which heat_mode's quadrature gives up on a point.
+_MAX_DEPTH = 20
+
+
+def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9) -> ModeSolution:
     """Heat solution of one mode at x_eval, each point to rel_tol.
 
     The mode's order nu must lie in besselkit's order range, and every
@@ -137,13 +148,11 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
     calls at w = x xi / (2t), returns nan past w of about 1.0965e9
     (DomainError either way).
     """
-    x_eval = np.asarray(x_eval, dtype=float)
-    if x_eval.ndim != 1 or x_eval.size == 0 or not np.all(np.isfinite(x_eval) & (x_eval > 0)):
-        raise ScenarioError("x_eval must be a nonempty 1-d array of finite positive points")
+    x_eval = _eval_points(x_eval)
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ScenarioError("rel_tol must be finite and positive")
     values, _, _, ok = heat_rows(
-        check_order(problem.nu), problem.n, problem.t, x_eval, problem.profile, rel_tol, max_depth
+        check_order(problem.nu), problem.n, problem.t, x_eval, problem.profile, rel_tol, _MAX_DEPTH
     )
     bad = x_eval[~np.isfinite(values)]
     if bad.size:
@@ -156,7 +165,7 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9,
         bad = int(np.sum(~ok))
         raise QuadratureFailure(
             f"{bad} of {x_eval.size} eval points missed rel_tol={rel_tol} "
-            f"within depth {max_depth}"
+            f"within depth {_MAX_DEPTH}"
         )
     return ModeSolution(problem=problem, x=x_eval, values=values)
 
@@ -259,9 +268,7 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
         raise ScenarioError("resolvent parameter and mode eigenvalue must be finite")
     if lam.imag == 0.0 and lam.real <= 0.0:
         raise SpectrumRay(f"resolvent parameter {lam} lies on the spectral ray")
-    x_eval = np.asarray(x_eval, dtype=float)
-    if x_eval.ndim != 1 or x_eval.size == 0 or not np.all(np.isfinite(x_eval) & (x_eval > 0)):
-        raise ScenarioError("x_eval must be a nonempty 1-d array of finite positive points")
+    x_eval = _eval_points(x_eval)
     nu = float(indicial_roots(n, lam_mode).nu)
     sq = cmath.sqrt(lam)
     lo, hi = profile.lo, profile.hi
@@ -335,30 +342,33 @@ def resolvent_residual(n: int, lam_mode: float, lam, xs, values, fvals) -> float
     return float(np.max(np.abs(res)))
 
 
-def sectorial_sweep(n: int, lam_mode: float, profile: RadialProfile,
-                    moduli=(1.0, 10.0, 100.0),
-                    ray_args=(0.0, 0.75 * math.pi, -0.75 * math.pi),
-                    x_eval=None) -> dict:
+# sectorial_sweep's rays arg(lam), moduli |lam| and number of grid points
+_RAY_ARGS = (0.0, 0.75 * math.pi, -0.75 * math.pi)
+_MODULI = (1.0, 10.0, 100.0)
+_SWEEP_POINTS = 160
+
+
+def sectorial_sweep(n: int, lam_mode: float, profile: RadialProfile) -> dict:
     """|lam| * sup |u| across moduli on each ray; uniformity report.
 
     Sectoriality predicts these products stay within a bounded factor as
     |lam| grows; the report records the max/min ratio per ray and an
-    overall pass flag against the factor-2 criterion.
+    overall pass flag against the factor-2 criterion.  u is sampled at
+    log-spaced points from 1e-3 to twice the support's upper end.
     """
-    if x_eval is None:
-        x_eval = np.geomspace(1e-3, 2.0 * profile.hi, 160)
+    x_eval = np.geomspace(1e-3, 2.0 * profile.hi, _SWEEP_POINTS)
     rays = []
     overall = True
-    for theta in ray_args:
+    for theta in _RAY_ARGS:
         sups = []
-        for r in moduli:
+        for r in _MODULI:
             lam = r * cmath.exp(1j * theta)
             sol = resolvent_mode(n, lam_mode, lam, profile, x_eval)
             sups.append(r * float(np.max(np.abs(sol.values))))
         ratio = max(sups) / min(sups)
         rays.append({
             "arg": theta,
-            "moduli": list(moduli),
+            "moduli": list(_MODULI),
             "lam_times_sup": sups,
             "ratio": ratio,
         })
@@ -371,44 +381,30 @@ def sectorial_sweep(n: int, lam_mode: float, profile: RadialProfile,
 # ---------------------------------------------------------------------------
 
 
-def solution_rows(solutions) -> list:
-    """Flatten ModeSolutions (tagged with mode index) into CSV rows."""
-    rows = []
+def solutions_to_csv(solutions) -> str:
+    """The solution CSV of (mode_j, ModeSolution) pairs: a version comment,
+    a header, then one row per point, floats to 17 significant digits."""
+    lines = [f"# coneasym {__version__}", "mode_j,nu,t,x,value"]
     for mode_j, sol in solutions:
         nu, t = sol.problem.nu, sol.problem.t
-        rows.extend((mode_j, nu, t, float(x), float(v)) for x, v in zip(sol.x, sol.values))
-    return rows
-
-
-def rows_to_csv(rows) -> str:
-    lines = [f"# coneasym {__version__}", "mode_j,nu,t,x,value"]
-    for mode_j, nu, t, x, v in rows:
-        lines.append(
-            f"{mode_j:d},{nu:.17g},{t:.17g},{x:.17g},{v:.17g}"
-        )
+        lines.extend(f"{mode_j:d},{nu:.17g},{t:.17g},{x:.17g},{v:.17g}"
+                     for x, v in zip(sol.x.tolist(), sol.values.tolist()))
     return "\n".join(lines) + "\n"
 
 
-def csv_to_rows(text: str) -> list:
-    rows = []
+def csv_to_series(text: str) -> list:
+    """The (mode_j, t, x, v) series of a solution CSV, sorted by (mode_j, t),
+    each with x ascending as float arrays; '#' and header lines are skipped."""
+    groups: dict = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("mode_j"):
             continue
-        mode_j, nu, t, x, v = line.split(",")
-        rows.append((int(mode_j), float(nu), float(t), float(x), float(v)))
-    return rows
-
-
-def rows_to_series(rows) -> list:
-    """Group CSV rows by (mode_j, t) into (mode_j, t, x, v) series, sorted
-    by (mode_j, t), each with x ascending as float arrays."""
-    groups: dict = {}
-    for mode_j, _, t, x, v in rows:
-        groups.setdefault((mode_j, t), []).append((x, v))
+        mode_j, *cells = line.split(",")
+        _, t, x, v = map(float, cells)  # nu must parse but is not kept
+        groups.setdefault((int(mode_j), t), []).append((x, v))
     series = []
     for (mode_j, t), pts in sorted(groups.items()):
         pts.sort()
         series.append((mode_j, t, np.array([p[0] for p in pts]), np.array([p[1] for p in pts])))
     return series
-

@@ -164,19 +164,13 @@ class Pole:
     approximate: bool = False
 
 
-@dataclass(frozen=True)
-class PoleSet:
-    k: int
-    poles: tuple
-
-
-def pole_set(cross_section, k: int) -> PoleSet:
+def pole_set(cross_section, k: int) -> tuple:
     """All poles q_j^{+/-} - 2i, i < k, grouped and ordered by location.
 
     Exact locations group exactly; float locations merge within 1e-9 and
     the pole is flagged approximate when the merged values were not
-    identical.  Poles are listed with decreasing location (increasing
-    candidate exponent -location).
+    identical.  Returns the Poles as a tuple, with decreasing location
+    (increasing candidate exponent -location).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -195,7 +189,7 @@ def pole_set(cross_section, k: int) -> PoleSet:
         provenance = tuple(sorted((j, branch, shift) for _, j, branch, shift in members))
         poles.append(Pole(location, order, provenance, approximate))
     poles.sort(key=lambda p: -float(p.location))
-    return PoleSet(k=k, poles=tuple(poles))
+    return tuple(poles)
 
 
 def group_locations(entries):

@@ -61,10 +61,11 @@ def _write(value, out, indent, level):
     out.append(tail + brackets[1])
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize obj (dict/list/str/int/float/bool/None/Fraction)."""
+def dumps(obj) -> str:
+    """Serialize obj (dict/list/str/int/float/bool/None/Fraction), one item
+    per line, indented by two spaces per level."""
     out: list[str] = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 2, 0)
     out.append("\n")
     return "".join(out)
 
@@ -74,7 +75,3 @@ def dumps_line(obj) -> str:
     out: list[str] = []
     _write(obj, out, None, 0)
     return "".join(out)
-
-
-def loads(text: str):
-    return json.loads(text)

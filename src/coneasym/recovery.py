@@ -12,6 +12,7 @@ mu = -e0.  Any other mode is flagged with the bounds it broke.
 Nothing here imports numpy, so `recover` starts as fast as `template`.
 """
 
+import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -170,7 +171,7 @@ def reports_from_jsonl(text: str) -> list:
         line = line.strip()
         if not line:
             continue
-        data = jsonio.loads(line)
+        data = json.loads(line)
         if "generator" in data and "exponent" not in data:
             continue
         out.append(report_from_dict(data))

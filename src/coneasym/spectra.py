@@ -39,8 +39,8 @@ class CrossSection:
 
 
 def require_dimension(n):
-    """BadMultiplicity unless the cross-section dimension n is a positive integer."""
-    if not isinstance(n, int) or n < 1:
+    """BadMultiplicity unless the cross-section dimension n is a positive integer (not a bool)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadMultiplicity(f"cross-section dimension must be a positive integer, got {n!r}")
 
 
@@ -90,6 +90,7 @@ def harmonic_multiplicity(n: int, j: int) -> int:
 
 def sphere_spectrum(n: int, j_max: int) -> CrossSection:
     """Round unit n-sphere: lam_j = -j(j+n-1) with harmonic multiplicities."""
+    require_dimension(n)
     pairs = [(Fraction(-j * (j + n - 1)), harmonic_multiplicity(n, j)) for j in range(j_max + 1)]
     return custom_spectrum(n, pairs, name=f"s{n}")
 

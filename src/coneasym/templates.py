@@ -89,38 +89,32 @@ class ExpansionTemplate:
     def exponents(self) -> list:
         return [t.exponent for t in self.terms]
 
+    def as_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "gamma": self.gamma,
+            "k": self.k,
+            "terms": [t.as_dict() for t in self.terms],
+            "remainder_exponent": self.remainder_exponent,
+            "validity": self.validity,
+        }
+
     def to_json(self) -> str:
-        return jsonio.dumps(
-            {
-                "n": self.n,
-                "gamma": self.gamma,
-                "k": self.k,
-                "terms": [t.as_dict() for t in self.terms],
-                "remainder_exponent": self.remainder_exponent,
-                "validity": self.validity,
-            }
-        )
+        return jsonio.dumps(self.as_dict())
 
 
-class _TermBag:
-    """Accumulates (exponent, log bound, origin) entries with merging."""
-
-    def __init__(self):
-        self.entries = []  # (exponent, max_log, set[Origin], near_boundary)
-
-    def add(self, exponent, max_log, origin, near_boundary=False):
-        self.entries.append((exponent, max_log, origin, near_boundary))
-
-    def merged(self):
-        terms = []
-        for center, key, members, approx in group_locations(self.entries):
-            exponent = center if key is None else key  # prefer the exact representative
-            max_log = max(m[1] for m in members)
-            origins = tuple(sorted({m[2] for m in members}))
-            near = any(m[3] for m in members)
-            terms.append(AsymTerm(exponent, max_log, origins, approx, near))
-        terms.sort(key=lambda t: float(t.exponent))
-        return tuple(terms)
+def _merged(entries):
+    """Terms of (exponent, max_log, origin, near_boundary) entries, merged
+    by exponent with the larger log bound, in increasing exponent."""
+    terms = []
+    for center, key, members, approx in group_locations(entries):
+        exponent = center if key is None else key  # prefer the exact representative
+        max_log = max(m[1] for m in members)
+        origins = tuple(sorted({m[2] for m in members}))
+        near = any(m[3] for m in members)
+        terms.append(AsymTerm(exponent, max_log, origins, approx, near))
+    terms.sort(key=lambda t: float(t.exponent))
+    return tuple(terms)
 
 
 def _precheck(cross_section, gamma, k):
@@ -142,8 +136,8 @@ def _truncation_sufficient(cross_section, gamma, k) -> bool:
     return less(mu_last, half - gamma - 2 * k)
 
 
-def _finish(cross_section, gamma, k, bag, window):
-    terms = bag.merged()
+def _finish(cross_section, gamma, k, entries, window):
+    terms = _merged(entries)
     sufficient = _truncation_sufficient(cross_section, gamma, k)
     if not sufficient:
         warnings.warn(
@@ -168,9 +162,9 @@ def _finish(cross_section, gamma, k, bag, window):
     )
 
 
-def _spectral_entries(cross_section, gamma, k_max, m_lo=2):
+def _spectral_entries(cross_section, gamma, k_max):
     """(j, mu_j, m) for eigenvalue indices with mu_j in a tile J_m,
-    m_lo <= m <= k_max."""
+    2 <= m <= k_max."""
     n = cross_section.n
     out = []
     for j, lam in enumerate(cross_section.eigenvalues):
@@ -178,7 +172,7 @@ def _spectral_entries(cross_section, gamma, k_max, m_lo=2):
             continue
         mu = indicial_roots(n, lam).mu
         m = locate_interval(n, gamma, mu)
-        if m is not None and m_lo <= m <= k_max:
+        if m is not None and 2 <= m <= k_max:
             out.append((j, mu, m))
     return out
 
@@ -187,18 +181,17 @@ def template_closed_form(cross_section, gamma, k: int) -> ExpansionTemplate:
     """Evaluate the closed template formula at (cross_section, gamma, k)."""
     window = _precheck(cross_section, gamma, k)
     n = cross_section.n
-    bag = _TermBag()
-    bag.add(Fraction(0), 0, Origin("constant"))
+    entries = [(Fraction(0), 0, Origin("constant"), False)]
     extra_even_log = 1 if n == 1 else 0
     for nu in range(1, k):
         if n == 2:
-            bag.add(Fraction(2 * nu - 1), nu, Origin("even_odd", nu=nu))
-        bag.add(Fraction(2 * nu), nu + extra_even_log, Origin("even", nu=nu))
+            entries.append((Fraction(2 * nu - 1), nu, Origin("even_odd", nu=nu), False))
+        entries.append((Fraction(2 * nu), nu + extra_even_log, Origin("even", nu=nu), False))
     for j, mu, m in _spectral_entries(cross_section, gamma, k):
         near = boundary_distance(n, gamma, mu) <= _BOUNDARY_TOL
         for nu in range(0, k - m + 1):
-            bag.add(-mu + 2 * nu, m + nu - 2, Origin("spectral", j=j, m=m, nu=nu), near)
-    return _finish(cross_section, gamma, k, bag, window)
+            entries.append((-mu + 2 * nu, m + nu - 2, Origin("spectral", j=j, m=m, nu=nu), near))
+    return _finish(cross_section, gamma, k, entries, window)
 
 
 def template_inductive(cross_section, gamma, k: int) -> ExpansionTemplate:
@@ -213,40 +206,33 @@ def template_inductive(cross_section, gamma, k: int) -> ExpansionTemplate:
     """
     window = _precheck(cross_section, gamma, k)
     n = cross_section.n
-    bag = _TermBag()
     extra_even_log = 1 if n == 1 else 0
 
     # base K = 2
-    bag.add(Fraction(0), 0, Origin("constant"))
+    entries = [(Fraction(0), 0, Origin("constant"), False)]
     if n == 2:
-        bag.add(Fraction(1), 1, Origin("even_odd", nu=1))
-    bag.add(Fraction(2), 1 + extra_even_log, Origin("even", nu=1))
-    poles = pole_set(cross_section, 2)
-    for pole in poles.poles:
+        entries.append((Fraction(1), 1, Origin("even_odd", nu=1), False))
+    entries.append((Fraction(2), 1 + extra_even_log, Origin("even", nu=1), False))
+    for pole in pole_set(cross_section, 2):
         if locate_interval(n, gamma, pole.location) != 2:
             continue
         for j, branch, shift in pole.provenance:
             if j >= 1 and branch == "-" and shift == 0:
                 near = boundary_distance(n, gamma, pole.location) <= _BOUNDARY_TOL
-                bag.add(-pole.location, 0, Origin("spectral", j=j, m=2, nu=0), near)
+                entries.append((-pole.location, 0, Origin("spectral", j=j, m=2, nu=0), near))
 
     # steps K -> K+1 for K = 2 .. k-1
     spectral = _spectral_entries(cross_section, gamma, k)
     for big_k in range(2, k):
         level = big_k + 1
         if n == 2:
-            bag.add(Fraction(2 * big_k - 1), big_k, Origin("even_odd", nu=big_k))
-        bag.add(Fraction(2 * big_k), big_k + extra_even_log, Origin("even", nu=big_k))
+            entries.append((Fraction(2 * big_k - 1), big_k, Origin("even_odd", nu=big_k), False))
+        entries.append((Fraction(2 * big_k), big_k + extra_even_log, Origin("even", nu=big_k), False))
         for j, mu, m in spectral:
             if m <= level:
                 near = boundary_distance(n, gamma, mu) <= _BOUNDARY_TOL
-                bag.add(
-                    -mu + 2 * (level - m),
-                    big_k - 1,
-                    Origin("spectral", j=j, m=m, nu=level - m),
-                    near,
-                )
-    return _finish(cross_section, gamma, k, bag, window)
+                entries.append((-mu + 2 * (level - m), big_k - 1, Origin("spectral", j=j, m=m, nu=level - m), near))
+    return _finish(cross_section, gamma, k, entries, window)
 
 
 def template_differences(a: ExpansionTemplate, b: ExpansionTemplate) -> list:
@@ -275,48 +261,27 @@ def template_differences(a: ExpansionTemplate, b: ExpansionTemplate) -> list:
     return diffs
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Pointwise expansion statement rendered from a template."""
-
-    template: ExpansionTemplate
-    s: float
-    p: float
-    remainder_exponent_effective: float
-
-    def text(self) -> str:
-        lines = ["u(t, x) ~ sum of:"]
-        for t in self.template.terms:
-            e = float(t.exponent)
-            if t.max_log_power > 0:
-                lines.append(f"  x^{e:g} * P_{t.max_log_power}(log x)")
-            else:
-                lines.append(f"  x^{e:g}")
-        lines.append(f"  + O(x^{self.remainder_exponent_effective:g})")
-        lines.append(
-            f"(coefficients depend on t; P_l is a polynomial of degree <= l; "
-            f"valid for s={self.s:g}, p={self.p:g})"
-        )
-        return "\n".join(lines)
-
-
-def render_uexp(template: ExpansionTemplate, s: float = 0.0, p: float = 2.0) -> ExpansionReport:
-    """Render the pointwise expansion; needs s + 2k > (n+1)/p.
+def render_uexp(template: ExpansionTemplate, s: float = 0.0, p: float = 2.0) -> str:
+    """The pointwise expansion as text; needs s + 2k > (n+1)/p.
 
     s must be finite and 1 < p < inf, the range of the L^p Mellin-Sobolev
     spaces H_p^{s,gamma}.  The stated remainder exponent sits 1e-3 below
     the template's.
     """
-    if not (math.isfinite(float(s)) and 1 < float(p) < math.inf):
-        raise ScenarioError(f"need finite s and 1 < p < inf, got s={float(s):g}, p={float(p):g}")
-    if not float(s) + 2 * template.k > (template.n + 1) / float(p):
+    s, p = float(s), float(p)
+    if not (math.isfinite(s) and 1 < p < math.inf):
+        raise ScenarioError(f"need finite s and 1 < p < inf, got s={s:g}, p={p:g}")
+    if not s + 2 * template.k > (template.n + 1) / p:
         raise ContinuityHypothesisFailed(
-            f"s + 2k = {float(s) + 2 * template.k} must exceed (n+1)/p = "
-            f"{(template.n + 1) / float(p)}"
+            f"s + 2k = {s + 2 * template.k} must exceed (n+1)/p = {(template.n + 1) / p}"
         )
-    return ExpansionReport(
-        template=template,
-        s=float(s),
-        p=float(p),
-        remainder_exponent_effective=float(template.remainder_exponent) - _REMAINDER_EPS,
-    )
+    lines = ["u(t, x) ~ sum of:"]
+    for t in template.terms:
+        e = float(t.exponent)
+        if t.max_log_power > 0:
+            lines.append(f"  x^{e:g} * P_{t.max_log_power}(log x)")
+        else:
+            lines.append(f"  x^{e:g}")
+    lines.append(f"  + O(x^{float(template.remainder_exponent) - _REMAINDER_EPS:g})")
+    lines.append(f"(coefficients depend on t; P_l is a polynomial of degree <= l; valid for s={s:g}, p={p:g})")
+    return "\n".join(lines)

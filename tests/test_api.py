@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -109,3 +110,50 @@ def test_no_public_name_only_tests_reach():
     paths = [p for p in package.glob("*.py") if p.name != "__init__.py"] + list(_PERFBENCH.glob("*.py"))
     used = set().union(*(_referenced_names(p) for p in paths))
     assert sorted(set(coneasym.__all__) - used) == []
+
+
+def _passed_arguments(paths):
+    """For each called name, the keywords passed to it and the largest
+    number of positional arguments of one call (a starred one counts as
+    any number)."""
+    keywords, positions = {}, {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            count = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            positions[name] = max(positions.get(name, 0), count)
+    return keywords, positions
+
+
+def test_no_option_only_tests_set():
+    """Every parameter with a default, of every callable in coneasym.__all__,
+    is passed by some call in the package (outside __init__.py) or in the
+    benchmark: an option that only tests set has one value in use."""
+    package = Path(coneasym.__file__).resolve().parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"] + list(_PERFBENCH.glob("*.py"))
+    keywords, positions = _passed_arguments(paths)
+    unset = []
+    for name in coneasym.__all__:
+        value = getattr(coneasym, name)
+        if not callable(value) or isinstance(value, type) and issubclass(value, BaseException):
+            continue
+        params = list(inspect.signature(value).parameters.values())
+        for index, param in enumerate(params):
+            if param.default is inspect.Parameter.empty or param.kind is param.VAR_KEYWORD:
+                continue
+            by_position = param.kind is not param.KEYWORD_ONLY and positions.get(name, 0) > index
+            if not by_position and param.name not in keywords.get(name, ()):
+                unset.append(f"{name}.{param.name}")
+    assert unset == []
+
+
+def test_solver_input_checks_have_one_home():
+    """The x_eval and rel_tol checks are each worded once in the package."""
+    package = Path(coneasym.__file__).resolve().parent
+    for sentence in ("x_eval must be a nonempty 1-d array", "rel_tol must be finite and positive"):
+        count = sum(path.read_text().count(sentence) for path in package.glob("*.py"))
+        assert count == 1, sentence

@@ -317,3 +317,66 @@ def test_check_resolvent(tmp_path):
     report = json.loads(Path(out).read_text())
     assert report["uniform_within_factor_2"] is True
     assert len(report["rays"]) == 3
+
+
+@pytest.mark.parametrize("field", [
+    {"t": 1.0}, {"modes": 1}, {"profile": {"support": 1}}, {"x_grid": {"points": 5}},
+    {"cross_section": {"name": "circle", "radius": [1]}},
+])
+def test_solve_rejects_fields_of_the_wrong_json_type(tmp_path, capsys, field):
+    """A scenario field of the wrong JSON type is a malformed scenario: exit
+    11 with a one-line error, no traceback and no output file."""
+    out = tmp_path / "sol.csv"
+    scenario = _write_scenario(tmp_path, dict(SCENARIO, **field))
+    assert main(["solve", "--scenario", scenario, "--out", str(out)]) == EXIT_CODES["scenario"]
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", [
+    {"n": 1.5, "eigenvalues": [0, -4], "multiplicities": [1, 2]},
+    {"n": True, "eigenvalues": [0, -4], "multiplicities": [1, 2]},
+    {"n": 1, "eigenvalues": [0, -4], "multiplicities": [1, 2.7]},
+    {"name": "sphere", "n": 1.5},
+])
+def test_cross_section_integers_are_judged_by_the_spectrum_rules(tmp_path, capsys, spec):
+    """n and the multiplicities reach spectra unconverted: a non-integer or
+    boolean n and a fractional multiplicity are spectrum errors (exit 10),
+    not truncated to an integer."""
+    custom = tmp_path / "custom.json"
+    custom.write_text(json.dumps(spec))
+    assert main(["template", "--custom", str(custom), "--gamma", "0", "--k", "3"]) == EXIT_CODES["spectrum"]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, field", [
+    ("template", {"cross_section": {"name": "circle", "radius": "1/2", "j_max": 3.9}}),
+    ("solve", {"cross_section": {"name": "circle", "radius": "1/2", "j_max": 3.9}}),
+    ("solve", {"modes": [1.5]}),
+    ("solve", {"modes": "01"}),
+    ("solve", {"modes": [True]}),
+])
+def test_non_integer_indices_are_scenario_errors(tmp_path, capsys, command, field):
+    """j_max and mode indices must be JSON integers: 3.9, 1.5, "01" and true
+    exit 11 instead of becoming 3, 1, (0, 1) and 1."""
+    data = dict(SCENARIO, **field)
+    if command == "template":
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(data["cross_section"]))
+        argv = ["template", "--custom", str(path), "--gamma", "0", "--k", "3"]
+    else:
+        argv = ["solve", "--scenario", _write_scenario(tmp_path, data), "--out", str(tmp_path / "sol.csv")]
+    assert main(argv) == EXIT_CODES["scenario"]
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "sol.csv").exists()
+
+
+@pytest.mark.parametrize("field", [{"rel_tol": 0}, {"x_grid": {"points": []}}, {"x_grid": {"points": [-1, 0.1]}}])
+def test_solve_rejects_bad_tolerance_and_grid_before_writing(tmp_path, capsys, field):
+    """heat_mode's own checks of rel_tol and the grid stop solve with exit 11
+    before it writes anything."""
+    out = tmp_path / "sol.csv"
+    scenario = _write_scenario(tmp_path, dict(SCENARIO, **field))
+    assert main(["solve", "--scenario", scenario, "--out", str(out)]) == EXIT_CODES["scenario"]
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")

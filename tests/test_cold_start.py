@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import coneasym
-from coneasym.conesolve import csv_to_rows, rows_to_csv
+from coneasym.conesolve import csv_to_series
 from coneasym.recovery import FitReport, reports_from_jsonl, reports_to_jsonl
 
 SRC = str(Path(coneasym.__file__).resolve().parent.parent)
@@ -95,8 +95,8 @@ def test_fit_runs_without_scipy(tmp_path):
     """``fit`` on a small solution CSV loads no scipy module at all."""
     x = np.geomspace(1e-4, 1e-1, 25)
     csv = tmp_path / "rows.csv"
-    csv.write_text(rows_to_csv([(j, float(j), 1.0, float(xi), float((1.0 + 0.1 * xi * xi) * xi ** (2 * j)))
-                                for j in (0, 1) for xi in x]))
+    csv.write_text("mode_j,nu,t,x,value\n" + "".join(
+        f"{j},{j},1.0,{float(xi)!r},{float((1.0 + 0.1 * xi * xi) * xi ** (2 * j))!r}\n" for j in (0, 1) for xi in x))
     out = tmp_path / "fits.jsonl"
     code = (
         "import json, sys\n"
@@ -122,7 +122,7 @@ def test_solve_runs_without_scipy(tmp_path):
         f"print(json.dumps({{'code': code, 'scipy': {_SCIPY}}}))"
     )
     assert _fresh(code) == {"code": 0, "scipy": []}
-    assert len(csv_to_rows(out.read_text())) == 588
+    assert sum(x.size for _, _, x, _ in csv_to_series(out.read_text())) == 588
 
 
 # The names perfbench/tracing.py wraps on the CLI's call path.

@@ -14,15 +14,14 @@ from scipy import special
 from coneasym.conesolve import (
     ModeProblem,
     RadialProfile,
-    csv_to_rows,
+    csv_to_series,
     default_grid,
     heat_mode,
     heat_small_x_series,
     resolvent_mode,
     resolvent_residual,
-    rows_to_csv,
     sectorial_sweep,
-    solution_rows,
+    solutions_to_csv,
 )
 from coneasym.errors import BadMultiplicity, DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from coneasym import _kernels, conesolve
@@ -177,10 +176,12 @@ def test_heat_mode_rejects_order_above_bessel_range(bump12):
         heat_mode(problem, np.array([0.5, 1.5]))
 
 
-def test_heat_mode_tolerance_failure(bump12):
+def test_heat_mode_tolerance_failure(bump12, monkeypatch):
+    """With one bisection allowed, rel_tol 1e-15 is out of reach."""
+    monkeypatch.setattr(conesolve, "_MAX_DEPTH", 1)
     problem = ModeProblem(n=1, lam=0.0, t=1.0, profile=bump12)
-    with pytest.raises(QuadratureFailure):
-        heat_mode(problem, np.array([0.5]), rel_tol=1e-15, max_depth=1)
+    with pytest.raises(QuadratureFailure, match="within depth 1"):
+        heat_mode(problem, np.array([0.5]), rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("n", [0, -1, 1.5])
@@ -440,9 +441,9 @@ def test_default_grid():
 def test_csv_round_trip(bump12):
     problem = ModeProblem(n=1, lam=-4.0, t=1.0, profile=bump12)
     sol = heat_mode(problem, np.geomspace(1e-3, 1e-1, 7))
-    rows = solution_rows([(1, sol)])
-    back = csv_to_rows(rows_to_csv(rows))
-    assert back == rows  # %.17g round-trips doubles exactly
+    [(mode_j, t, x, v)] = csv_to_series(solutions_to_csv([(1, sol)]))
+    assert (mode_j, t) == (1, 1.0)
+    assert np.array_equal(x, sol.x) and np.array_equal(v, sol.values)  # %.17g round-trips doubles exactly
 
 
 def test_resolvent_residual_small(bump12):
@@ -637,19 +638,22 @@ def test_spectrum_ray_rejected(bump12):
 
 
 def test_sectorial_sweep_structure():
-    report = sectorial_sweep(
-        1, -1.0, RadialProfile("bump", 4.0, 12.0),
-        moduli=(1.0, 10.0), ray_args=(0.0,),
-        x_eval=np.geomspace(1e-2, 24.0, 40),
-    )
+    report = sectorial_sweep(1, -1.0, RadialProfile("bump", 4.0, 12.0))
     assert set(report) == {"n", "lam_mode", "rays", "uniform_within_factor_2"}
-    ray = report["rays"][0]
-    assert len(ray["lam_times_sup"]) == 2
-    assert ray["ratio"] >= 1.0
+    assert [ray["arg"] for ray in report["rays"]] == [0.0, 0.75 * math.pi, -0.75 * math.pi]
+    for ray in report["rays"]:
+        assert ray["moduli"] == [1.0, 10.0, 100.0]
+        assert len(ray["lam_times_sup"]) == 3
+        assert ray["ratio"] == max(ray["lam_times_sup"]) / min(ray["lam_times_sup"]) >= 1.0
 
 
 def test_sectorial_sweep_to_large_moduli():
-    """Sectoriality is a claim about |lam| -> inf: on the default grid of
-    support [4, 12], |lam| up to 1e5 puts sqrt(|lam|) x at 7,600."""
-    report = sectorial_sweep(2, -3.0, RadialProfile("bump", 4.0, 12.0), moduli=(1.0, 1e3, 1e5))
-    assert report["uniform_within_factor_2"] is True, [ray["ratio"] for ray in report["rays"]]
+    """Sectoriality is a claim about |lam| -> inf: on the sweep's grid of
+    support [4, 12], |lam| up to 1e5 puts sqrt(|lam|) x at 7,600, and
+    |lam| sup |u| stays within a factor 2 on each of the sweep's rays."""
+    profile = RadialProfile("bump", 4.0, 12.0)
+    x = np.geomspace(1e-3, 24.0, 160)
+    for theta in (0.0, 0.75 * math.pi, -0.75 * math.pi):
+        sups = [r * np.max(np.abs(resolvent_mode(2, -3.0, r * cmath.exp(1j * theta), profile, x).values))
+                for r in (1.0, 1e3, 1e5)]
+        assert max(sups) / min(sups) < 2.0, (theta, sups)

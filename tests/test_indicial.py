@@ -161,12 +161,12 @@ def test_root_multiplicity_exact():
 def test_pole_set_circle_k1():
     cs = circle_spectrum(radius=Fraction(1, 2), j_max=2)
     poles = pole_set(cs, 1)
-    by_location = {p.location: p for p in poles.poles}
+    by_location = {p.location: p for p in poles}
     assert by_location[Fraction(0)].order == 2
     assert by_location[Fraction(2)].order == 1
     assert by_location[Fraction(-2)].order == 1
     # descending locations
-    locations = [float(p.location) for p in poles.poles]
+    locations = [float(p.location) for p in poles]
     assert locations == sorted(locations, reverse=True)
 
 
@@ -175,7 +175,7 @@ def test_pole_set_k2_orders():
     root dominates the simple mode-1 root."""
     cs = circle_spectrum(radius=Fraction(1, 2), j_max=1)
     poles = pole_set(cs, 2)
-    by_location = {p.location: p for p in poles.poles}
+    by_location = {p.location: p for p in poles}
     assert by_location[Fraction(0)].order == 2
     pole = by_location[Fraction(-2)]
     assert pole.order == 2
@@ -190,7 +190,7 @@ def test_pole_merge_flags_near_collision():
     lam_b = mu_b * (1.0 - mu_b)
     cs = custom_spectrum(2, [(0, 1), (lam_a, 1), (lam_b, 1)])
     poles = pole_set(cs, 1)
-    near = [p for p in poles.poles if abs(float(p.location) + 2.0) < 1e-6]
+    near = [p for p in poles if abs(float(p.location) + 2.0) < 1e-6]
     assert len(near) == 1
     assert near[0].approximate
     assert len(near[0].provenance) == 2
@@ -198,4 +198,4 @@ def test_pole_merge_flags_near_collision():
 
 def test_pole_set_exact_no_flags(circle_half):
     poles = pole_set(circle_half, 2)
-    assert not any(p.approximate for p in poles.poles)
+    assert not any(p.approximate for p in poles)

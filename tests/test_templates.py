@@ -154,7 +154,7 @@ def test_golden_json(name, builder):
 
 def test_render_uexp(sphere2):
     template = template_closed_form(sphere2, Fraction(0), 3)
-    lines = render_uexp(template, s=0.0, p=2.0).text().splitlines()
+    lines = render_uexp(template, s=0.0, p=2.0).splitlines()
     assert lines[1:len(template.terms) + 1] == [
         "  x^0", "  x^1 * P_1(log x)", "  x^2 * P_1(log x)", "  x^3 * P_2(log x)", "  x^4 * P_2(log x)",
     ]
