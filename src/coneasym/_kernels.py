@@ -5,8 +5,12 @@ package goes through, and the model-cone heat solver on top of it.  The
 engine is a 16-point rule on many panels at once, in blocks of at most
 _BLOCK panels per integrand call, and an adaptive bisection whose
 breadth-first frontier refines every live panel of every task in one such
-call per level.  ``heat_moments`` applies the same rule to all of its
-moments at once, on one memoized node set of fixed panels.
+call per level, the start level (each task's panel and its two halves)
+included.  ``heat_moments`` applies the same rule to all of its moments at
+once, on one memoized node set of fixed panels.  The nodes of the heat
+quadrature and of the moments all lie strictly inside the source's
+support, so both read the source by ``RadialProfile.interior``, without
+the mask of its ``__call__``.
 
 ``heat_rows`` evaluates each point by ``heat_series``, the kernel's
 ascending series summed against fixed-panel moments of the source, where
@@ -79,7 +83,9 @@ def adaptive(fn, a, b, rel_tol, max_depth):
     QUADPACK's QAG, Piessens et al. 1983, and Gander & Gautschi, "Adaptive
     quadrature - revisited", BIT 40, 2000).
 
-    Each task starts from one panel on [a[i], b[i]].  At each level its
+    Each task starts from one panel on [a[i], b[i]], which one gl_panels
+    call evaluates together with its two halves, so the start level of up
+    to _BLOCK / 3 tasks costs one integrand call.  At each level a task's
     running estimate is the sum of its accepted pairs and of the pairs of
     its live panels; a panel is accepted when its estimate and the sum over
     its two halves differ by at most rel_tol times |running estimate| times
@@ -96,26 +102,28 @@ def adaptive(fn, a, b, rel_tol, max_depth):
     Returns arrays (value, error_estimate, panel_count).
     """
     a, b = np.broadcast_arrays(a, b)
-    rows, lo, hi = np.arange(a.size), a, b
-    coarse = gl_panels(fn, rows, lo, hi)
-    value, err, panels = np.zeros(a.size, coarse.dtype), np.zeros(a.size), np.zeros(a.size, np.int64)
+    rows, lo, hi, width = np.arange(a.size), a, b, b - a
+    mid = 0.5 * (lo + hi)
+    start = gl_panels(fn, np.concatenate([rows] * 3), np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    coarse, halves = start[:a.size], start[a.size:]
+    value, err, panels = np.zeros(a.size, start.dtype), np.zeros(a.size), np.zeros(a.size, np.int64)
     depth = 0
     while rows.size:
-        mid = 0.5 * (lo + hi)
-        halves = gl_panels(fn, np.tile(rows, 2), np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         left, right = halves[:rows.size], halves[rows.size:]
         pair = left + right
         e = np.abs(coarse - pair)
         running = value.copy()
         np.add.at(running, rows, pair)
-        budget = rel_tol * np.abs(running[rows]) * (hi - lo) / (b - a)[rows]
+        budget = rel_tol * np.abs(running[rows]) * (hi - lo) / width[rows]
         done = (e <= budget) | (depth >= max_depth) | ~np.isfinite(budget)
         np.add.at(value, rows[done], pair[done])
         np.add.at(err, rows[done], e[done])
         np.add.at(panels, rows[done], 2)
         live = ~done
-        rows, coarse = np.tile(rows[live], 2), np.concatenate([left[live], right[live]])
+        rows, coarse = np.concatenate([rows[live]] * 2), np.concatenate([left[live], right[live]])
         lo, hi = np.concatenate([lo[live], mid[live]]), np.concatenate([mid[live], hi[live]])
+        mid = 0.5 * (lo + hi)
+        halves = gl_panels(fn, np.concatenate([rows, rows]), np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         depth += 1
     return value, err, panels
 
@@ -139,7 +147,8 @@ def heat_moments(nu, n, t, profile, count):
     shift = p * np.log(peak) - peak * peak / (4.0 * t)
     u, w, split = _moment_rule(_moment_panels(t, profile))
     xi = lo + (hi - lo) * u
-    terms = np.exp(p[:, None] * np.log(xi) - (xi**2 / (4.0 * t) + shift[:, None])) * ((hi - lo) * w * profile(xi))
+    f = (hi - lo) * w * profile.interior(xi)  # every node lies strictly inside the support
+    terms = np.exp(p[:, None] * np.log(xi) - (xi**2 / (4.0 * t) + shift[:, None])) * f
     fine, coarse = terms[:, :split].sum(axis=1), terms[:, split:].sum(axis=1)
     quad = np.divide(np.abs(fine - coarse), fine, out=np.zeros(count), where=fine > 0.0)
     rounding = _EPS * (p * max(abs(math.log(lo)), abs(math.log(hi))) + hi * hi / (4.0 * t) + 8.0)
@@ -264,7 +273,7 @@ def heat_quadrature(nu, n, t, xs, profile, rel_tol, max_depth):
             * np.exp(-((x - xi) ** 2) / (4.0 * t))
             * ive(nu, w)
         )
-        return profile(xi) * kern * xi**n
+        return profile.interior(xi) * kern * xi**n
 
     lo, hi = np.full(xs.size, float(profile.lo)), np.full(xs.size, float(profile.hi))
     value, err, panels = adaptive(integrand, lo, hi, 0.5 * rel_tol, max_depth)

@@ -7,8 +7,8 @@ back into their own products.  Orders nu in [0, 60] and arguments
 a DomainError is raised rather than returning a value of unknown quality.
 Both delegate to scipy.special's ive/kve, which meet a relative-error
 target of 1e-10 on this box.  z is a complex scalar (a real one is taken
-as complex) or a complex ndarray: one box check and one scipy call for
-the whole array.  scipy.special is imported on the first call, not with
+as complex) or a complex ndarray: one box check (one modulus pass and its
+min and max) and one scipy call for the whole array.  scipy.special is imported on the first call, not with
 this module.
 """
 
@@ -29,14 +29,16 @@ def check_order(nu: float) -> float:
 
 
 def _check_complex_arg(z):
-    """Complex z, or a complex ndarray checked as a whole."""
+    """Complex z, or a complex ndarray checked as a whole: one modulus pass
+    and its min and max decide the box, and only an array with a negative
+    real part is searched for points on the negative real axis."""
     arr = np.asarray(z, dtype=complex)
-    r = np.abs(arr)
-    outside = ~((0.0 < r) & (r <= _Z_MAX))
-    if outside.any():
-        raise DomainError(f"|argument| {r[outside][0]} outside (0, {_Z_MAX}]")
-    if np.any((arr.imag == 0.0) & (arr.real < 0.0)):
-        raise DomainError("argument on the negative real axis")
+    if arr.size:
+        r = np.abs(arr)
+        if not (r.min() > 0.0 and r.max() <= _Z_MAX):  # a nan modulus fails too
+            raise DomainError(f"|argument| {r[~((0.0 < r) & (r <= _Z_MAX))][0]} outside (0, {_Z_MAX}]")
+        if arr.real.min() < 0.0 and np.any((arr.imag == 0.0) & (arr.real < 0.0)):
+            raise DomainError("argument on the negative real axis")
     return arr if isinstance(z, np.ndarray) else complex(z)
 
 

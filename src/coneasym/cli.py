@@ -78,10 +78,20 @@ _EXIT_DOC = "exit codes:\n" + "".join(f"  {code:<4}{text}\n" for code, _, text, 
 _ERROR_EXITS = {cls: code for code, _, _, classes in _EXITS for cls in classes}
 
 
-def _parse_number(text):
-    """Number from CLI/JSON: '1/2' stays an exact fraction."""
+def _number(value, what):
+    """value as a float, unless it is a JSON boolean (ScenarioError): Python
+    takes true for the number 1, so float() alone would read it as one."""
+    if isinstance(value, bool):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _parse_number(text, what):
+    """Number from CLI/JSON: '1/2' stays an exact fraction, and a JSON
+    number stays as it is (an integer exact) once _number accepts it."""
     if isinstance(text, str):
         return Fraction(text) if "/" in text else float(text)
+    _number(text, what)
     return text
 
 
@@ -99,7 +109,7 @@ def build_cross_section(spec: dict):
     name = spec.get("name", "custom")
     j_max = _integer(spec.get("j_max", 8), "j_max")
     if name == "custom" or "eigenvalues" in spec:
-        pairs = list(zip([_parse_number(v) for v in spec["eigenvalues"]], spec["multiplicities"]))
+        pairs = list(zip([_parse_number(v, "eigenvalue") for v in spec["eigenvalues"]], spec["multiplicities"]))
         return custom_spectrum(spec["n"], pairs, name=name)
     if name.startswith("s") and name[1:].isdigit():
         return sphere_spectrum(int(name[1:]), j_max)
@@ -109,9 +119,9 @@ def build_cross_section(spec: dict):
         radius = spec.get("radius")
         radius_squared = spec.get("radius_squared")
         return circle_spectrum(
-            radius=_parse_number(radius) if radius is not None else None,
+            radius=_parse_number(radius, "radius") if radius is not None else None,
             j_max=j_max,
-            radius_squared=_parse_number(radius_squared) if radius_squared is not None else None,
+            radius_squared=_parse_number(radius_squared, "radius_squared") if radius_squared is not None else None,
         )
     raise ScenarioError(f"unknown cross-section spec {spec!r}")
 
@@ -119,7 +129,7 @@ def build_cross_section(spec: dict):
 def resolve_gamma(gamma, cross_section):
     if gamma == "midpoint":
         return window_midpoint(require_window(cross_section))
-    return _parse_number(gamma)
+    return _parse_number(gamma, "gamma")
 
 
 @dataclass(frozen=True)
@@ -146,31 +156,36 @@ class Scenario:
         modes = tuple(_integer(j, "mode index") for j in data.get("modes", [0]))
         if not modes:
             raise ScenarioError("modes must list at least one mode index")
+        if len(set(modes)) < len(modes):
+            raise ScenarioError(f"modes {list(modes)} repeat a mode index")
         for j in modes:
             if not 0 <= j < len(cs.eigenvalues):
                 raise ScenarioError(f"mode index {j} outside the provided spectrum")
         prof = data.get("profile", {"shape": "bump", "support": [1.0, 2.0]})
         support = prof.get("support", [1.0, 2.0])
+        lo, hi = _number(support[0], "profile support"), _number(support[1], "profile support")
         profile = RadialProfile(
             shape=prof.get("shape", "bump"),
-            lo=float(support[0]),
-            hi=float(support[1]),
-            center=float(prof.get("center", 0.5 * (support[0] + support[1]))),
-            width=float(prof.get("width", 0.25 * (support[1] - support[0]))),
+            lo=lo,
+            hi=hi,
+            center=_number(prof.get("center", 0.5 * (lo + hi)), "profile center"),
+            width=_number(prof.get("width", 0.25 * (hi - lo)), "profile width"),
         )
-        ts = tuple(float(t) for t in data.get("t", [1.0]))
+        ts = tuple(_number(t, "t value") for t in data.get("t", [1.0]))
         if not ts or any(t <= 0 for t in ts):
             raise ScenarioError("t values must be positive")
+        if len(set(ts)) < len(ts):
+            raise ScenarioError(f"t values {list(ts)} repeat a time")
         grid_spec = data.get("x_grid", {"decades": [-4, -1], "points_per_decade": 16})
         if "points" in grid_spec:
-            grid = np.asarray([float(v) for v in grid_spec["points"]])
+            grid = np.asarray([_number(v, "x grid point") for v in grid_spec["points"]])
         else:
-            dec = [float(d) for d in grid_spec.get("decades", [-4, -1])]
+            dec = [_number(d, "x grid decade") for d in grid_spec.get("decades", [-4, -1])]
             if len(dec) != 2 or not all(math.isfinite(d) for d in dec):
                 raise ScenarioError("x grid decades must be two finite numbers")
             if not dec[0] < dec[1]:
                 raise ScenarioError(f"x grid decades {dec} must increase")
-            per_decade = float(grid_spec.get("points_per_decade", 16))
+            per_decade = _number(grid_spec.get("points_per_decade", 16), "points_per_decade")
             if not (per_decade.is_integer() and per_decade >= 1):
                 raise ScenarioError(f"points_per_decade must be an integer of at least 1, got {per_decade}")
             grid = default_grid(dec, int(per_decade))
@@ -181,7 +196,7 @@ class Scenario:
             profile=profile,
             t_values=ts,
             x_grid=grid,
-            rel_tol=float(data.get("rel_tol", 1e-9)),
+            rel_tol=_number(data.get("rel_tol", 1e-9), "rel_tol"),
         )
 
 

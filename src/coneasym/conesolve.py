@@ -19,7 +19,9 @@ with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
   running sums carry the cell integrals to each cell edge, and each point
   adds its remainders to its cell's edges.  The cell and remainder
   integrals of one call refine together on the shared adaptive frontier,
-  with one array Bessel call per branch and level,
+  with one array Bessel call per branch and level (none for a branch with
+  no nodes), the source read without a mask on the nodes inside its
+  support,
 * the resolvent's finite-difference residual |(lam_res - L) u - f| on a
   uniform grid.
 """
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import adaptive, heat_moments, heat_rows
+from ._kernels import _EPS, adaptive, heat_moments, heat_rows
 from .besselkit import bessel_i, bessel_k, check_order
 from .errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
@@ -78,15 +80,26 @@ class RadialProfile:
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
         inside = (xi > self.lo) & (xi < self.hi)
-        if self.shape == "bump":
-            x, h = xi[inside], 0.5 * (self.hi - self.lo)
-            out[inside] = np.exp(1.0 - (h / (x - self.lo)) * (h / (self.hi - x)))
-        elif self.shape == "gaussian":
-            r = (xi[inside] - self.center) / self.width
-            out[inside] = np.exp(-(r * r))
-        else:
-            out[inside] = 1.0
+        out[inside] = self.interior(xi[inside])
         return out
+
+    def interior(self, xi):
+        """The profile at points xi inside (lo, hi), with no mask; __call__
+        is this on its inside points.  Callers pass the Gauss-Legendre
+        nodes of panels within the support, which lie at least 0.0105 of a
+        panel's half-width inside either end.  Only a panel a few ulps wide
+        can round a node onto or just past an edge, so the bump holds its
+        distances to the edges at eps W/2 or more: such a node reads 0, as
+        every point that close inside does, not a division by zero or an
+        overflow."""
+        if self.shape == "bump":
+            h = 0.5 * (self.hi - self.lo)
+            near = _EPS * h
+            return np.exp(1.0 - (h / np.maximum(xi - self.lo, near)) * (h / np.maximum(self.hi - xi, near)))
+        if self.shape == "gaussian":
+            r = (xi - self.center) / self.width
+            return np.exp(-(r * r))
+        return np.ones_like(xi)
 
 
 @dataclass(frozen=True)
@@ -261,6 +274,11 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     remainders take the factor from their cell's edge to x, and each point
     takes the matching factor back.  Every factor has modulus at most 1,
     so nothing overflows or underflows early anywhere in the Bessel box.
+
+    Each integrand call makes one bessel_i call for the nodes of its phi
+    tasks and one bessel_k call for those of its psi tasks, and none for a
+    branch with no nodes; it reads f by RadialProfile.interior, since every
+    node lies inside the support, and x^((1-n)/2) xi^n as one power.
     """
     require_dimension(n)
     lam = complex(lam)
@@ -294,10 +312,14 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     def integrand(rows, xi):
         out = np.empty(xi.shape, complex)
         on_phi = rows < n_phi
-        x_phi, x_psi = xi[on_phi], xi[~on_phi]
-        out[on_phi] = phi(x_phi) * np.exp(sq.real * (x_phi - b[rows[on_phi], None]))
-        out[~on_phi] = psi(x_psi) * np.exp(sq.real * a[rows[~on_phi], None] - sq * x_psi)
-        return out * profile(xi) * xi**n
+        on_psi = ~on_phi
+        if on_phi.any():
+            x = xi[on_phi]
+            out[on_phi] = bessel_i(nu, sq * x) * np.exp(sq.real * (x - b[rows[on_phi], None]))
+        if on_psi.any():
+            x = xi[on_psi]
+            out[on_psi] = bessel_k(nu, sq * x) * np.exp(sq.real * a[rows[on_psi], None] - sq * x)
+        return out * (profile.interior(xi) * xi ** (0.5 * (1 + n)))  # x^((1-n)/2) of phi, psi times xi^n
 
     acc = adaptive(integrand, a, b, 1e-11, 18)[0]
     cell_phi, rest_phi = acc[:_CELLS], acc[_CELLS:n_phi]
@@ -316,8 +338,10 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     past[on_right] += rest_psi
 
     phi_x, psi_x = np.zeros(x_eval.size, complex), np.zeros(x_eval.size, complex)
-    phi_x[~above] = phi(x_eval[~above])
-    psi_x[~below] = psi(x_eval[~below])
+    if not above.all():
+        phi_x[~above] = phi(x_eval[~above])
+    if not below.all():
+        psi_x[~below] = psi(x_eval[~below])
     values = np.empty(x_eval.size, complex)
     values[below] = phi_x[below] * np.exp(sq.real * (x_eval[below] - lo)) * suffix[0]
     values[above] = psi_x[above] * np.exp(sq.real * hi - sq * x_eval[above]) * prefix[-1]
@@ -394,7 +418,9 @@ def solutions_to_csv(solutions) -> str:
 
 def csv_to_series(text: str) -> list:
     """The (mode_j, t, x, v) series of a solution CSV, sorted by (mode_j, t),
-    each with x ascending as float arrays; '#' and header lines are skipped."""
+    each with x ascending as float arrays; '#' and header lines are skipped.
+    A repeated (mode_j, t, x) row is a ScenarioError: a fit would count its
+    point twice."""
     groups: dict = {}
     for line in text.splitlines():
         line = line.strip()
@@ -406,5 +432,8 @@ def csv_to_series(text: str) -> list:
     series = []
     for (mode_j, t), pts in sorted(groups.items()):
         pts.sort()
+        repeated = [a[0] for a, b in zip(pts, pts[1:]) if a[0] == b[0]]
+        if repeated:
+            raise ScenarioError(f"solution CSV repeats the row of mode {mode_j}, t = {t!r} at x = {repeated[0]!r}")
         series.append((mode_j, t, np.array([p[0] for p in pts]), np.array([p[1] for p in pts])))
     return series

@@ -380,3 +380,58 @@ def test_solve_rejects_bad_tolerance_and_grid_before_writing(tmp_path, capsys, f
     assert main(["solve", "--scenario", scenario, "--out", str(out)]) == EXIT_CODES["scenario"]
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field", [
+    {"t": [True]},
+    {"x_grid": {"points": [True]}},
+    {"x_grid": {"decades": [-4, True]}},
+    {"x_grid": {"decades": [-4, -1], "points_per_decade": True}},
+    {"rel_tol": True},
+    {"profile": {"shape": "bump", "support": [True, 2.0]}},
+    {"profile": {"shape": "gaussian", "support": [1.0, 2.0], "center": True}},
+    {"profile": {"shape": "gaussian", "support": [1.0, 2.0], "width": True}},
+    {"cross_section": {"name": "circle", "radius": True, "j_max": 3}},
+    {"cross_section": {"name": "circle", "radius_squared": True, "j_max": 3}},
+    {"gamma": False},
+], ids=["t", "points", "decades", "points_per_decade", "rel_tol", "support", "center", "width",
+        "radius", "radius_squared", "gamma"])
+def test_solve_rejects_json_booleans_as_numbers(tmp_path, capsys, field):
+    """A JSON boolean where a number belongs is a malformed scenario (exit
+    11) that names the field, not the number 1 or 0: "t": [true] and
+    "rel_tol": true solved at 1, and "radius": true read as radius 1."""
+    out = tmp_path / "sol.csv"
+    scenario = _write_scenario(tmp_path, dict(SCENARIO, **field))
+    assert main(["solve", "--scenario", scenario, "--out", str(out)]) == EXIT_CODES["scenario"]
+    assert not out.exists()
+    assert "must be a number, got" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"modes": [1, 0, 1]}, "repeat a mode index"),
+    ({"t": [1.0, 2.0, 1]}, "repeat a time"),
+])
+def test_solve_rejects_repeated_tasks(tmp_path, capsys, field, message):
+    """A repeated mode index or t value would solve one (mode, t) task twice
+    and make fit count its points twice: exit 11 before anything is written."""
+    out = tmp_path / "sol.csv"
+    scenario = _write_scenario(tmp_path, dict(SCENARIO, **field))
+    assert main(["solve", "--scenario", scenario, "--out", str(out)]) == EXIT_CODES["scenario"]
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_fit_rejects_repeated_rows(tmp_path, capsys):
+    """A solution CSV that repeats a (mode_j, t, x) row, as two copies of
+    one solve concatenated do, exits 11 instead of fitting each point twice
+    with n_samples doubled."""
+    sol = tmp_path / "sol.csv"
+    assert main(["solve", "--scenario", _write_scenario(tmp_path), "--out", str(sol)]) == 0
+    lines = sol.read_text().splitlines()
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text("\n".join(lines + lines[2:]) + "\n")
+    fits = tmp_path / "fits.jsonl"
+    capsys.readouterr()
+    assert main(["fit", "--csv", str(doubled), "--out", str(fits)]) == EXIT_CODES["scenario"]
+    assert not fits.exists()
+    assert "repeats the row of mode 0" in capsys.readouterr().err

@@ -91,6 +91,33 @@ def test_bump_vanishes_next_to_its_edges_without_warnings(lo, hi):
     assert vals[0] == vals[1] == 0.0 and vals[2] == 1.0
 
 
+@pytest.mark.parametrize("profile", [
+    RadialProfile("bump", 1.0, 2.0),
+    RadialProfile("bump", 4.636363636363637, 10.903846153846153),
+    RadialProfile("gaussian", 1.0, 3.0, 1.7, 0.4),
+    RadialProfile("indicator", 0.5, 4.0),
+], ids=["bump", "bump-benchmark", "gaussian", "indicator"])
+def test_profile_interior_matches_call(profile):
+    """On points inside the support (Gauss-Legendre nodes of panels down to
+    2^-20 of the width, the floats next to each edge and a fine uniform
+    grid) the unmasked interior evaluation equals the masked call bit for
+    bit, on the nodes' (panels, 16) shape as on a flat array; the bump's
+    hold on its edge distances leaves the unheld formula's bits there."""
+    lo, hi = profile.lo, profile.hi
+    edges = lo + (hi - lo) * np.concatenate([[0.0], np.geomspace(2.0**-20, 1.0, 41)])
+    nodes = np.concatenate([_panel_nodes(edges)[0], _panel_nodes(hi - (edges - lo))[0]])
+    xs = np.concatenate([nodes, [np.nextafter(lo, hi), np.nextafter(hi, lo)], np.linspace(lo, hi, 1001)[1:-1]])
+    assert np.all((xs > lo) & (xs < hi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(profile.interior(xs), profile(xs))
+        grid = nodes.reshape(-1, 16)
+        assert np.array_equal(profile.interior(grid), profile(grid))
+    if profile.shape == "bump":
+        h = 0.5 * (hi - lo)
+        assert np.array_equal(profile.interior(xs), np.exp(1.0 - (h / (xs - lo)) * (h / (hi - xs))))
+
+
 def test_mode_problem_rejects_non_finite(bump12):
     for t, lam in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, -math.inf)):
         with pytest.raises(ScenarioError):
@@ -431,6 +458,24 @@ def test_adaptive_bounds_block_size():
         assert (one[0][0], one[1][0], one[2][0]) == (value[i], err[i], panels[i])
 
 
+def test_adaptive_start_level_is_one_integrand_call():
+    """Each task's start panel and its two halves go to the integrand in one
+    call: tasks that converge at the start level (a cubic, which every
+    16-point panel integrates exactly) cost one call, where evaluating the
+    start panel and its halves apart took two."""
+    calls = []
+
+    def fn(rows, xi):
+        calls.append(rows.size)
+        return xi**3
+
+    a, b = np.array([0.0, 1.0, -2.0]), np.array([1.0, 3.0, 2.0])
+    value, err, panels = adaptive(fn, a, b, 1e-12, 20)
+    assert calls == [9]
+    assert value == pytest.approx((b**4 - a**4) / 4, rel=1e-14, abs=1e-14)
+    assert panels.tolist() == [2, 2, 2]
+
+
 def test_default_grid():
     grid = default_grid()
     assert grid.size == 49
@@ -627,6 +672,64 @@ def test_resolvent_bessel_work_is_bounded(monkeypatch):
     resolvent_mode(2, -6.0, 10.0 * cmath.exp(0.75j * math.pi), RadialProfile("bump", 5.0, hi),
                    np.geomspace(1e-3, 2.0 * hi, 160))
     assert sum(nodes) <= 4000, sum(nodes)
+
+
+def _near_lower_edge_grid(lo, hi, gap):
+    """The benchmark's sweep grid with the point nearest lo moved to lo + gap W."""
+    xs = np.geomspace(1e-3, 2.0 * hi, 160)
+    xs[np.flatnonzero(xs > lo)[0]] = lo + gap * (hi - lo)
+    return xs
+
+
+_EDGE_LO, _EDGE_HI = 4.636363636363637, 10.903846153846153
+
+
+@pytest.mark.parametrize("n, lam_mode, lam, lo, hi, xs", [
+    (1, -15 / 7, 1.0, _EDGE_LO, _EDGE_HI, _near_lower_edge_grid(_EDGE_LO, _EDGE_HI, 1.65e-3)),
+    (2, -6.0, 10.0 * cmath.exp(0.75j * math.pi), 5.0, 12.5, np.array([0.5, 1.0, 3.0])),
+    (2, -6.0, 10.0 * cmath.exp(0.75j * math.pi), 5.0, 12.5, np.array([13.0, 20.0])),
+], ids=["near-edge-sweep", "below-support", "above-support"])
+def test_resolvent_makes_no_empty_bessel_call(monkeypatch, n, lam_mode, lam, lo, hi, xs):
+    """No bessel_i or bessel_k call of a resolvent solve gets an empty
+    array: an integrand block whose tasks are all phi (or all psi) tasks,
+    as on the deep levels of a near-edge sliver, skips the other branch,
+    and points that all lie past (or before) the support skip phi (or psi)
+    at the points.  The values are those of the unwrapped calls."""
+    sizes = []
+
+    def counted(fn):
+        def wrapped(nu, z):
+            sizes.append(np.size(z))
+            return fn(nu, z)
+        return wrapped
+
+    profile = RadialProfile("bump", lo, hi)
+    expected = resolvent_mode(n, lam_mode, lam, profile, xs).values
+    monkeypatch.setattr(conesolve, "bessel_i", counted(conesolve.bessel_i))
+    monkeypatch.setattr(conesolve, "bessel_k", counted(conesolve.bessel_k))
+    values = resolvent_mode(n, lam_mode, lam, profile, xs).values
+    assert sizes and min(sizes) > 0, sizes
+    assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("shape", ["bump", "gaussian", "indicator"])
+def test_resolvent_points_ulps_inside_an_edge(shape):
+    """Points 1 to 4 ulps inside either edge of a support whose lower edge
+    is a power of two: the remainder between such a point and the edge is
+    so thin that its nodes round onto the edge or one half-ulp past it,
+    where the unmasked source must still read 0 (bump) or stay finite, with
+    no warning.  Each value is within 1e-8 of the point 1e-9 further
+    inside: u is continuously differentiable across the edge."""
+    profile = RadialProfile(shape, 4.0, 12.0, 8.0, 3.0)
+    k = np.arange(1.0, 5.0)
+    xs = np.concatenate([4.0 + k * np.spacing(4.0), 12.0 - k * np.spacing(12.0)])
+    lam = 10.0 * cmath.exp(0.75j * math.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = resolvent_mode(2, -3.0, lam, profile, xs)
+        near = resolvent_mode(2, -3.0, lam, profile, np.array([4.0 + 1e-9, 12.0 - 1e-9])).values
+    assert np.all(np.isfinite(sol.values))
+    assert np.max(np.abs(sol.values - np.repeat(near, 4)) / np.abs(np.repeat(near, 4))) <= 1e-8
 
 
 def test_spectrum_ray_rejected(bump12):
