@@ -275,8 +275,8 @@ def criterion_4():
         n = cs.n
         for lam in cs.eigenvalues:
             data = indicial_roots(n, lam)
-            s = data.q_minus + data.q_plus
-            p = data.q_minus * data.q_plus
+            s = data.mu + data.q_plus
+            p = data.mu * data.q_plus
             if not same(s, n - 1, TOL * max(1.0, n - 1.0)):
                 problems.append(f"{cs.name} lam={float(lam)}: root sum {s}")
             if not same(p, lam, TOL * max(1.0, abs(float(lam)))):

@@ -90,7 +90,12 @@ def _parse_number(text, what):
     """Number from CLI/JSON: '1/2' stays an exact fraction, and a JSON
     number stays as it is (an integer exact) once _number accepts it."""
     if isinstance(text, str):
-        return Fraction(text) if "/" in text else float(text)
+        if "/" not in text:
+            return float(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ScenarioError(f"{what} {text} has a zero denominator") from None
     _number(text, what)
     return text
 

@@ -237,8 +237,6 @@ _CELLS = 10
 
 @dataclass(frozen=True)
 class ResolventModeSolution:
-    n: int
-    lam_mode: float
     lam: complex
     x: np.ndarray
     values: np.ndarray
@@ -257,15 +255,16 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     [lo, hi] is cut into _CELLS equal cells g_0 = lo < ... < g_C = hi,
     which depend only on the support.  Every integral is its own task on
     one adaptive frontier, each to 1e-11 of its own running estimate:
-    phi f and psi f on every cell, and for each x inside cell j, phi f on
-    [g_j, x] and psi f on [x, g_(j+1)] (none of zero width, so a point on a
-    cell edge takes one remainder).  Running sums carry the cells to each
-    edge, and each point adds its own two remainders to the sums at the
-    edges of its cell.  So a point's value depends only on the support,
-    lam and x, not on the other points, and no point integrates the whole
-    support again (the prefix/suffix form of the Green's-function
-    solution in Greengard & Rokhlin, "On the numerical solution of two-point
-    boundary value problems", CPAM 44, 1991).
+    phi f and psi f on every cell, and for each x strictly inside cell j,
+    phi f on [g_j, x] and psi f on [x, g_(j+1)].  Running sums carry the
+    cells to each edge, and each point adds its own two remainders to the
+    sums at the edges of its cell; a point on an edge, below lo or past hi
+    reads the sums at one edge.  Every point takes the one formula above.
+    So a point's value depends only on the support, lam and x, not on the
+    other points, and no point integrates the whole support again (the
+    prefix/suffix form of the Green's-function solution in Greengard &
+    Rokhlin, "On the numerical solution of two-point boundary value
+    problems", CPAM 44, 1991).
 
     The Bessel pair is besselkit's scaled one, e^(-Re z) I and e^z K, with
     each task's exponential folded into its integrand: phi f on [a, b]
@@ -291,23 +290,17 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     sq = cmath.sqrt(lam)
     lo, hi = profile.lo, profile.hi
 
-    def phi(x):  # e^(-Re(s) x) phi(x)
-        return x ** (0.5 * (1 - n)) * bessel_i(nu, sq * x)
-
-    def psi(x):  # e^(s x) psi(x)
-        return x ** (0.5 * (1 - n)) * bessel_k(nu, sq * x)
-
-    below, above = x_eval <= lo, x_eval >= hi
-    inside = ~(below | above)
     edges = np.linspace(lo, hi, _CELLS + 1)
-    inner = x_eval[inside]
-    cell = np.searchsorted(edges, inner, side="right") - 1
-    left, right = edges[cell], edges[cell + 1]
-    on_left, on_right = inner > left, inner < right  # remainders of nonzero width
-    # tasks: phi f on each cell, then on [g_j, x]; psi f on each cell, then on [x, g_(j+1)]
-    n_phi = _CELLS + int(on_left.sum())
-    a = np.concatenate([edges[:-1], left[on_left], edges[:-1], inner[on_right]])
-    b = np.concatenate([edges[1:], inner[on_left], edges[1:], right[on_right]])
+    clipped = np.clip(x_eval, lo, hi)
+    # the cell edges g_l <= x <= g_r next to each point: l = r on an edge or past the support
+    left = np.searchsorted(edges, clipped, side="right") - 1
+    right = np.searchsorted(edges, clipped, side="left")
+    in_cell = right > left  # strictly inside a cell
+    x_in = x_eval[in_cell]
+    # tasks: phi f on each cell, then on [g_l, x]; psi f on each cell, then on [x, g_r]
+    n_phi = _CELLS + x_in.size
+    a = np.concatenate([edges[:-1], edges[left[in_cell]], edges[:-1], x_in])
+    b = np.concatenate([edges[1:], x_in, edges[1:], edges[right[in_cell]]])
 
     def integrand(rows, xi):
         out = np.empty(xi.shape, complex)
@@ -322,31 +315,28 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
         return out * (profile.interior(xi) * xi ** (0.5 * (1 + n)))  # x^((1-n)/2) of phi, psi times xi^n
 
     acc = adaptive(integrand, a, b, 1e-11, 18)[0]
-    cell_phi, rest_phi = acc[:_CELLS], acc[_CELLS:n_phi]
-    cell_psi, rest_psi = acc[n_phi:n_phi + _CELLS], acc[n_phi + _CELLS:]
     # prefix[j] = e^(-Re s g_j) int_lo^g_j phi f, suffix[j] = e^(Re s g_j) int_g_j^hi psi f
     fold = np.exp(sq.real * (edges[:-1] - edges[1:]))
     prefix, suffix = np.zeros(_CELLS + 1, complex), np.zeros(_CELLS + 1, complex)
     for j in range(_CELLS):
-        prefix[j + 1] = prefix[j] * fold[j] + cell_phi[j]
+        prefix[j + 1] = prefix[j] * fold[j] + acc[j]
     for j in reversed(range(_CELLS)):
-        suffix[j] = cell_psi[j] + suffix[j + 1] * fold[j]
-    # e^(-Re s x) int_lo^x phi f and e^(Re s x) int_x^hi psi f at each inner x
-    upto = prefix[cell] * np.exp(sq.real * (left - inner))
-    upto[on_left] += rest_phi
-    past = suffix[cell + 1] * np.exp(sq.real * (inner - right))
-    past[on_right] += rest_psi
+        suffix[j] = acc[n_phi + j] + suffix[j + 1] * fold[j]
+    # e^(-Re s x) int_0^x phi f and e^(Re s x) int_x^inf psi f.  Below lo the
+    # first sum is 0 and past hi the second; clipping x holds its factor at 1
+    # there, where it would overflow (exponents near 4,700 at |lam| = 1e5)
+    upto = prefix[left] * np.exp(sq.real * (edges[left] - np.maximum(x_eval, lo)))
+    upto[in_cell] += acc[_CELLS:n_phi]
+    past = suffix[right] * np.exp(sq.real * (np.minimum(x_eval, hi) - edges[right]))
+    past[in_cell] += acc[n_phi + _CELLS:]
 
-    phi_x, psi_x = np.zeros(x_eval.size, complex), np.zeros(x_eval.size, complex)
-    if not above.all():
-        phi_x[~above] = phi(x_eval[~above])
-    if not below.all():
-        psi_x[~below] = psi(x_eval[~below])
-    values = np.empty(x_eval.size, complex)
-    values[below] = phi_x[below] * np.exp(sq.real * (x_eval[below] - lo)) * suffix[0]
-    values[above] = psi_x[above] * np.exp(sq.real * hi - sq * x_eval[above]) * prefix[-1]
-    values[inside] = psi_x[inside] * np.exp(-1j * sq.imag * inner) * upto + phi_x[inside] * past
-    return ResolventModeSolution(n=n, lam_mode=lam_mode, lam=lam, x=x_eval, values=values)
+    # e^(s x) psi(x) where upto can be nonzero, e^(-Re s x) phi(x) where past can
+    psi_x, phi_x = np.zeros(x_eval.size, complex), np.zeros(x_eval.size, complex)
+    for out, bessel, used in ((psi_x, bessel_k, x_eval > lo), (phi_x, bessel_i, x_eval < hi)):
+        if used.any():
+            out[used] = x_eval[used] ** (0.5 * (1 - n)) * bessel(nu, sq * x_eval[used])
+    values = psi_x * np.exp(-1j * sq.imag * x_eval) * upto + phi_x * past
+    return ResolventModeSolution(lam=lam, x=x_eval, values=values)
 
 
 def resolvent_residual(n: int, lam_mode: float, lam, xs, values, fvals) -> float:

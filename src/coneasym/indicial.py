@@ -82,12 +82,11 @@ class IndicialData:
     lam: object
     nu: object
     mu: object
-    q_minus: object
     q_plus: object
 
 
 def indicial_roots(n: int, lam) -> IndicialData:
-    """Indicial data of one mode: nu, mu = (n-1)/2 - nu, and q^{+/-}."""
+    """Indicial data of one mode: nu, mu = q^- = (n-1)/2 - nu, and q^+."""
     lam, half = exact_or_float(lam, Fraction(n - 1, 2))
     if less(0, lam):
         raise PositiveEigenvalue(f"eigenvalue {lam} is positive")
@@ -95,9 +94,7 @@ def indicial_roots(n: int, lam) -> IndicialData:
     nu = exact_sqrt(disc) if isinstance(disc, Fraction) else None
     if nu is None:
         nu = math.sqrt(max(disc, 0.0))  # a float lam in (0, TOL] counts as zero
-    q_minus = half - nu
-    q_plus = half + nu
-    return IndicialData(n=n, lam=lam, nu=nu, mu=q_minus, q_minus=q_minus, q_plus=q_plus)
+    return IndicialData(n=n, lam=lam, nu=nu, mu=half - nu, q_plus=half + nu)
 
 
 def conormal_symbol(n: int, lam, z):
@@ -155,21 +152,19 @@ class Pole:
 
     ``provenance`` lists every (mode j, branch '+'/'-', shift 2i) that
     lands here; ``order`` is the max over modes of the per-mode root
-    multiplicity; ``approximate`` marks a floating-point merge.
+    multiplicity.
     """
 
     location: object
     order: int
     provenance: tuple
-    approximate: bool = False
 
 
 def pole_set(cross_section, k: int) -> tuple:
     """All poles q_j^{+/-} - 2i, i < k, grouped and ordered by location.
 
-    Exact locations group exactly; float locations merge within 1e-9 and
-    the pole is flagged approximate when the merged values were not
-    identical.  Returns the Poles as a tuple, with decreasing location
+    Locations group by group_locations: exact ones exactly, float ones
+    within 1e-9.  Returns the Poles as a tuple, with decreasing location
     (increasing candidate exponent -location).
     """
     if k < 1:
@@ -179,15 +174,15 @@ def pole_set(cross_section, k: int) -> tuple:
         data = indicial_roots(cross_section.n, lam)
         for i in range(k):
             entries.append((data.q_plus - 2 * i, j, "+", 2 * i))
-            entries.append((data.q_minus - 2 * i, j, "-", 2 * i))
+            entries.append((data.mu - 2 * i, j, "-", 2 * i))
     poles = []
-    for location, _, members, approximate in group_locations(entries):
+    for location, _, members, _ in group_locations(entries):
         per_mode: dict[int, int] = {}
         for _, j, _, _ in members:
             per_mode[j] = per_mode.get(j, 0) + 1
         order = max(per_mode.values())
         provenance = tuple(sorted((j, branch, shift) for _, j, branch, shift in members))
-        poles.append(Pole(location, order, provenance, approximate))
+        poles.append(Pole(location, order, provenance))
     poles.sort(key=lambda p: -float(p.location))
     return tuple(poles)
 

@@ -20,6 +20,7 @@ from . import jsonio
 from .errors import NotASpectralExponent, ScenarioError
 from .indicial import exact_or_float, less
 from .version import __version__
+from .weights import tile_edge
 
 # Acceptance bounds of `recover_spectrum`.  Solver output on the default
 # grid (x in [1e-4, 1e-1], t in [0.5, 2], circle modes 0-3, bump sources)
@@ -151,11 +152,10 @@ def recover_spectrum(reports, n: int, gamma, k: int) -> RecoverySummary:
         lam = float(recover_lambda(n, exponent)) + 0.0  # drop any -0.0
         recovered.append({"lambda": lam, "provenance": prov, "evidence": evidence})
     recovered.sort(key=lambda entry: -entry["lambda"])
-    top = 0.5 * (n + 1) - float(gamma)
     return RecoverySummary(
         recovered=tuple(recovered),
         flagged=tuple(flagged),
-        visible_mu_window=(top - 2 * k, top - 2.0),
+        visible_mu_window=(tile_edge(n, gamma, k), tile_edge(n, gamma, 1)),
     )
 
 

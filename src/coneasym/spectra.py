@@ -103,10 +103,9 @@ def circle_spectrum(radius=None, j_max: int = 8, *, radius_squared=None) -> Cros
     """
     if (radius is None) == (radius_squared is None):
         raise BadMultiplicity("give exactly one of radius or radius_squared")
-    if radius_squared is None:
-        radius_squared = exact_or_float(radius)[0] ** 2
-    (r2,) = exact_or_float(radius_squared)
-    if r2 <= 0:
+    (r,) = exact_or_float(radius if radius_squared is None else radius_squared)
+    if not r > 0:
         raise BadMultiplicity("radius must be positive")
+    r2 = r ** 2 if radius_squared is None else r
     pairs = [(-(j * j) / r2, 1 if j == 0 else 2) for j in range(j_max + 1)]
     return custom_spectrum(1, pairs, name="circle")

@@ -26,12 +26,10 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import jsonio
 from .errors import ContinuityHypothesisFailed, ScenarioError, TruncationTooShort
 from .indicial import MERGE_TOL, exact_or_float, group_locations, indicial_roots, less, pole_set, same
-from .weights import boundary_distance, locate_interval, require_power, require_window
+from .weights import locate_interval, on_tile_edge, require_power, require_window, tile_edge
 
-_BOUNDARY_TOL = 1e-9
 # the eps of the remainder x^(gamma + 2k - (n+1)/2 - eps) that render_uexp states
 _REMAINDER_EPS = 1e-3
 
@@ -99,9 +97,6 @@ class ExpansionTemplate:
             "validity": self.validity,
         }
 
-    def to_json(self) -> str:
-        return jsonio.dumps(self.as_dict())
-
 
 def _merged(entries):
     """Terms of (exponent, max_log, origin, near_boundary) entries, merged
@@ -132,8 +127,7 @@ def _truncation_sufficient(cross_section, gamma, k) -> bool:
     below the bottom of the deepest contributing tile J_k."""
     n = cross_section.n
     mu_last = indicial_roots(n, cross_section.eigenvalues[-1]).mu
-    half, gamma = exact_or_float(Fraction(n + 1, 2), gamma)
-    return less(mu_last, half - gamma - 2 * k)
+    return less(mu_last, tile_edge(n, gamma, k))
 
 
 def _finish(cross_section, gamma, k, entries, window):
@@ -163,8 +157,8 @@ def _finish(cross_section, gamma, k, entries, window):
 
 
 def _spectral_entries(cross_section, gamma, k_max):
-    """(j, mu_j, m) for eigenvalue indices with mu_j in a tile J_m,
-    2 <= m <= k_max."""
+    """(j, mu_j, m, near) for eigenvalue indices with mu_j in a tile J_m,
+    2 <= m <= k_max; near flags a mu_j on the tile's lower edge."""
     n = cross_section.n
     out = []
     for j, lam in enumerate(cross_section.eigenvalues):
@@ -173,7 +167,7 @@ def _spectral_entries(cross_section, gamma, k_max):
         mu = indicial_roots(n, lam).mu
         m = locate_interval(n, gamma, mu)
         if m is not None and 2 <= m <= k_max:
-            out.append((j, mu, m))
+            out.append((j, mu, m, on_tile_edge(n, gamma, mu)))
     return out
 
 
@@ -187,8 +181,7 @@ def template_closed_form(cross_section, gamma, k: int) -> ExpansionTemplate:
         if n == 2:
             entries.append((Fraction(2 * nu - 1), nu, Origin("even_odd", nu=nu), False))
         entries.append((Fraction(2 * nu), nu + extra_even_log, Origin("even", nu=nu), False))
-    for j, mu, m in _spectral_entries(cross_section, gamma, k):
-        near = boundary_distance(n, gamma, mu) <= _BOUNDARY_TOL
+    for j, mu, m, near in _spectral_entries(cross_section, gamma, k):
         for nu in range(0, k - m + 1):
             entries.append((-mu + 2 * nu, m + nu - 2, Origin("spectral", j=j, m=m, nu=nu), near))
     return _finish(cross_section, gamma, k, entries, window)
@@ -218,7 +211,7 @@ def template_inductive(cross_section, gamma, k: int) -> ExpansionTemplate:
             continue
         for j, branch, shift in pole.provenance:
             if j >= 1 and branch == "-" and shift == 0:
-                near = boundary_distance(n, gamma, pole.location) <= _BOUNDARY_TOL
+                near = on_tile_edge(n, gamma, pole.location)
                 entries.append((-pole.location, 0, Origin("spectral", j=j, m=2, nu=0), near))
 
     # steps K -> K+1 for K = 2 .. k-1
@@ -228,9 +221,8 @@ def template_inductive(cross_section, gamma, k: int) -> ExpansionTemplate:
         if n == 2:
             entries.append((Fraction(2 * big_k - 1), big_k, Origin("even_odd", nu=big_k), False))
         entries.append((Fraction(2 * big_k), big_k + extra_even_log, Origin("even", nu=big_k), False))
-        for j, mu, m in spectral:
+        for j, mu, m, near in spectral:
             if m <= level:
-                near = boundary_distance(n, gamma, mu) <= _BOUNDARY_TOL
                 entries.append((-mu + 2 * (level - m), big_k - 1, Origin("spectral", j=j, m=m, nu=level - m), near))
     return _finish(cross_section, gamma, k, entries, window)
 

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import KTooSmall, WindowViolation
-from .indicial import exact_or_float, indicial_roots, less
+from .indicial import MERGE_TOL, exact_or_float, indicial_roots, less, same
 
 
 def admissible_window(n: int, lambda1=None):
@@ -70,15 +70,22 @@ def window_midpoint(window):
     return (lo + hi) / 2
 
 
+def tile_edge(n: int, gamma, m: int):
+    """(n+1)/2 - gamma - 2m, the lower end of J_m; exact when gamma is rational."""
+    half, gamma = exact_or_float(Fraction(n + 1, 2), gamma)
+    return half - gamma - 2 * m
+
+
 def locate_interval(n: int, gamma, x):
     """Index m with x in J_m, or None when x >= (n+1)/2 - gamma."""
-    top, gamma, x = exact_or_float(Fraction(n + 1, 2), gamma, x)
-    m = math.ceil((top - gamma - x) / 2)
+    gamma, x = exact_or_float(gamma, x)
+    m = math.ceil((tile_edge(n, gamma, 0) - x) / 2)
     return m if m >= 1 else None
 
 
-def boundary_distance(n: int, gamma, x) -> float:
-    """Distance from x to the nearest tile boundary (n+1)/2 - gamma - 2m."""
-    top = 0.5 * (n + 1) - float(gamma)
-    frac = (top - float(x)) / 2.0
-    return 2.0 * abs(frac - round(frac))
+def on_tile_edge(n: int, gamma, x) -> bool:
+    """Whether x is a tile edge (n+1)/2 - gamma - 2m: exactly for rationals,
+    within MERGE_TOL otherwise."""
+    gamma, x = exact_or_float(gamma, x)
+    m = round((tile_edge(n, gamma, 0) - x) / 2)
+    return same(x, tile_edge(n, gamma, m), MERGE_TOL)

@@ -28,12 +28,18 @@ def test_number_policy_has_one_home():
     """spectra, weights, templates, fitrecover, recovery and acceptance take the
     exact-or-float policy (TOL, MERGE_TOL and the helpers) from indicial:
     none defines a tolerance of its own or imports numbers.Rational to
-    branch on."""
+    branch on.  weights and templates, whose comparisons are all exact or
+    float by the policy, assign no module-level name containing TOL."""
     for name in ("spectra", "weights", "templates", "fitrecover", "recovery", "acceptance"):
         module = importlib.import_module(f"coneasym.{name}")
         assert not hasattr(module, "_TOL") and not hasattr(module, "_MERGE_TOL"), name
         source = Path(module.__file__).read_text()
         assert not re.search(r"^\s*(from numbers import|import numbers)", source, re.M), name
+        if name in ("weights", "templates"):
+            assigned = [target.id for node in ast.parse(source).body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                        if isinstance(target, ast.Name)]
+            assert not [a for a in assigned if "TOL" in a], (name, assigned)
 
 
 def test_power_and_dimension_rules_have_one_home():

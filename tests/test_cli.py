@@ -184,6 +184,34 @@ def test_exit_codes(tmp_path, capsys):
     assert "old peel format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["--radius=-2/3", "--radius=-0.5", "--radius=0", "--radius=nan",
+                                    "--radius-squared=-4/9"])
+def test_template_refuses_a_circle_radius_that_is_not_positive(capsys, radius):
+    """--radius=-2/3 printed the r = 2/3 template with exit 0: a negative
+    radius was squared before it was checked."""
+    assert main(["template", "--cross-section", "circle", radius, "--k", "3"]) == EXIT_CODES["spectrum"]
+    captured = capsys.readouterr()
+    assert captured.out == "" and "radius must be positive" in captured.err
+
+
+@pytest.mark.parametrize("field", ["radius", "gamma", "eigenvalue"])
+def test_zero_denominator_is_a_scenario_error(tmp_path, capsys, field):
+    """A fraction over zero is malformed input (exit 11) that names its
+    field, not a ZeroDivisionError traceback (exit 1)."""
+    argv = ["template", "--k", "3"]
+    if field == "radius":
+        argv += ["--cross-section", "circle", "--radius", "1/0"]
+    elif field == "gamma":
+        argv += ["--cross-section", "s2", "--gamma", "1/0"]
+    else:
+        custom = tmp_path / "custom.json"
+        custom.write_text(json.dumps({"n": 2, "eigenvalues": [0, "-1/0"], "multiplicities": [1, 3]}))
+        argv += ["--custom", str(custom)]
+    assert main(argv) == EXIT_CODES["scenario"]
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {field} ") and "zero denominator" in captured.err
+
+
 @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
 def test_recover_rejects_non_finite_gamma_before_reading_fits(tmp_path, gamma, capsys):
     """A non-finite --gamma is a scenario error (exit 11) that names gamma,

@@ -652,6 +652,22 @@ def test_resolvent_points_on_cell_edges(bump12, theta, modulus):
     assert np.array_equal(together.values, alone)
 
 
+def test_resolvent_points_on_cell_edges_take_no_remainder(monkeypatch, bump12):
+    """A point on a cell edge reads the running sums there: with a point
+    on each of the 11 edges the solve makes only the 20 cell tasks, where
+    each inner edge also took a remainder over the next cell (29 tasks)."""
+    tasks = []
+
+    def counted(fn, a, b, *rest):
+        tasks.append(a.size)
+        return adaptive(fn, a, b, *rest)
+
+    monkeypatch.setattr(conesolve, "adaptive", counted)
+    edges = np.linspace(bump12.lo, bump12.hi, conesolve._CELLS + 1)
+    resolvent_mode(2, -3.0, 10.0 * cmath.exp(0.75j * math.pi), bump12, edges)
+    assert tasks == [2 * conesolve._CELLS]
+
+
 def test_resolvent_bessel_work_is_bounded(monkeypatch):
     """One resolvent_sweep op (160 points on geomspace(1e-3, 2 hi), bump on
     [5, 12.5], n = 2, lam = 10 e^(3 pi i / 4)) evaluates at most 4,000

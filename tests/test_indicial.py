@@ -83,12 +83,12 @@ def test_vieta_exact(n, num, den):
     perfect rational square (roots come back as Fractions), float otherwise."""
     lam = Fraction(-num, den)
     data = indicial_roots(n, lam)
-    if isinstance(data.q_minus, Fraction):
-        assert data.q_minus + data.q_plus == n - 1
-        assert data.q_minus * data.q_plus == lam
+    if isinstance(data.mu, Fraction):
+        assert data.mu + data.q_plus == n - 1
+        assert data.mu * data.q_plus == lam
     else:
-        assert abs(float(data.q_minus + data.q_plus) - (n - 1)) <= 1e-12
-        assert abs(float(data.q_minus * data.q_plus) - float(lam)) <= 1e-10 * max(1.0, -float(lam))
+        assert abs(float(data.mu + data.q_plus) - (n - 1)) <= 1e-12
+        assert abs(float(data.mu * data.q_plus) - float(lam)) <= 1e-10 * max(1.0, -float(lam))
 
 
 @given(
@@ -98,15 +98,14 @@ def test_vieta_exact(n, num, den):
 @settings(max_examples=200, deadline=None)
 def test_vieta_float(n, lam):
     data = indicial_roots(n, lam)
-    assert abs(float(data.q_minus + data.q_plus) - (n - 1)) <= 1e-12 * max(1.0, n - 1.0)
-    assert abs(float(data.q_minus * data.q_plus) - lam) <= 1e-11 * max(1.0, abs(lam))
+    assert abs(float(data.mu + data.q_plus) - (n - 1)) <= 1e-12 * max(1.0, n - 1.0)
+    assert abs(float(data.mu * data.q_plus) - lam) <= 1e-11 * max(1.0, abs(lam))
 
 
 def test_indicial_roots_exact_path():
     data = indicial_roots(2, Fraction(-6))
     assert data.nu == Fraction(5, 2)
     assert data.mu == Fraction(-2)
-    assert data.q_minus == Fraction(-2)
     assert data.q_plus == Fraction(3)
     assert isinstance(data.mu, Fraction)
 
@@ -120,7 +119,7 @@ def test_float_eigenvalue_within_tol_above_zero_is_zero():
     """A float lam in (0, TOL] counts as zero: for n = 1 its discriminant
     -lam is negative, and nu must still be 0, here and in the templates."""
     data = indicial_roots(1, 5e-13)
-    assert (data.nu, data.q_minus, data.q_plus) == (0.0, 0.0, 0.0)
+    assert (data.nu, data.mu, data.q_plus) == (0.0, 0.0, 0.0)
     cross_section = CrossSection(1, "x", (5e-13, -4.0), (1, 2))
     with pytest.warns(TruncationTooShort):
         template = template_inductive(cross_section, 0.0, 2)
@@ -145,7 +144,7 @@ def test_composed_symbol_roots_oracle():
     got = sorted(np.roots(list(map(float, reversed(coeffs)))).real)
     data = indicial_roots(n, lam)
     expected = sorted(
-        float(q) - 2 * i for q in (data.q_minus, data.q_plus) for i in range(k)
+        float(q) - 2 * i for q in (data.mu, data.q_plus) for i in range(k)
     )
     assert np.allclose(got, expected, atol=1e-6)
 
@@ -192,10 +191,11 @@ def test_pole_merge_flags_near_collision():
     poles = pole_set(cs, 1)
     near = [p for p in poles if abs(float(p.location) + 2.0) < 1e-6]
     assert len(near) == 1
-    assert near[0].approximate
+    assert isinstance(near[0].location, float) and abs(near[0].location + 2.0) < 1e-15  # the mean
     assert len(near[0].provenance) == 2
 
 
 def test_pole_set_exact_no_flags(circle_half):
+    """An exact spectrum's poles group exactly: every location is a Fraction."""
     poles = pole_set(circle_half, 2)
-    assert not any(p.approximate for p in poles)
+    assert all(isinstance(p.location, Fraction) for p in poles)

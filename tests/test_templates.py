@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from coneasym import jsonio
 from coneasym.errors import ContinuityHypothesisFailed, KTooSmall, TruncationTooShort, WindowViolation
 from coneasym.spectra import circle_spectrum, custom_spectrum, sphere_spectrum
 from coneasym.templates import (
@@ -121,6 +122,20 @@ def test_near_boundary_flag():
     assert len(template.validity["near_boundary_terms"]) >= 1
 
 
+@pytest.mark.parametrize("construction", [template_closed_form, template_inductive])
+def test_near_boundary_flag_is_exact_for_rationals(construction):
+    """On a tile edge means on it exactly for a rational mu: an exact mu
+    1/10^10 inside J_3 (n = 1, gamma = 0, edge -3) is off the edge, while
+    a float mu as close is flagged, as every float within MERGE_TOL is."""
+    for mu, flagged in ((-3 - Fraction(1, 10**10), False), (-3.0 - 1e-10, True)):
+        cs = custom_spectrum(1, [(0, 1), (-mu * mu, 1)])
+        with pytest.warns(TruncationTooShort):
+            template = construction(cs, Fraction(0), 3)
+        near = [t.near_tile_boundary for t in template.terms if Origin("spectral", j=1, m=3, nu=0) in t.origins]
+        assert near == [flagged]
+        assert bool(template.validity["near_boundary_terms"]) is flagged
+
+
 def test_validity_dict(sphere2):
     template = template_closed_form(sphere2, Fraction(0), 3)
     validity = template.validity
@@ -149,7 +164,7 @@ def test_validity_dict(sphere2):
 )
 def test_golden_json(name, builder):
     expected = (DATA / name).read_text()
-    assert builder().to_json() + "\n" == expected
+    assert jsonio.dumps(builder().as_dict()) + "\n" == expected
 
 
 def test_render_uexp(sphere2):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from coneasym.weights import (
     admissible_window,
-    boundary_distance,
     gamma_inside,
     locate_interval,
+    on_tile_edge,
+    tile_edge,
     window_midpoint,
 )
 
@@ -77,7 +78,17 @@ def test_locate_interval_above_top_is_none():
     assert locate_interval(1, Fraction(0), Fraction(1)) is None
 
 
-def test_boundary_distance():
-    assert boundary_distance(1, Fraction(0), Fraction(-3)) == 0
-    assert boundary_distance(1, Fraction(0), Fraction(-2)) == 1.0
-    assert abs(boundary_distance(1, Fraction(0), -2.5) - 0.5) < 1e-12
+def test_tile_edge_follows_the_number_policy():
+    assert tile_edge(1, Fraction(1, 4), 2) == Fraction(-13, 4)
+    assert isinstance(tile_edge(1, 0.25, 2), float) and tile_edge(1, 0.25, 2) == -3.25
+
+
+def test_on_tile_edge():
+    """Exact for rationals, within MERGE_TOL (1e-9) for floats."""
+    assert on_tile_edge(1, Fraction(0), Fraction(-3))
+    assert on_tile_edge(1, Fraction(0), Fraction(1))  # the top, J_0's lower end
+    assert not on_tile_edge(1, Fraction(0), Fraction(-2))
+    assert not on_tile_edge(1, Fraction(0), Fraction(-3) + Fraction(1, 10**10))
+    assert on_tile_edge(1, Fraction(0), -3.0 + 1e-10)
+    assert not on_tile_edge(1, Fraction(0), -3.0 + 2e-9)
+    assert not on_tile_edge(1, Fraction(0), -2.5)
