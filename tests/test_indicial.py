@@ -14,6 +14,7 @@ from coneasym.indicial import (
     conormal_symbol,
     exact_or_float,
     exact_sqrt,
+    group_locations,
     indicial_roots,
     less,
     pole_set,
@@ -193,6 +194,22 @@ def test_pole_merge_flags_near_collision():
     assert len(near) == 1
     assert isinstance(near[0].location, float) and abs(near[0].location + 2.0) < 1e-15  # the mean
     assert len(near[0].provenance) == 2
+    # unequal floats within MERGE_TOL merge approximately; equal ones do not
+    [(center, key, members, approximate)] = group_locations([(mu_a, "a"), (mu_b, "b")])
+    assert approximate and key is None and len(members) == 2
+    [(_, _, _, approximate)] = group_locations([(-2.0, "a"), (-2.0, "b")])
+    assert not approximate
+    # a rational that joins a float cluster flags it and becomes its key
+    groups = group_locations([(-2.0, "a"), (Fraction(-2), "b"), (Fraction(1), "c")])
+    assert [(key, len(members), approximate) for _, key, members, approximate in groups] == [
+        (Fraction(-2), 2, True),
+        (Fraction(1), 1, False),
+    ]
+    # the flag reaches the template term the near-collision merges into
+    with pytest.warns(TruncationTooShort):
+        template = template_inductive(cs, Fraction(0), 3)
+    merged = [t for t in template.terms if abs(float(t.exponent) - 2.0) < 1e-6]
+    assert len(merged) == 1 and merged[0].approximate_merge
 
 
 def test_pole_set_exact_no_flags(circle_half):

@@ -111,29 +111,19 @@ def test_truncation_warning():
 
 
 def test_near_boundary_flag():
-    mu = -3.0 - 1e-10  # just inside J_3 for n=1, gamma=0
-    lam = mu * (0.0 - mu)
-    cs = custom_spectrum(1, [(0, 1), (lam, 1)])
-    with pytest.warns(TruncationTooShort):
-        template = template_closed_form(cs, Fraction(0), 3)
-    flagged = [t for t in template.terms if t.near_tile_boundary]
-    assert flagged
-    assert any(abs(float(t.exponent) - 3.0) < 1e-6 for t in flagged)
-    assert len(template.validity["near_boundary_terms"]) >= 1
-
-
-@pytest.mark.parametrize("construction", [template_closed_form, template_inductive])
-def test_near_boundary_flag_is_exact_for_rationals(construction):
-    """On a tile edge means on it exactly for a rational mu: an exact mu
-    1/10^10 inside J_3 (n = 1, gamma = 0, edge -3) is off the edge, while
-    a float mu as close is flagged, as every float within MERGE_TOL is."""
-    for mu, flagged in ((-3 - Fraction(1, 10**10), False), (-3.0 - 1e-10, True)):
-        cs = custom_spectrum(1, [(0, 1), (-mu * mu, 1)])
-        with pytest.warns(TruncationTooShort):
-            template = construction(cs, Fraction(0), 3)
-        near = [t.near_tile_boundary for t in template.terms if Origin("spectral", j=1, m=3, nu=0) in t.origins]
-        assert near == [flagged]
-        assert bool(template.validity["near_boundary_terms"]) is flagged
+    """mu sits 1e-10 inside J_3 (n = 1, gamma = 0, edge -3): a float mu is
+    flagged on the edge, as every float within MERGE_TOL is, while an
+    exact mu is off it, since on an edge means on it exactly for a rational."""
+    for construction in (template_closed_form, template_inductive):
+        for mu, flagged in ((-3.0 - 1e-10, True), (-3 - Fraction(1, 10**10), False)):
+            cs = custom_spectrum(1, [(0, 1), (-mu * mu, 1)])
+            with pytest.warns(TruncationTooShort):
+                template = construction(cs, Fraction(0), 3)
+            near = [t.near_tile_boundary for t in template.terms if Origin("spectral", j=1, m=3, nu=0) in t.origins]
+            assert near == [flagged]
+            flagged_exponents = [float(t.exponent) for t in template.terms if t.near_tile_boundary]
+            assert flagged_exponents == pytest.approx([3.0] * flagged)
+            assert len(template.validity["near_boundary_terms"]) == flagged
 
 
 def test_validity_dict(sphere2):
