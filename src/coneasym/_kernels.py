@@ -1,7 +1,7 @@
 """Low-level numerical kernels.
 
-The one Gauss-Legendre quadrature engine that every integral in the
-package goes through, and the model-cone heat solver on top of it.  The
+The Gauss-Legendre engine of the heat solver, and the solver on top of
+it (the resolvent fits Chebyshev series instead; see ``conesolve``).  The
 engine is a 16-point rule on many panels at once, in blocks of at most
 _BLOCK panels per integrand call, and an adaptive bisection whose
 breadth-first frontier refines every live panel of every task in one such

@@ -281,13 +281,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    if not math.isfinite(args.gamma):
+    gamma = _parse_number(args.gamma, "gamma")
+    if not math.isfinite(gamma):
         raise ScenarioError(f"gamma must be finite, got {args.gamma}")
     require_dimension(args.n)
     require_power(args.k)
     with open(args.fits) as fh:
         reports = reports_from_jsonl(fh.read())
-    summary = recover_spectrum(reports, n=args.n, gamma=args.gamma, k=args.k)
+    summary = recover_spectrum(reports, n=args.n, gamma=gamma, k=args.k)
     _write_output(summary.to_json(), args.out)
     return 0
 
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover eigenvalues from fit reports")
     p.add_argument("--fits", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", required=True, help="weight exponent (accepts fractions like 1/2)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_recover)

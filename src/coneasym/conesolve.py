@@ -13,26 +13,22 @@ with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
 * its exact small-x series (the same moments, with e^(-x^2/(4t))
   expanded too), the bridge to the templates,
 * the resolvent (lam_res - L)^(-1) f off the spectral ray via the
-  regular/decaying Bessel pair (in besselkit's scaled form, exponentials
-  folded back per integral), normalized by the exact Wronskian
-  phi psi' - phi' psi = -x^(-n); the support is cut into fixed cells,
-  running sums carry the cell integrals to each cell edge, and each point
-  adds its remainders to its cell's edges.  The cell and remainder
-  integrals of one call refine together on the shared adaptive frontier,
-  with one array Bessel call per branch and level (none for a branch with
-  no nodes), the source read without a mask on the nodes inside its
-  support,
+  regular/decaying Bessel pair (besselkit's scaled form), normalized by
+  the exact Wronskian phi psi' - phi' psi = -x^(-n): Chebyshev fits of
+  phi f and psi f on cells of the support, integrated in closed form and
+  carried from edge to edge by running sums,
 * the resolvent's finite-difference residual |(lam_res - L) u - f| on a
   uniform grid.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _EPS, adaptive, heat_moments, heat_rows
+from ._kernels import _EPS, heat_moments, heat_rows
 from .besselkit import bessel_i, bessel_k, check_order
 from .errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
@@ -84,14 +80,11 @@ class RadialProfile:
         return out
 
     def interior(self, xi):
-        """The profile at points xi inside (lo, hi), with no mask; __call__
-        is this on its inside points.  Callers pass the Gauss-Legendre
-        nodes of panels within the support, which lie at least 0.0105 of a
-        panel's half-width inside either end.  Only a panel a few ulps wide
-        can round a node onto or just past an edge, so the bump holds its
-        distances to the edges at eps W/2 or more: such a node reads 0, as
-        every point that close inside does, not a division by zero or an
-        overflow."""
+        """The profile at points xi in [lo, hi], with no mask; __call__ is
+        this on its inside points.  The bump holds its distances to the
+        edges at eps W/2 or more, so a node on an edge or rounded a few ulps
+        past it reads 0, as every point that close inside does, not a
+        division by zero or an overflow."""
         if self.shape == "bump":
             h = 0.5 * (self.hi - self.lo)
             near = _EPS * h
@@ -229,10 +222,76 @@ def _d2(v, h):
 # ---------------------------------------------------------------------------
 
 
-# Equal cells of the support in resolvent_mode.  Fewer cells lengthen each
-# point's remainders, more add cell tasks; on the benchmark's resolvent ops
-# 10 evaluated the fewest Bessel nodes, and 8 to 12 took the same time.
-_CELLS = 10
+# resolvent_mode cuts the support into _CELLS equal cells, halved while the
+# Green's function decays by more than e^_DECAY across one.  _prefix_integrals
+# fits cells on the Chebyshev-Lobatto points cos(j pi / 128), degrees 32, 64 and
+# 128 taking every 4th, 2nd and 1st, and gives up after _MAX_SPLITS halvings.
+_CELLS, _DECAY, _CHOP_TOL, _MAX_SPLITS = 5, 4.0, 1e-14, 8
+
+
+@functools.cache
+def _levels():
+    """Per degree 32, 64, 128: (slice of the points it adds, their u, slice of all
+    its points, 1 / their spacing, samples -> last quarter of coefficients,
+    -> integral from u = -1); built on first use, so heat-only runs skip it."""
+    levels, u_all = [], np.cos(np.pi * np.arange(129) / 128)
+    for degree in (32, 64, 128):
+        k, step = np.arange(degree + 1), 128 // degree
+        ends = np.where(k % degree, 1.0, 0.5)  # the discrete cosine transform halves the end terms
+        coef = (2.0 / degree) * np.outer(ends, ends) * np.cos(np.pi * np.outer(k, k) / degree)  # symmetric
+        integ = np.zeros((degree + 1, 130), complex)
+        integ[:, :degree + 2] = coef @ np.polynomial.chebyshev.chebint(np.eye(degree + 1), lbnd=-1).T
+        new = slice(0, None, step) if degree == 32 else slice(step, None, 2 * step)
+        levels.append((new, u_all[new], slice(0, None, step), 1.0 / -np.diff(u_all[::step]),
+                       coef[:, 3 * degree // 4:].astype(complex), integ))
+    return levels
+
+
+def _prefix_integrals(h, decay, edges, x):
+    """e^(-decay x) int_lo^x e^(decay xi) h(xi) dxi at each x, lo = edges[0].
+
+    Each cell [a, b] fits g = e^(decay (xi - b)) h at degree 32, 64, then
+    128, and chops at the first whose last quarter of coefficients is within
+    _CHOP_TOL of its scale (its largest sample, or its parent cell's) plus
+    g's rounding floor 4 eps (scale + max |xi| max |g'|), nodes xi being
+    rounded by eps |xi|; that is about 4 eps (1 + |sqrt(lam)| hi) of the
+    scale on the large-|lam| rays.  A cell that does not chop is halved.
+    Running sums carry the closed-form integrals from edge to edge, and a
+    point inside a cell adds its cell's integrated series,
+    sum_k d_k cos(k arccos u).  The fits do not read x."""
+    a, b, scale, fits, reach = edges[:-1], edges[1:], np.zeros(edges.size - 1), [], max(-edges[0], edges[-1])
+    for depth in range(_MAX_SPLITS + 1):
+        vals, mid, half = np.zeros((a.size, 129), complex), 0.5 * (a + b), 0.5 * (b - a)
+        for new, u, cols, inv_du, tail, integ in _levels():
+            if a.size:
+                vals[:, new] = h(mid[:, None] + half[:, None] * u) * np.exp(decay * half[:, None] * (u - 1.0))
+                v = vals[:, cols]
+                scale = np.maximum(scale, np.abs(v).max(axis=1))
+                floor = 4.0 * _EPS * (scale + reach / half * (np.abs(np.diff(v, axis=1)) * inv_du).max(axis=1))
+                chop = np.abs(v @ tail).max(axis=1) <= _CHOP_TOL * scale + floor
+                fits.append((a[chop], v[chop] @ integ))
+                a, b, mid, half, scale, vals = (arr[~chop] for arr in (a, b, mid, half, scale, vals))
+        if not a.size:
+            break
+        if depth == _MAX_SPLITS:
+            raise QuadratureFailure(f"resolvent cell at {abs(mid[0])} does not chop in {_MAX_SPLITS} halvings")
+        a, b, scale = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(scale, 2)
+    order = np.argsort(starts := np.concatenate([fit[0] for fit in fits]))
+    edges, d = np.append(starts[order], edges[-1]), np.concatenate([fit[1] for fit in fits])[order]
+    half = 0.5 * np.diff(edges)
+    total, fold, run = (half * d.sum(axis=1)).tolist(), np.exp(-2.0 * decay * half).tolist(), [0j]
+    for j in range(len(total)):
+        run.append(run[-1] * fold[j] + total[j])
+    # the cell edges g_l <= x <= g_r next to each point: l = r on an edge or past the support
+    clipped = np.clip(x, edges[0], edges[-1])
+    left = np.searchsorted(edges, clipped, side="right") - 1
+    inner = np.flatnonzero(np.searchsorted(edges, clipped, side="left") > left)
+    out = np.array(run)[left] * np.exp(decay * (edges[left] - np.maximum(x, edges[0])))  # 0 below lo
+    j, x = left[inner], x[inner]
+    theta = np.arccos((x - edges[j] - half[j]) / half[j])  # x - g_l rounds into [0, 2 half]
+    series = (d[j] * np.cos(np.arange(130) * theta[:, None])).sum(axis=1)
+    out[inner] += half[j] * series * np.exp(decay * (edges[j + 1] - x))
+    return out
 
 
 @dataclass(frozen=True)
@@ -252,32 +311,18 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     Wronskian phi psi' - phi' psi = -x^(-n) makes the normalization
     constant 1.
 
-    [lo, hi] is cut into _CELLS equal cells g_0 = lo < ... < g_C = hi,
-    which depend only on the support.  Every integral is its own task on
-    one adaptive frontier, each to 1e-11 of its own running estimate:
-    phi f and psi f on every cell, and for each x strictly inside cell j,
-    phi f on [g_j, x] and psi f on [x, g_(j+1)].  Running sums carry the
-    cells to each edge, and each point adds its own two remainders to the
-    sums at the edges of its cell; a point on an edge, below lo or past hi
-    reads the sums at one edge.  Every point takes the one formula above.
-    So a point's value depends only on the support, lam and x, not on the
-    other points, and no point integrates the whole support again (the
-    prefix/suffix form of the Green's-function solution in Greengard &
-    Rokhlin, "On the numerical solution of two-point boundary value
-    problems", CPAM 44, 1991).
-
-    The Bessel pair is besselkit's scaled one, e^(-Re z) I and e^z K, with
-    each task's exponential folded into its integrand: phi f on [a, b]
-    carries e^(Re s (xi - b)) and psi f carries e^(Re s a - s xi).  The
-    running sums fold from edge to edge by e^(Re s (g_j - g_(j+1))), the
-    remainders take the factor from their cell's edge to x, and each point
-    takes the matching factor back.  Every factor has modulus at most 1,
-    so nothing overflows or underflows early anywhere in the Bessel box.
-
-    Each integrand call makes one bessel_i call for the nodes of its phi
-    tasks and one bessel_k call for those of its psi tasks, and none for a
-    branch with no nodes; it reads f by RadialProfile.interior, since every
-    node lies inside the support, and x^((1-n)/2) xi^n as one power.
+    [lo, hi] is cut into _CELLS equal cells, and at a gaussian's centre;
+    a cell [a, b] is halved while Re sqrt(lam + nu^2 / a^2) (b - a), the
+    Green's function's decay across it (Re s (b - a) far from the tip),
+    exceeds _DECAY.  ``_prefix_integrals`` integrates phi f and psi f on
+    these cells, which depend only on the support and lam, so each point's
+    value does not depend on the other points: the prefix/suffix form of
+    Greengard & Rokhlin, CPAM 44, 1991.  With besselkit's scaled pair
+    e^(-Re z) I and e^z K, phi f on [a, b] carries e^(Re s (xi - b)) and
+    psi f, the same prefix in eta = -xi, e^(Re s (eta + a)) and the phase
+    e^(i Im s eta); the sums fold by e^(Re s (a - b)) and each point takes
+    its factor back, so nothing overflows early.  Each degree of a branch's
+    fits is one bessel_i (phi) or bessel_k (psi) call.
     """
     require_dimension(n)
     lam = complex(lam)
@@ -288,48 +333,17 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     x_eval = _eval_points(x_eval)
     nu = float(indicial_roots(n, lam_mode).nu)
     sq = cmath.sqrt(lam)
-    lo, hi = profile.lo, profile.hi
+    lo, hi, edges = profile.lo, profile.hi, np.linspace(profile.lo, profile.hi, _CELLS + 1)
+    if profile.shape == "gaussian" and lo < profile.center < hi:
+        edges = np.unique(np.append(edges, profile.center))
+    while (wide := np.diff(edges) * np.sqrt(lam + (nu / edges[:-1]) ** 2).real > _DECAY).any():
+        edges = np.sort(np.append(edges, 0.5 * (edges[:-1] + edges[1:])[wide]))
 
-    edges = np.linspace(lo, hi, _CELLS + 1)
-    clipped = np.clip(x_eval, lo, hi)
-    # the cell edges g_l <= x <= g_r next to each point: l = r on an edge or past the support
-    left = np.searchsorted(edges, clipped, side="right") - 1
-    right = np.searchsorted(edges, clipped, side="left")
-    in_cell = right > left  # strictly inside a cell
-    x_in = x_eval[in_cell]
-    # tasks: phi f on each cell, then on [g_l, x]; psi f on each cell, then on [x, g_r]
-    n_phi = _CELLS + x_in.size
-    a = np.concatenate([edges[:-1], edges[left[in_cell]], edges[:-1], x_in])
-    b = np.concatenate([edges[1:], x_in, edges[1:], edges[right[in_cell]]])
-
-    def integrand(rows, xi):
-        out = np.empty(xi.shape, complex)
-        on_phi = rows < n_phi
-        on_psi = ~on_phi
-        if on_phi.any():
-            x = xi[on_phi]
-            out[on_phi] = bessel_i(nu, sq * x) * np.exp(sq.real * (x - b[rows[on_phi], None]))
-        if on_psi.any():
-            x = xi[on_psi]
-            out[on_psi] = bessel_k(nu, sq * x) * np.exp(sq.real * a[rows[on_psi], None] - sq * x)
-        return out * (profile.interior(xi) * xi ** (0.5 * (1 + n)))  # x^((1-n)/2) of phi, psi times xi^n
-
-    acc = adaptive(integrand, a, b, 1e-11, 18)[0]
-    # prefix[j] = e^(-Re s g_j) int_lo^g_j phi f, suffix[j] = e^(Re s g_j) int_g_j^hi psi f
-    fold = np.exp(sq.real * (edges[:-1] - edges[1:]))
-    prefix, suffix = np.zeros(_CELLS + 1, complex), np.zeros(_CELLS + 1, complex)
-    for j in range(_CELLS):
-        prefix[j + 1] = prefix[j] * fold[j] + acc[j]
-    for j in reversed(range(_CELLS)):
-        suffix[j] = acc[n_phi + j] + suffix[j + 1] * fold[j]
-    # e^(-Re s x) int_0^x phi f and e^(Re s x) int_x^inf psi f.  Below lo the
-    # first sum is 0 and past hi the second; clipping x holds its factor at 1
-    # there, where it would overflow (exponents near 4,700 at |lam| = 1e5)
-    upto = prefix[left] * np.exp(sq.real * (edges[left] - np.maximum(x_eval, lo)))
-    upto[in_cell] += acc[_CELLS:n_phi]
-    past = suffix[right] * np.exp(sq.real * (np.minimum(x_eval, hi) - edges[right]))
-    past[in_cell] += acc[n_phi + _CELLS:]
-
+    source = lambda xi: profile.interior(xi) * xi ** (0.5 * (1 + n))  # x^((1-n)/2) of phi, psi times xi^n
+    # e^(-Re s x) int_0^x phi f and e^(Re s x) int_x^inf psi f
+    upto = _prefix_integrals(lambda xi: bessel_i(nu, sq * xi) * source(xi), sq.real, edges, x_eval)
+    past = _prefix_integrals(lambda eta: bessel_k(nu, -sq * eta) * np.exp(1j * sq.imag * eta) * source(-eta),
+                             sq.real, -edges[::-1], -x_eval)
     # e^(s x) psi(x) where upto can be nonzero, e^(-Re s x) phi(x) where past can
     psi_x, phi_x = np.zeros(x_eval.size, complex), np.zeros(x_eval.size, complex)
     for out, bessel, used in ((psi_x, bessel_k, x_eval > lo), (phi_x, bessel_i, x_eval < hi)):

@@ -104,8 +104,8 @@ def circle_spectrum(radius=None, j_max: int = 8, *, radius_squared=None) -> Cros
     if (radius is None) == (radius_squared is None):
         raise BadMultiplicity("give exactly one of radius or radius_squared")
     (r,) = exact_or_float(radius if radius_squared is None else radius_squared)
-    if not r > 0:
-        raise BadMultiplicity("radius must be positive")
+    if not (r > 0 and math.isfinite(r)):  # an infinite radius would make every -(j/r)^2 zero
+        raise BadMultiplicity("radius must be finite and positive")
     r2 = r ** 2 if radius_squared is None else r
     pairs = [(-(j * j) / r2, 1 if j == 0 else 2) for j in range(j_max + 1)]
     return custom_spectrum(1, pairs, name="circle")

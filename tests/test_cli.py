@@ -185,13 +185,14 @@ def test_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("radius", ["--radius=-2/3", "--radius=-0.5", "--radius=0", "--radius=nan",
-                                    "--radius-squared=-4/9"])
+                                    "--radius-squared=-4/9", "--radius=inf", "--radius-squared=inf"])
 def test_template_refuses_a_circle_radius_that_is_not_positive(capsys, radius):
     """--radius=-2/3 printed the r = 2/3 template with exit 0: a negative
-    radius was squared before it was checked."""
+    radius was squared before it was checked.  An infinite radius made
+    every eigenvalue -0.0 and was refused for their order, naming no input."""
     assert main(["template", "--cross-section", "circle", radius, "--k", "3"]) == EXIT_CODES["spectrum"]
     captured = capsys.readouterr()
-    assert captured.out == "" and "radius must be positive" in captured.err
+    assert captured.out == "" and "radius must be finite and positive" in captured.err
 
 
 @pytest.mark.parametrize("field", ["radius", "gamma", "eigenvalue"])
@@ -221,6 +222,22 @@ def test_recover_rejects_non_finite_gamma_before_reading_fits(tmp_path, gamma, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gamma must be finite" in captured.err
+
+
+def test_recover_parses_gamma_as_template_does(tmp_path, capsys):
+    """recover --gamma takes a fraction, as template --gamma does: 1/2
+    writes what 0.5 writes, where argparse refused it (exit 2).  Text that
+    is no number is a scenario error (exit 11)."""
+    fits = tmp_path / "fits.jsonl"
+    fits.write_text(reports_to_jsonl([]))
+    argv = ["recover", "--fits", str(fits), "--n", "1", "--k", "3", "--gamma"]
+    outs = []
+    for gamma in ("1/2", "0.5"):
+        assert main(argv + [gamma]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["visible_mu_window"] == [-5.5, -1.5]
+    assert main(argv + ["abc"]) == EXIT_CODES["scenario"]
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("flag, value, exit_key, message", [

@@ -599,6 +599,22 @@ def test_resolvent_past_unscaled_range(bump12, lam):
     assert np.max(np.abs(sol.values - oracle) / np.abs(oracle)) <= 1e-10
 
 
+def _count_bessel_nodes(monkeypatch):
+    """A list that collects the size of every bessel_i and bessel_k call of
+    conesolve from now on."""
+    sizes = []
+
+    def counted(fn):
+        def wrapped(nu, z):
+            sizes.append(np.size(z))
+            return fn(nu, z)
+        return wrapped
+
+    monkeypatch.setattr(conesolve, "bessel_i", counted(conesolve.bessel_i))
+    monkeypatch.setattr(conesolve, "bessel_k", counted(conesolve.bessel_k))
+    return sizes
+
+
 @pytest.mark.parametrize("n, lam_mode, lam, lo, hi, edge, gap", [
     (1, -15 / 7, 1.0, 4.636363636363637, 10.903846153846153, "lower", 1.65e-3),
     (2, -30 / 7, 10.0, 4.7727272727272725, 11.307692307692308, "upper", 9.75e-4),
@@ -606,25 +622,22 @@ def test_resolvent_past_unscaled_range(bump12, lam):
 def test_resolvent_near_edge_work_is_bounded(monkeypatch, n, lam_mode, lam, lo, hi, edge, gap):
     """The benchmark's sweep grid, geomspace(1e-3, 2 hi, 160), with the
     point nearest one bump edge moved to a gap of about 1e-3 of the width.
-    The sliver task between that point and the edge took 2,262 and 3,778
-    panels while the bump carried rounding noise there; every task now
-    takes at most 200, and the edge point and its neighbours match the
-    dense oracle."""
+    The sliver between that point and the edge took 2,262 and 3,778
+    adaptive panels while the bump carried rounding noise there; now the
+    cell fits do not read the points, so the moved grid evaluates exactly
+    the Bessel nodes of the unmoved one (887 and 1,218), and the edge point
+    and its neighbours match the dense oracle."""
     xs = np.geomspace(1e-3, 2.0 * hi, 160)
     inside = np.flatnonzero((xs > lo) & (xs < hi))
     k = inside[0] if edge == "lower" else inside[-1]
-    xs[k] = lo + gap * (hi - lo) if edge == "lower" else hi - gap * (hi - lo)
-    panels = []
-
-    def counted(*args):
-        out = adaptive(*args)
-        panels.append(out[2])
-        return out
-
-    monkeypatch.setattr(conesolve, "adaptive", counted)
     profile = RadialProfile("bump", lo, hi)
+    nodes = _count_bessel_nodes(monkeypatch)
+    resolvent_mode(n, lam_mode, lam, profile, xs)
+    unmoved = sum(nodes)
+    nodes.clear()
+    xs[k] = lo + gap * (hi - lo) if edge == "lower" else hi - gap * (hi - lo)
     sol = resolvent_mode(n, lam_mode, lam, profile, xs)
-    assert len(panels) == 1 and panels[0].max() <= 200, panels[0].max()
+    assert sum(nodes) == unmoved <= 1300, (sum(nodes), unmoved)
     near = xs[k - 1:k + 2]
     oracle = _resolvent_oracle(n, lam_mode, lam, profile, near)
     assert np.max(np.abs(sol.values[k - 1:k + 2] - oracle) / np.abs(oracle)) <= 1e-10
@@ -635,8 +648,8 @@ def test_resolvent_near_edge_work_is_bounded(monkeypatch, n, lam_mode, lam, lo, 
 def test_resolvent_points_on_cell_edges(bump12, theta, modulus):
     """Points on every cell edge (lo and hi among them), 1e-3 of the width
     inside each edge, and on both sides of the support: a point on an edge
-    takes no zero-width task, so nothing warns, and each value matches the
-    dense oracle and the point solved alone."""
+    reads the running sums there, so nothing warns, and each value matches
+    the dense oracle and the point solved alone."""
     lo, hi = bump12.lo, bump12.hi
     edges = np.linspace(lo, hi, conesolve._CELLS + 1)
     gap = 1e-3 * (hi - lo)
@@ -653,41 +666,49 @@ def test_resolvent_points_on_cell_edges(bump12, theta, modulus):
 
 
 def test_resolvent_points_on_cell_edges_take_no_remainder(monkeypatch, bump12):
-    """A point on a cell edge reads the running sums there: with a point
-    on each of the 11 edges the solve makes only the 20 cell tasks, where
-    each inner edge also took a remainder over the next cell (29 tasks)."""
-    tasks = []
-
-    def counted(fn, a, b, *rest):
-        tasks.append(a.size)
-        return adaptive(fn, a, b, *rest)
-
-    monkeypatch.setattr(conesolve, "adaptive", counted)
+    """The cell fits depend only on the support and lam, and a remainder is
+    a series evaluation: points on all 6 cell edges, or one inside each
+    cell, cost the Bessel nodes of the fits (those of a solve at one point
+    below lo, less its phi) plus phi at each point below hi and psi at each
+    point above lo.  With adaptive remainders, each point inside a cell
+    took two more tasks."""
+    lam = 10.0 * cmath.exp(0.75j * math.pi)
     edges = np.linspace(bump12.lo, bump12.hi, conesolve._CELLS + 1)
-    resolvent_mode(2, -3.0, 10.0 * cmath.exp(0.75j * math.pi), bump12, edges)
-    assert tasks == [2 * conesolve._CELLS]
+    nodes = _count_bessel_nodes(monkeypatch)
+    resolvent_mode(2, -3.0, lam, bump12, np.array([0.5]))
+    fits = sum(nodes) - 1
+    for xs in (edges, 0.5 * (edges[:-1] + edges[1:])):
+        nodes.clear()
+        resolvent_mode(2, -3.0, lam, bump12, xs)
+        assert sum(nodes) == fits + np.sum(xs < bump12.hi) + np.sum(xs > bump12.lo)
 
 
 def test_resolvent_bessel_work_is_bounded(monkeypatch):
     """One resolvent_sweep op (160 points on geomspace(1e-3, 2 hi), bump on
-    [5, 12.5], n = 2, lam = 10 e^(3 pi i / 4)) evaluates at most 4,000
+    [5, 12.5], n = 2, lam = 10 e^(3 pi i / 4)) evaluates at most 1,000
     Bessel nodes.  With a task over [lo, x] and one over [x, hi] for every
-    inner point, it evaluated 7,983; on fixed cells with one remainder per
-    point it evaluates 2,895."""
-    nodes = []
-
-    def counted(fn):
-        def wrapped(nu, z):
-            nodes.append(np.size(z))
-            return fn(nu, z)
-        return wrapped
-
-    monkeypatch.setattr(conesolve, "bessel_i", counted(conesolve.bessel_i))
-    monkeypatch.setattr(conesolve, "bessel_k", counted(conesolve.bessel_k))
+    inner point it evaluated 7,983, on fixed cells with one adaptive
+    remainder per point 2,895, and on Chebyshev fits 889 (the bound leaves
+    12% for the chop rule)."""
+    nodes = _count_bessel_nodes(monkeypatch)
     hi = 12.5
     resolvent_mode(2, -6.0, 10.0 * cmath.exp(0.75j * math.pi), RadialProfile("bump", 5.0, hi),
                    np.geomspace(1e-3, 2.0 * hi, 160))
-    assert sum(nodes) <= 4000, sum(nodes)
+    assert sum(nodes) <= 1000, sum(nodes)
+
+
+def test_resolvent_raises_when_a_cell_does_not_chop(monkeypatch, bump12):
+    """Noise of 1e-6 on bessel_i stops every phi fit from chopping: after
+    _MAX_SPLITS halvings the solve raises instead of returning values that
+    miss their tolerance, as the adaptive cells did."""
+    noise, clean = np.random.default_rng(5), conesolve.bessel_i
+
+    def noisy(nu, z):
+        return clean(nu, z) * (1.0 + 1e-6 * noise.standard_normal(np.shape(z)))
+
+    monkeypatch.setattr(conesolve, "bessel_i", noisy)
+    with pytest.raises(QuadratureFailure, match="does not chop"):
+        resolvent_mode(2, -3.0, 10.0 * cmath.exp(0.75j * math.pi), bump12, np.array([1.5]))
 
 
 def _near_lower_edge_grid(lo, hi, gap):
@@ -707,22 +728,12 @@ _EDGE_LO, _EDGE_HI = 4.636363636363637, 10.903846153846153
 ], ids=["near-edge-sweep", "below-support", "above-support"])
 def test_resolvent_makes_no_empty_bessel_call(monkeypatch, n, lam_mode, lam, lo, hi, xs):
     """No bessel_i or bessel_k call of a resolvent solve gets an empty
-    array: an integrand block whose tasks are all phi (or all psi) tasks,
-    as on the deep levels of a near-edge sliver, skips the other branch,
-    and points that all lie past (or before) the support skip phi (or psi)
-    at the points.  The values are those of the unwrapped calls."""
-    sizes = []
-
-    def counted(fn):
-        def wrapped(nu, z):
-            sizes.append(np.size(z))
-            return fn(nu, z)
-        return wrapped
-
+    array: a branch's fits stop sampling once every cell has chopped, and
+    points that all lie past (or before) the support skip phi (or psi) at
+    the points.  The values are those of the unwrapped calls."""
     profile = RadialProfile("bump", lo, hi)
     expected = resolvent_mode(n, lam_mode, lam, profile, xs).values
-    monkeypatch.setattr(conesolve, "bessel_i", counted(conesolve.bessel_i))
-    monkeypatch.setattr(conesolve, "bessel_k", counted(conesolve.bessel_k))
+    sizes = _count_bessel_nodes(monkeypatch)
     values = resolvent_mode(n, lam_mode, lam, profile, xs).values
     assert sizes and min(sizes) > 0, sizes
     assert np.array_equal(values, expected)
@@ -731,11 +742,11 @@ def test_resolvent_makes_no_empty_bessel_call(monkeypatch, n, lam_mode, lam, lo,
 @pytest.mark.parametrize("shape", ["bump", "gaussian", "indicator"])
 def test_resolvent_points_ulps_inside_an_edge(shape):
     """Points 1 to 4 ulps inside either edge of a support whose lower edge
-    is a power of two: the remainder between such a point and the edge is
-    so thin that its nodes round onto the edge or one half-ulp past it,
-    where the unmasked source must still read 0 (bump) or stay finite, with
-    no warning.  Each value is within 1e-8 of the point 1e-9 further
-    inside: u is continuously differentiable across the edge."""
+    is a power of two: such a point's remainder is its cell's series at u
+    within a few ulps of -1 or 1, and the fits sample the unmasked source
+    on the edges themselves, where it must still read 0 (bump) or stay
+    finite, with no warning.  Each value is within 1e-8 of the point 1e-9
+    further inside: u is continuously differentiable across the edge."""
     profile = RadialProfile(shape, 4.0, 12.0, 8.0, 3.0)
     k = np.arange(1.0, 5.0)
     xs = np.concatenate([4.0 + k * np.spacing(4.0), 12.0 - k * np.spacing(12.0)])
