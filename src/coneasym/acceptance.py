@@ -7,7 +7,6 @@ subcommand and the test suite consume it, so a criterion is implemented
 exactly once.
 """
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, replace
@@ -18,10 +17,12 @@ import numpy as np
 from .conesolve import (
     ModeProblem,
     RadialProfile,
+    _MODULI,
+    _RAY_ARGS,
+    _sweep,
     csv_to_series,
     default_grid,
     heat_mode,
-    resolvent_mode,
     solutions_to_csv,
 )
 from ._kernels import heat_quadrature, heat_series
@@ -367,14 +368,11 @@ def criterion_6():
 
 
 def criterion_7():
-    """sectorial_sweep's rays and arg 0.9 pi, on its grid, at |lam| = 1 to 1e5."""
-    profile, x, ratios = RadialProfile("bump", 4.0, 12.0), np.geomspace(1e-3, 24.0, 160), []
-    for theta in (0.0, 0.75 * math.pi, -0.75 * math.pi, 0.9 * math.pi):
-        sups = [r * np.max(np.abs(resolvent_mode(2, -3.0, r * cmath.exp(1j * theta), profile, x).values))
-                for r in (1.0, 10.0, 100.0, 1e5)]
-        ratios.append(max(sups) / min(sups))
-    problems = [] if max(ratios) < 2.0 else ["a ray's ratio reached 2"]
-    return f"|lam|*sup|u| ratios per ray: {', '.join(f'{r:.3f}' for r in ratios)} (must stay < 2)", problems
+    """sectorial_sweep's report on its rays and arg 0.9 pi, at its moduli and 1e5."""
+    report = _sweep(2, -3.0, RadialProfile("bump", 4.0, 12.0), _RAY_ARGS + (0.9 * math.pi,), _MODULI + (1e5,))
+    ratios = ", ".join(f"{ray['ratio']:.3f}" for ray in report["rays"])
+    problems = [] if report["uniform_within_factor_2"] else ["a ray's ratio reached 2"]
+    return f"|lam|*sup|u| ratios per ray: {ratios} (must stay < 2)", problems
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _EPS, heat_moments, heat_rows
-from .besselkit import bessel_i, bessel_k, check_order
+from .besselkit import _check_complex_arg, bessel_i, bessel_k, check_order
 from .errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
 from .spectra import require_dimension
@@ -225,8 +225,11 @@ def _d2(v, h):
 # resolvent_mode cuts the support into _CELLS equal cells, halved while the
 # Green's function decays by more than e^_DECAY across one.  _prefix_integrals
 # fits cells on the Chebyshev-Lobatto points cos(j pi / 128), degrees 32, 64 and
-# 128 taking every 4th, 2nd and 1st, and gives up after _MAX_SPLITS halvings.
-_CELLS, _DECAY, _CHOP_TOL, _MAX_SPLITS = 5, 4.0, 1e-14, 8
+# 128 taking every 4th, 2nd and 1st, halves those that do not chop, and gives up
+# after _MAX_SPLITS halvings or with more than _MAX_OPEN cells open (noise: a
+# narrow feature leaves a few open per halving).
+_CELLS, _DECAY, _CHOP_TOL, _MAX_OPEN, _MAX_SPLITS = 5, 4.0, 1e-14, 1024, 40
+_TINY = float(np.finfo(float).tiny)
 
 
 @functools.cache
@@ -255,7 +258,8 @@ def _prefix_integrals(h, decay, edges, x):
     _CHOP_TOL of its scale (its largest sample, or its parent cell's) plus
     g's rounding floor 4 eps (scale + max |xi| max |g'|), nodes xi being
     rounded by eps |xi|; that is about 4 eps (1 + |sqrt(lam)| hi) of the
-    scale on the large-|lam| rays.  A cell that does not chop is halved.
+    scale on the large-|lam| rays, and _TINY, below which samples are
+    subnormal and round absolutely.  A cell that does not chop is halved.
     Running sums carry the closed-form integrals from edge to edge, and a
     point inside a cell adds its cell's integrated series,
     sum_k d_k cos(k arccos u).  The fits do not read x."""
@@ -267,14 +271,14 @@ def _prefix_integrals(h, decay, edges, x):
                 vals[:, new] = h(mid[:, None] + half[:, None] * u) * np.exp(decay * half[:, None] * (u - 1.0))
                 v = vals[:, cols]
                 scale = np.maximum(scale, np.abs(v).max(axis=1))
-                floor = 4.0 * _EPS * (scale + reach / half * (np.abs(np.diff(v, axis=1)) * inv_du).max(axis=1))
+                floor = 4.0 * _EPS * (scale + reach / half * (np.abs(np.diff(v, axis=1)) * inv_du).max(axis=1)) + _TINY
                 chop = np.abs(v @ tail).max(axis=1) <= _CHOP_TOL * scale + floor
                 fits.append((a[chop], v[chop] @ integ))
                 a, b, mid, half, scale, vals = (arr[~chop] for arr in (a, b, mid, half, scale, vals))
         if not a.size:
             break
-        if depth == _MAX_SPLITS:
-            raise QuadratureFailure(f"resolvent cell at {abs(mid[0])} does not chop in {_MAX_SPLITS} halvings")
+        if depth == _MAX_SPLITS or a.size > _MAX_OPEN:
+            raise QuadratureFailure(f"resolvent cell at {abs(mid[0])} does not chop ({a.size} open, {depth} halvings)")
         a, b, scale = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(scale, 2)
     order = np.argsort(starts := np.concatenate([fit[0] for fit in fits]))
     edges, d = np.append(starts[order], edges[-1]), np.concatenate([fit[1] for fit in fits])[order]
@@ -311,10 +315,13 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     Wronskian phi psi' - phi' psi = -x^(-n) makes the normalization
     constant 1.
 
-    [lo, hi] is cut into _CELLS equal cells, and at a gaussian's centre;
-    a cell [a, b] is halved while Re sqrt(lam + nu^2 / a^2) (b - a), the
-    Green's function's decay across it (Re s (b - a) far from the tip),
-    exceeds _DECAY.  ``_prefix_integrals`` integrates phi f and psi f on
+    nu must lie in besselkit's order range and |s| hi in its argument box
+    (DomainError, before any cell is made).  [lo, hi] is cut into _CELLS
+    equal cells, and 28 widths either side of a gaussian's centre, so the
+    fits' samples cannot miss a narrow peak; a cell [a, b] is halved while
+    Re sqrt(lam + nu^2 / a^2) (b - a), the Green's function's decay across
+    it (Re s (b - a) far from the tip; nu / a capped at 1e100, whose square
+    would overflow), exceeds _DECAY.  ``_prefix_integrals`` integrates phi f and psi f on
     these cells, which depend only on the support and lam, so each point's
     value does not depend on the other points: the prefix/suffix form of
     Greengard & Rokhlin, CPAM 44, 1991.  With besselkit's scaled pair
@@ -331,12 +338,13 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     if lam.imag == 0.0 and lam.real <= 0.0:
         raise SpectrumRay(f"resolvent parameter {lam} lies on the spectral ray")
     x_eval = _eval_points(x_eval)
-    nu = float(indicial_roots(n, lam_mode).nu)
-    sq = cmath.sqrt(lam)
-    lo, hi, edges = profile.lo, profile.hi, np.linspace(profile.lo, profile.hi, _CELLS + 1)
-    if profile.shape == "gaussian" and lo < profile.center < hi:
-        edges = np.unique(np.append(edges, profile.center))
-    while (wide := np.diff(edges) * np.sqrt(lam + (nu / edges[:-1]) ** 2).real > _DECAY).any():
+    nu, sq, lo, hi = check_order(indicial_roots(n, lam_mode).nu), cmath.sqrt(lam), profile.lo, profile.hi
+    _check_complex_arg(sq * hi)  # the fits' largest Bessel argument, checked before any cell is made
+    edges = np.linspace(lo, hi, _CELLS + 1)
+    if profile.shape == "gaussian":  # exp(-28^2) is 0, and the cell with the peak at most 56 widths wide
+        cuts = profile.center + 28.0 * profile.width * np.array([-1.0, 1.0])
+        edges = np.unique(np.append(edges, cuts[(lo < cuts) & (cuts < hi)]))
+    while (wide := np.diff(edges) * np.sqrt(lam + np.minimum(nu / edges[:-1], 1e100) ** 2).real > _DECAY).any():
         edges = np.sort(np.append(edges, 0.5 * (edges[:-1] + edges[1:])[wide]))
 
     source = lambda xi: profile.interior(xi) * xi ** (0.5 * (1 + n))  # x^((1-n)/2) of phi, psi times xi^n
@@ -384,24 +392,18 @@ def sectorial_sweep(n: int, lam_mode: float, profile: RadialProfile) -> dict:
     overall pass flag against the factor-2 criterion.  u is sampled at
     log-spaced points from 1e-3 to twice the support's upper end.
     """
-    x_eval = np.geomspace(1e-3, 2.0 * profile.hi, _SWEEP_POINTS)
-    rays = []
-    overall = True
-    for theta in _RAY_ARGS:
-        sups = []
-        for r in _MODULI:
-            lam = r * cmath.exp(1j * theta)
-            sol = resolvent_mode(n, lam_mode, lam, profile, x_eval)
-            sups.append(r * float(np.max(np.abs(sol.values))))
-        ratio = max(sups) / min(sups)
-        rays.append({
-            "arg": theta,
-            "moduli": list(_MODULI),
-            "lam_times_sup": sups,
-            "ratio": ratio,
-        })
-        overall = overall and ratio < 2.0
-    return {"n": n, "lam_mode": lam_mode, "rays": rays, "uniform_within_factor_2": overall}
+    return _sweep(n, lam_mode, profile, _RAY_ARGS, _MODULI)
+
+
+def _sweep(n, lam_mode, profile, ray_args, moduli) -> dict:
+    """sectorial_sweep's report on the rays ray_args and the moduli given."""
+    x_eval, rays = np.geomspace(1e-3, 2.0 * profile.hi, _SWEEP_POINTS), []
+    for theta in ray_args:
+        sups = [r * float(np.max(np.abs(resolvent_mode(n, lam_mode, r * cmath.exp(1j * theta), profile,
+                                                       x_eval).values))) for r in moduli]
+        rays.append({"arg": theta, "moduli": list(moduli), "lam_times_sup": sups, "ratio": max(sups) / min(sups)})
+    return {"n": n, "lam_mode": lam_mode, "rays": rays,
+            "uniform_within_factor_2": all(ray["ratio"] < 2.0 for ray in rays)}
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,16 @@ def test_check_resolvent_past_bessel_box_exits_domain(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_check_resolvent_refuses_a_huge_mode_order_at_once(tmp_path):
+    """--lam-mode -1e300 gives nu = 1e150, outside besselkit's order range:
+    exit 8 before the solver cuts a single cell (each cell's decay rate
+    would overflow to inf and every cell would halve on every pass)."""
+    out = str(tmp_path / "sweep.json")
+    start = time.perf_counter()
+    assert main(["check-resolvent", "--lam-mode=-1e300", "--out", out]) == EXIT_CODES["domain"]
+    assert time.perf_counter() - start < 1.0
+
+
 def test_check_resolvent(tmp_path):
     out = str(tmp_path / "sweep.json")
     assert main(["check-resolvent", "--out", out]) == 0

@@ -697,10 +697,48 @@ def test_resolvent_bessel_work_is_bounded(monkeypatch):
     assert sum(nodes) <= 1000, sum(nodes)
 
 
+@pytest.mark.parametrize("lam_mode, lam", [(-1e14, 1j), (-3.0, 1e300 * cmath.exp(0.75j * math.pi))],
+                         ids=["order-1e7", "argument-1e150"])
+def test_resolvent_refuses_order_and_argument_before_any_cell(monkeypatch, bump12, lam_mode, lam):
+    """nu = 1e7 and |sqrt(lam)| hi = 2e150 lie outside besselkit's box:
+    DomainError before any cell is made or any Bessel node evaluated,
+    where about 0.27 nu ln(hi/lo) and Re sqrt(lam) W / 4 cells would
+    otherwise be built first."""
+    nodes = _count_bessel_nodes(monkeypatch)
+    with pytest.raises(DomainError):
+        resolvent_mode(2, lam_mode, lam, bump12, np.array([5.0]))
+    assert nodes == []
+
+
+_C, _W = 7.3, 8e-5  # a gaussian 1e-5 of its support [4, 12] wide
+
+
+@pytest.mark.parametrize("lam_mode, profile, oracle_profile, xs", [
+    (-3.0, RadialProfile("gaussian", 4.0, 12.0, _C, _W), RadialProfile("gaussian", _C - 30 * _W, _C + 30 * _W, _C, _W),
+     np.array([1.0, 4.5, _C - 3 * _W, _C - 0.5 * _W, _C, _C + 0.7 * _W, _C + 2 * _W, 9.0, 12.0, 14.0])),
+    (-100.0, RadialProfile("bump", 1e-3, 2.0), None, np.array([0.1, 0.3, 1.0, 1.9, 3.0])),
+    (-900.0, RadialProfile("bump", 1e-6, 2.0), None, np.array([0.1, 0.3, 1.0, 1.9, 3.0])),
+], ids=["narrow-gaussian", "subnormal-cells", "deep-halving"])
+def test_resolvent_sharp_sources_match_dense_oracle(lam_mode, profile, oracle_profile, xs):
+    """Sources that cells a fifth of the support wide cannot fit at once.
+    The narrow gaussian's peak fell between such a cell's samples (values
+    off by 100%); cells cut 28 widths either side of its centre hold it,
+    and since exp(-r^2) is 0 in floats past 28 widths the oracle
+    integrates the same source on [c - 30 w, c + 30 w].  A bump from
+    lo = 1e-3 with nu 10 has subnormal phi f on cells near lo, whose
+    samples round absolutely; from lo = 1e-6 with nu 30 the edge layer
+    takes 22 halvings.  Both raised QuadratureFailure with a halving budget
+    of 8 and no floor at the smallest normal double."""
+    for lam in (1.0, 100.0 * cmath.exp(0.75j * math.pi)):
+        sol = resolvent_mode(2, lam_mode, lam, profile, xs)
+        oracle = _resolvent_oracle(2, lam_mode, lam, oracle_profile or profile, xs)
+        assert np.max(np.abs(sol.values - oracle) / np.abs(oracle)) <= 1e-10
+
+
 def test_resolvent_raises_when_a_cell_does_not_chop(monkeypatch, bump12):
-    """Noise of 1e-6 on bessel_i stops every phi fit from chopping: after
-    _MAX_SPLITS halvings the solve raises instead of returning values that
-    miss their tolerance, as the adaptive cells did."""
+    """Noise of 1e-6 on bessel_i stops every phi fit from chopping: once
+    more than _MAX_OPEN cells are open the solve raises instead of
+    returning values that miss their tolerance, as the adaptive cells did."""
     noise, clean = np.random.default_rng(5), conesolve.bessel_i
 
     def noisy(nu, z):
