@@ -31,7 +31,7 @@ from .indicial import TOL, conormal_poly_coeffs, conormal_symbol, indicial_roots
 from .recovery import recover_lambda, recover_spectrum
 from .spectra import circle_spectrum, custom_spectrum, sphere_spectrum
 from .templates import Origin, template_closed_form, template_differences, template_inductive
-from .weights import admissible_window
+from .weights import require_window
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,7 @@ def corpus() -> list:
 def gamma_grid(cross_section) -> list:
     """Five interior weight exponents lo + i/6 * (hi-lo); exact when the
     window bounds are exact."""
-    window = admissible_window(cross_section.n, cross_section.lambda1)
-    if window is None:
-        return []
-    lo, hi = window
+    lo, hi = require_window(cross_section)
     return [lo + (hi - lo) * Fraction(i, 6) for i in range(1, 6)]
 
 
@@ -114,88 +111,42 @@ def _sp(j, m, nu):
 
 
 def _expected_structures():
-    """(cross_section, gamma, {k: [(exponent, log, {origins})]}) triplets,
-    worked out by hand from the template rules."""
+    """(cross_section, gamma, terms, {k: count}) quadruplets: the k = 4
+    terms (exponent, log, {origins}) worked out by hand from the template
+    rules, and how many of them the template has at each k; raising k only
+    adds terms above the last ones."""
     r8 = math.sqrt(8.0)
-
-    circle = circle_spectrum(radius=Fraction(1, 2), j_max=8)
-    circle_terms = {
-        2: [
-            (Fraction(0), 0, {Origin("constant")}),
-            (Fraction(2), 2, {Origin("even", nu=1), _sp(1, 2, 0)}),
-        ],
-        3: [
-            (Fraction(0), 0, {Origin("constant")}),
-            (Fraction(2), 2, {Origin("even", nu=1), _sp(1, 2, 0)}),
-            (Fraction(4), 3, {Origin("even", nu=2), _sp(1, 2, 1), _sp(2, 3, 0)}),
-        ],
-        4: [
-            (Fraction(0), 0, {Origin("constant")}),
-            (Fraction(2), 2, {Origin("even", nu=1), _sp(1, 2, 0)}),
-            (Fraction(4), 3, {Origin("even", nu=2), _sp(1, 2, 1), _sp(2, 3, 0)}),
-            (Fraction(6), 4, {Origin("even", nu=3), _sp(1, 2, 2), _sp(2, 3, 1), _sp(3, 4, 0)}),
-        ],
-    }
-
-    sphere2 = sphere_spectrum(2, 14)
-    sphere2_terms = {
-        2: [
-            (Fraction(0), 0, {Origin("constant")}),
-            (Fraction(1), 1, {Origin("even_odd", nu=1), _sp(1, 2, 0)}),
-            (Fraction(2), 1, {Origin("even", nu=1), _sp(2, 2, 0)}),
-        ],
-        3: [
-            (Fraction(0), 0, {Origin("constant")}),
-            (Fraction(1), 1, {Origin("even_odd", nu=1), _sp(1, 2, 0)}),
-            (Fraction(2), 1, {Origin("even", nu=1), _sp(2, 2, 0)}),
-            (Fraction(3), 2, {Origin("even_odd", nu=2), _sp(1, 2, 1), _sp(3, 3, 0)}),
-            (Fraction(4), 2, {Origin("even", nu=2), _sp(2, 2, 1), _sp(4, 3, 0)}),
-        ],
-        4: [
-            (Fraction(0), 0, {Origin("constant")}),
-            (Fraction(1), 1, {Origin("even_odd", nu=1), _sp(1, 2, 0)}),
-            (Fraction(2), 1, {Origin("even", nu=1), _sp(2, 2, 0)}),
-            (Fraction(3), 2, {Origin("even_odd", nu=2), _sp(1, 2, 1), _sp(3, 3, 0)}),
-            (Fraction(4), 2, {Origin("even", nu=2), _sp(2, 2, 1), _sp(4, 3, 0)}),
-            (Fraction(5), 3, {Origin("even_odd", nu=3), _sp(1, 2, 2), _sp(3, 3, 1), _sp(5, 4, 0)}),
-            (Fraction(6), 3, {Origin("even", nu=3), _sp(2, 2, 2), _sp(4, 3, 1), _sp(6, 4, 0)}),
-        ],
-    }
-
-    custom = custom_a()
-    custom_terms = {
-        2: [
-            (Fraction(0), 0, {Origin("constant")}),
-            (Fraction(1), 0, {_sp(1, 2, 0)}),
-            (r8 - 1.0, 0, {_sp(2, 2, 0)}),
-            (Fraction(2), 1, {Origin("even", nu=1)}),
-        ],
-        3: [
-            (Fraction(0), 0, {Origin("constant")}),
-            (Fraction(1), 0, {_sp(1, 2, 0)}),
-            (r8 - 1.0, 0, {_sp(2, 2, 0)}),
-            (Fraction(2), 1, {Origin("even", nu=1)}),
-            (Fraction(3), 1, {_sp(1, 2, 1), _sp(3, 3, 0)}),
-            (r8 + 1.0, 1, {_sp(2, 2, 1)}),
-            (Fraction(4), 2, {Origin("even", nu=2)}),
-        ],
-        4: [
-            (Fraction(0), 0, {Origin("constant")}),
-            (Fraction(1), 0, {_sp(1, 2, 0)}),
-            (r8 - 1.0, 0, {_sp(2, 2, 0)}),
-            (Fraction(2), 1, {Origin("even", nu=1)}),
-            (Fraction(3), 1, {_sp(1, 2, 1), _sp(3, 3, 0)}),
-            (r8 + 1.0, 1, {_sp(2, 2, 1)}),
-            (Fraction(4), 2, {Origin("even", nu=2)}),
-            (Fraction(5), 2, {_sp(1, 2, 2), _sp(3, 3, 1), _sp(4, 4, 0)}),
-            (r8 + 3.0, 2, {_sp(2, 2, 2)}),
-            (Fraction(6), 3, {Origin("even", nu=3)}),
-        ],
-    }
+    circle_terms = [
+        (Fraction(0), 0, {Origin("constant")}),
+        (Fraction(2), 2, {Origin("even", nu=1), _sp(1, 2, 0)}),
+        (Fraction(4), 3, {Origin("even", nu=2), _sp(1, 2, 1), _sp(2, 3, 0)}),
+        (Fraction(6), 4, {Origin("even", nu=3), _sp(1, 2, 2), _sp(2, 3, 1), _sp(3, 4, 0)}),
+    ]
+    sphere2_terms = [
+        (Fraction(0), 0, {Origin("constant")}),
+        (Fraction(1), 1, {Origin("even_odd", nu=1), _sp(1, 2, 0)}),
+        (Fraction(2), 1, {Origin("even", nu=1), _sp(2, 2, 0)}),
+        (Fraction(3), 2, {Origin("even_odd", nu=2), _sp(1, 2, 1), _sp(3, 3, 0)}),
+        (Fraction(4), 2, {Origin("even", nu=2), _sp(2, 2, 1), _sp(4, 3, 0)}),
+        (Fraction(5), 3, {Origin("even_odd", nu=3), _sp(1, 2, 2), _sp(3, 3, 1), _sp(5, 4, 0)}),
+        (Fraction(6), 3, {Origin("even", nu=3), _sp(2, 2, 2), _sp(4, 3, 1), _sp(6, 4, 0)}),
+    ]
+    custom_terms = [
+        (Fraction(0), 0, {Origin("constant")}),
+        (Fraction(1), 0, {_sp(1, 2, 0)}),
+        (r8 - 1.0, 0, {_sp(2, 2, 0)}),
+        (Fraction(2), 1, {Origin("even", nu=1)}),
+        (Fraction(3), 1, {_sp(1, 2, 1), _sp(3, 3, 0)}),
+        (r8 + 1.0, 1, {_sp(2, 2, 1)}),
+        (Fraction(4), 2, {Origin("even", nu=2)}),
+        (Fraction(5), 2, {_sp(1, 2, 2), _sp(3, 3, 1), _sp(4, 4, 0)}),
+        (r8 + 3.0, 2, {_sp(2, 2, 2)}),
+        (Fraction(6), 3, {Origin("even", nu=3)}),
+    ]
     return [
-        (circle, Fraction(0), circle_terms),
-        (sphere2, Fraction(0), sphere2_terms),
-        (custom, Fraction(1, 4), custom_terms),
+        (circle_spectrum(radius=Fraction(1, 2), j_max=8), Fraction(0), circle_terms, {2: 2, 3: 3, 4: 4}),
+        (sphere_spectrum(2, 14), Fraction(0), sphere2_terms, {2: 3, 3: 5, 4: 7}),
+        (custom_a(), Fraction(1, 4), custom_terms, {2: 4, 3: 7, 4: 10}),
     ]
 
 
@@ -217,11 +168,11 @@ def _compare_terms(template, expected) -> list:
 def criterion_2():
     problems = []
     checked = 0
-    for cs, gamma, by_k in _expected_structures():
-        for k, expected in sorted(by_k.items()):
+    for cs, gamma, terms, counts in _expected_structures():
+        for k, count in sorted(counts.items()):
             template = template_closed_form(cs, gamma, k)
             checked += 1
-            for p in _compare_terms(template, expected):
+            for p in _compare_terms(template, terms[:count]):
                 problems.append(f"{cs.name} k={k}: {p}")
     return f"{checked} hand-derived structures compared", problems
 

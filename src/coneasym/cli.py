@@ -107,11 +107,20 @@ def _integer(value, what):
     return value
 
 
+def _object(value, what):
+    """value, unless it is not a JSON object (ScenarioError)."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def build_cross_section(spec: dict):
     """Cross-section of a spec: custom whenever it lists eigenvalues,
     whatever its name; else the built-in spectrum the name selects.
     n and the multiplicities go to spectra's rules unconverted."""
-    name = spec.get("name", "custom")
+    name = _object(spec, "cross_section").get("name", "custom")
+    if not isinstance(name, str):
+        raise ScenarioError(f"cross_section name must be a string, got {name!r}")
     j_max = _integer(spec.get("j_max", 8), "j_max")
     if name == "custom" or "eigenvalues" in spec:
         pairs = list(zip([_parse_number(v, "eigenvalue") for v in spec["eigenvalues"]], spec["multiplicities"]))
@@ -166,7 +175,7 @@ class Scenario:
         for j in modes:
             if not 0 <= j < len(cs.eigenvalues):
                 raise ScenarioError(f"mode index {j} outside the provided spectrum")
-        prof = data.get("profile", {"shape": "bump", "support": [1.0, 2.0]})
+        prof = _object(data.get("profile", {"shape": "bump", "support": [1.0, 2.0]}), "profile")
         support = prof.get("support", [1.0, 2.0])
         lo, hi = _number(support[0], "profile support"), _number(support[1], "profile support")
         profile = RadialProfile(
@@ -181,7 +190,7 @@ class Scenario:
             raise ScenarioError("t values must be positive")
         if len(set(ts)) < len(ts):
             raise ScenarioError(f"t values {list(ts)} repeat a time")
-        grid_spec = data.get("x_grid", {"decades": [-4, -1], "points_per_decade": 16})
+        grid_spec = _object(data.get("x_grid", {"decades": [-4, -1], "points_per_decade": 16}), "x_grid")
         if "points" in grid_spec:
             grid = np.asarray([_number(v, "x grid point") for v in grid_spec["points"]])
         else:

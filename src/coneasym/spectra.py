@@ -104,8 +104,14 @@ def circle_spectrum(radius=None, j_max: int = 8, *, radius_squared=None) -> Cros
     if (radius is None) == (radius_squared is None):
         raise BadMultiplicity("give exactly one of radius or radius_squared")
     (r,) = exact_or_float(radius if radius_squared is None else radius_squared)
-    if not (r > 0 and math.isfinite(r)):  # an infinite radius would make every -(j/r)^2 zero
-        raise BadMultiplicity("radius must be finite and positive")
-    r2 = r ** 2 if radius_squared is None else r
+    try:  # a float radius past the double range squares to inf or 0
+        r2 = r ** 2 if radius_squared is None else r
+        first, last = -1 / r2, -(j_max * j_max) / r2
+    except (OverflowError, ZeroDivisionError):
+        first = last = math.nan
+    # float eigenvalues -(j/r)^2 must be finite, and not 0 within TOL as a huge or infinite radius makes them
+    if not (r > 0 and (isinstance(r, Fraction) or math.isfinite(last) and not same(first, 0, TOL))):
+        raise BadMultiplicity(f"radius must be finite and positive, with -(j/r)^2 finite and nonzero in floats: "
+                              f"got {'radius' if radius_squared is None else 'radius_squared'} {r}")
     pairs = [(-(j * j) / r2, 1 if j == 0 else 2) for j in range(j_max + 1)]
     return custom_spectrum(1, pairs, name="circle")

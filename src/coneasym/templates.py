@@ -3,8 +3,8 @@
 For the k-th power of the cone Laplacian with admissible weight gamma, the
 solution's expansion as x -> 0 is a finite sum of candidate terms
 x^e log^l x with l bounded per exponent, plus a remainder of order
-x^(gamma + 2k - (n+1)/2 - eps).  Two independent constructions are
-provided:
+x^(gamma + 2k - (n+1)/2 - eps), minus the lower edge of the tile J_k
+(``weights.tile_edge``).  Two independent constructions are provided:
 
 * ``template_closed_form`` evaluates the closed formula directly: the
   constant term, even shifts x^(2 nu) for nu < k (with an extra log when
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContinuityHypothesisFailed, ScenarioError, TruncationTooShort
-from .indicial import MERGE_TOL, exact_or_float, group_locations, indicial_roots, less, pole_set, same
+from .indicial import MERGE_TOL, group_locations, indicial_roots, less, pole_set, same
 from .weights import locate_interval, on_tile_edge, require_power, require_window, tile_edge
 
 # the eps of the remainder x^(gamma + 2k - (n+1)/2 - eps) that render_uexp states
@@ -117,11 +117,6 @@ def _precheck(cross_section, gamma, k):
     return require_window(cross_section, gamma)
 
 
-def _remainder_exponent(n, gamma, k):
-    gamma, half = exact_or_float(gamma, Fraction(n + 1, 2))
-    return gamma + 2 * k - half
-
-
 def _truncation_sufficient(cross_section, gamma, k) -> bool:
     """The listed spectrum certifies completeness iff the deepest mu sits
     below the bottom of the deepest contributing tile J_k."""
@@ -151,7 +146,7 @@ def _finish(cross_section, gamma, k, entries, window):
         gamma=gamma,
         k=k,
         terms=terms,
-        remainder_exponent=_remainder_exponent(cross_section.n, gamma, k),
+        remainder_exponent=-tile_edge(cross_section.n, gamma, k),
         validity=validity,
     )
 

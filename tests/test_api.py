@@ -53,6 +53,15 @@ def test_power_and_dimension_rules_have_one_home():
         assert ("dimension must be a positive integer" in source) == (path.name == "spectra.py"), path.name
 
 
+def test_tile_geometry_has_one_home():
+    """The reference level (n+1)/2 of the tiles J_m is formed in weights
+    alone: the remainder exponent is -weights.tile_edge(n, gamma, k), not a
+    second sum that rounds differently for a float gamma."""
+    package = Path(coneasym.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        assert ("Fraction(n + 1, 2)" in path.read_text()) == (path.name == "weights.py"), path.name
+
+
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _README = _PERFBENCH.parent / "README.md"
 

@@ -185,14 +185,22 @@ def test_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("radius", ["--radius=-2/3", "--radius=-0.5", "--radius=0", "--radius=nan",
-                                    "--radius-squared=-4/9", "--radius=inf", "--radius-squared=inf"])
+                                    "--radius-squared=-4/9", "--radius=inf", "--radius-squared=inf",
+                                    "--radius=1e-170", "--radius=1e200", "--radius-squared=1e-320",
+                                    "--radius-squared=1e308"])
 def test_template_refuses_a_circle_radius_that_is_not_positive(capsys, radius):
     """--radius=-2/3 printed the r = 2/3 template with exit 0: a negative
     radius was squared before it was checked.  An infinite radius made
-    every eigenvalue -0.0 and was refused for their order, naming no input."""
+    every eigenvalue -0.0 and was refused for their order, naming no input.
+    Float radii whose eigenvalues leave the doubles: r^2 rounding to 0
+    (1e-170) and overflowing (1e200) exited 1 with a traceback; r^2 =
+    1e-320 made -(j/r)^2 -inf and r^2 = 1e308 made it 0 within 1e-12, both
+    refused for the eigenvalues' order, naming no input."""
     assert main(["template", "--cross-section", "circle", radius, "--k", "3"]) == EXIT_CODES["spectrum"]
     captured = capsys.readouterr()
+    given = radius[2:].split("=")[0].replace("-", "_")
     assert captured.out == "" and "radius must be finite and positive" in captured.err
+    assert f"got {given} " in captured.err
 
 
 @pytest.mark.parametrize("field", ["radius", "gamma", "eigenvalue"])
@@ -374,18 +382,35 @@ def test_check_resolvent(tmp_path):
     assert len(report["rays"]) == 3
 
 
-@pytest.mark.parametrize("field", [
-    {"t": 1.0}, {"modes": 1}, {"profile": {"support": 1}}, {"x_grid": {"points": 5}},
-    {"cross_section": {"name": "circle", "radius": [1]}},
-])
-def test_solve_rejects_fields_of_the_wrong_json_type(tmp_path, capsys, field):
+_WRONG_TYPES = [
+    ({"t": 1.0}, ""), ({"modes": 1}, ""), ({"profile": {"support": 1}}, ""), ({"x_grid": {"points": 5}}, ""),
+    ({"cross_section": {"name": "circle", "radius": [1]}}, ""),
+    ({"cross_section": [1, 2]}, "cross_section must be a JSON object"),
+    ({"profile": [1, 2]}, "profile must be a JSON object"),
+    ({"x_grid": [1, 2]}, "x_grid must be a JSON object"),
+    ({"cross_section": {"name": 7}}, "cross_section name must be a string"),
+]
+
+
+@pytest.mark.parametrize("field, named", _WRONG_TYPES, ids=[f"field{i}" for i in range(len(_WRONG_TYPES))])
+def test_solve_rejects_fields_of_the_wrong_json_type(tmp_path, capsys, field, named):
     """A scenario field of the wrong JSON type is a malformed scenario: exit
-    11 with a one-line error, no traceback and no output file."""
+    11 with a one-line error, no traceback and no output file; a cross
+    section of the wrong type is one for `template --custom` too.  A list
+    where an object belongs, and a name that is no string, exited 1 with an
+    AttributeError; their errors name the field."""
     out = tmp_path / "sol.csv"
     scenario = _write_scenario(tmp_path, dict(SCENARIO, **field))
     assert main(["solve", "--scenario", scenario, "--out", str(out)]) == EXIT_CODES["scenario"]
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    if "cross_section" in field:
+        custom = tmp_path / "custom.json"
+        custom.write_text(json.dumps(field["cross_section"]))
+        assert main(["template", "--custom", str(custom), "--k", "3"]) == EXIT_CODES["scenario"]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and named in captured.err
 
 
 @pytest.mark.parametrize("spec", [

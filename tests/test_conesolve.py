@@ -518,7 +518,7 @@ def test_resolvent_decays_past_support(bump12):
 def _resolvent_oracle(n, lam_mode, lam, profile, xs, panels=200):
     """The resolvent by dense fixed panels, in log space: log phi and log psi
     from scipy's ive and kve with their exponentials added back as logs,
-    and each integral shifted by its branch's larger end value."""
+    and each integral shifted by its branch's larger finite end value."""
     nu = math.sqrt(0.25 * (n - 1) ** 2 - lam_mode)
     sq = cmath.sqrt(lam)
 
@@ -529,7 +529,9 @@ def _resolvent_oracle(n, lam_mode, lam, profile, xs, panels=200):
         return 0.5 * (1 - n) * np.log(x) + np.log(special.kve(nu, sq * x)) - sq * x
 
     def log_integral(log_branch, a, b):
-        shift = np.max(log_branch(np.array([a, b])).real)
+        with np.errstate(divide="ignore"):  # a branch may underflow to 0 at lo
+            ends = log_branch(np.array([a, b])).real
+        shift = np.max(ends[np.isfinite(ends)])
         xi, wts = _panel_nodes(np.linspace(a, b, panels + 1))
         return shift + cmath.log(np.sum(wts * np.exp(log_branch(xi) - shift) * profile(xi) * xi**n))
 
@@ -718,7 +720,9 @@ _C, _W = 7.3, 8e-5  # a gaussian 1e-5 of its support [4, 12] wide
      np.array([1.0, 4.5, _C - 3 * _W, _C - 0.5 * _W, _C, _C + 0.7 * _W, _C + 2 * _W, 9.0, 12.0, 14.0])),
     (-100.0, RadialProfile("bump", 1e-3, 2.0), None, np.array([0.1, 0.3, 1.0, 1.9, 3.0])),
     (-900.0, RadialProfile("bump", 1e-6, 2.0), None, np.array([0.1, 0.3, 1.0, 1.9, 3.0])),
-], ids=["narrow-gaussian", "subnormal-cells", "deep-halving"])
+    (-900.0, RadialProfile("bump", 1e-9, 2.0), None, np.array([0.1, 0.3, 1.0, 1.9, 3.0])),
+    (-3.0, RadialProfile("bump", 1e-160, 2.0), None, np.array([0.1, 0.3, 1.0, 1.9, 3.0])),
+], ids=["narrow-gaussian", "subnormal-cells", "deep-halving", "kve-overflow-at-the-tip", "tip-cell-rounds-to-0"])
 def test_resolvent_sharp_sources_match_dense_oracle(lam_mode, profile, oracle_profile, xs):
     """Sources that cells a fifth of the support wide cannot fit at once.
     The narrow gaussian's peak fell between such a cell's samples (values
@@ -728,7 +732,11 @@ def test_resolvent_sharp_sources_match_dense_oracle(lam_mode, profile, oracle_pr
     lo = 1e-3 with nu 10 has subnormal phi f on cells near lo, whose
     samples round absolutely; from lo = 1e-6 with nu 30 the edge layer
     takes 22 halvings.  Both raised QuadratureFailure with a halving budget
-    of 8 and no floor at the smallest normal double."""
+    of 8 and no floor at the smallest normal double.  From lo = 1e-9 with
+    nu 30, kve overflows to inf near lo, where the bump is exactly 0 (inf
+    times 0 was nan); from lo = 1e-160 the cell next to lo is 4e-100 wide
+    and its first node rounds to 0 (|argument| 0 was a DomainError).  A
+    sample whose source is exactly 0 takes its Bessel factor at s hi."""
     for lam in (1.0, 100.0 * cmath.exp(0.75j * math.pi)):
         sol = resolvent_mode(2, lam_mode, lam, profile, xs)
         oracle = _resolvent_oracle(2, lam_mode, lam, oracle_profile or profile, xs)

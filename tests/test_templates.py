@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from coneasym import jsonio
+from coneasym.acceptance import custom_a
 from coneasym.errors import ContinuityHypothesisFailed, KTooSmall, TruncationTooShort, WindowViolation
 from coneasym.spectra import circle_spectrum, custom_spectrum, sphere_spectrum
 from coneasym.templates import (
@@ -15,6 +16,7 @@ from coneasym.templates import (
     template_differences,
     template_inductive,
 )
+from coneasym.weights import tile_edge
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,9 +48,14 @@ def test_irrational_exponents_interleave():
 
 
 def test_remainder_exponent():
+    """gamma + 2k - (n+1)/2 is minus the lower edge of the tile J_k, taken
+    from weights.tile_edge: for a float gamma the sum in another order gave
+    3.0999999999999996 where -tile_edge gives 3.1."""
     template = template_closed_form(sphere_spectrum(2, 14), Fraction(0), 3)
     # gamma + 2k - (n+1)/2 = 0 + 6 - 3/2
     assert template.remainder_exponent == Fraction(9, 2)
+    template = template_closed_form(circle_spectrum(radius=Fraction(1, 2), j_max=8), 0.1, 2)
+    assert template.remainder_exponent == -tile_edge(1, 0.1, 2) == 3.1
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -75,8 +82,7 @@ def test_nesting_in_k():
     for cs, gamma in (
         (sphere_spectrum(2, 14), Fraction(0)),
         (circle_spectrum(radius=Fraction(1, 2), j_max=8), Fraction(1, 3)),
-        (custom_spectrum(3, [(0, 1), (-3, 4), (-7, 2), (-15, 1), (-35, 2),
-                             (-63, 1), (-120, 2), (-168, 1)]), Fraction(1, 4)),
+        (custom_a(), Fraction(1, 4)),
     ):
         previous = {}
         for k in range(2, 6):
@@ -140,15 +146,7 @@ def test_validity_dict(sphere2):
         ("template_s2_g0_k3.json", lambda: template_closed_form(sphere_spectrum(2, 14), Fraction(0), 3)),
         (
             "template_customA_g14_k4.json",
-            lambda: template_closed_form(
-                custom_spectrum(
-                    3,
-                    [(0, 1), (-3, 4), (-7, 2), (-15, 1), (-35, 2), (-63, 1), (-120, 2), (-168, 1)],
-                    name="customA",
-                ),
-                Fraction(1, 4),
-                4,
-            ),
+            lambda: template_closed_form(custom_a(), Fraction(1, 4), 4),
         ),
     ],
 )
