@@ -27,7 +27,7 @@ _HOMES = {
     "recovery": ("FitReport", "RecoverySummary", "recover_lambda", "recover_spectrum"),
     "errors": ("ConeAsymError", "SpectrumError", "WindowViolation", "KTooSmall",
                "ContinuityHypothesisFailed", "DomainError", "QuadratureFailure", "SpectrumRay", "FitError",
-               "DegenerateSamples", "NotASpectralExponent", "ScenarioError", "TruncationTooShort"),
+               "ScenarioError", "TruncationTooShort"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = list(_HOME_OF)

@@ -10,9 +10,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import replace
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import jsonio
 from .errors import (
@@ -21,7 +21,6 @@ from .errors import (
     DomainError,
     FitError,
     KTooSmall,
-    NotASpectralExponent,
     QuadratureFailure,
     ScenarioError,
     SpectrumError,
@@ -36,10 +35,6 @@ from .weights import require_power, require_window, window_midpoint
 
 # numpy, the solvers and the ladder fit are imported by the commands that
 # use them, so that `template` and `recover` start without numpy.
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .conesolve import RadialProfile
 
 
 def __getattr__(name):
@@ -67,7 +62,7 @@ _EXITS = (
     (6, "quadrature", "quadrature tolerance not reached", (QuadratureFailure,)),
     (7, "spectrum_ray", "resolvent parameter on the spectral ray", (SpectrumRay,)),
     (8, "domain", "special-function argument outside its domain", (DomainError,)),
-    (9, "fit", "exponent fit failed (degenerate samples / not spectral)", (FitError, NotASpectralExponent)),
+    (9, "fit", "exponent fit failed (degenerate samples / not spectral)", (FitError,)),
     (10, "spectrum", "invalid cross-section spectrum", (SpectrumError,)),
     (11, "scenario", "malformed scenario or i/o problem", (ScenarioError, OSError, ValueError, KeyError, TypeError)),
     (12, "selftest", "selftest criterion failed", ()),
@@ -78,17 +73,9 @@ _EXIT_DOC = "exit codes:\n" + "".join(f"  {code:<4}{text}\n" for code, _, text, 
 _ERROR_EXITS = {cls: code for code, _, _, classes in _EXITS for cls in classes}
 
 
-def _number(value, what):
-    """value as a float, unless it is a JSON boolean (ScenarioError): Python
-    takes true for the number 1, so float() alone would read it as one."""
-    if isinstance(value, bool):
-        raise ScenarioError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def _parse_number(text, what):
     """Number from CLI/JSON: '1/2' stays an exact fraction, and a JSON
-    number stays as it is (an integer exact) once _number accepts it."""
+    number stays as it is (an integer exact) once jsonio.require accepts it."""
     if isinstance(text, str):
         if "/" not in text:
             return float(text)
@@ -96,34 +83,21 @@ def _parse_number(text, what):
             return Fraction(text)
         except ZeroDivisionError:
             raise ScenarioError(f"{what} {text} has a zero denominator") from None
-    _number(text, what)
+    jsonio.require(text, "number", what)
     return text
-
-
-def _integer(value, what):
-    """value, unless it is not a JSON integer (ScenarioError)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _object(value, what):
-    """value, unless it is not a JSON object (ScenarioError)."""
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{what} must be a JSON object, got {value!r}")
-    return value
 
 
 def build_cross_section(spec: dict):
     """Cross-section of a spec: custom whenever it lists eigenvalues,
     whatever its name; else the built-in spectrum the name selects.
     n and the multiplicities go to spectra's rules unconverted."""
-    name = _object(spec, "cross_section").get("name", "custom")
-    if not isinstance(name, str):
-        raise ScenarioError(f"cross_section name must be a string, got {name!r}")
-    j_max = _integer(spec.get("j_max", 8), "j_max")
+    spec = jsonio.require(spec, "object", "cross_section")
+    name = jsonio.require(spec.get("name", "custom"), "string", "cross_section name")
+    j_max = jsonio.require(spec.get("j_max", 8), "integer", "j_max")
     if name == "custom" or "eigenvalues" in spec:
-        pairs = list(zip([_parse_number(v, "eigenvalue") for v in spec["eigenvalues"]], spec["multiplicities"]))
+        eigenvalues = jsonio.require(spec.get("eigenvalues"), "list", "eigenvalues")
+        multiplicities = jsonio.require(spec.get("multiplicities"), "list", "multiplicities")
+        pairs = list(zip([_parse_number(v, "eigenvalue") for v in eigenvalues], multiplicities))
         return custom_spectrum(spec["n"], pairs, name=name)
     if name.startswith("s") and name[1:].isdigit():
         return sphere_spectrum(int(name[1:]), j_max)
@@ -146,90 +120,55 @@ def resolve_gamma(gamma, cross_section):
     return _parse_number(gamma, "gamma")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Validated solve configuration."""
+def scenario_tasks(data) -> tuple:
+    """The (mode_j, ModeProblem) tasks of a scenario, modes then times in
+    scenario order, with its x grid and rel_tol (heat_mode checks those
+    two, and ModeProblem checks each t)."""
+    import numpy as np
 
-    cross_section: object
-    modes: tuple
-    gamma: object
-    profile: "RadialProfile"
-    t_values: tuple
-    x_grid: "np.ndarray"
-    rel_tol: float
+    from .conesolve import ModeProblem, RadialProfile, default_grid
 
-    @staticmethod
-    def from_dict(data: dict) -> "Scenario":
-        import numpy as np
-
-        from .conesolve import RadialProfile, default_grid
-
-        cs = build_cross_section(data["cross_section"])
-        gamma = resolve_gamma(data.get("gamma", "midpoint"), cs)
-        require_window(cs, gamma)
-        modes = tuple(_integer(j, "mode index") for j in data.get("modes", [0]))
-        if not modes:
-            raise ScenarioError("modes must list at least one mode index")
-        if len(set(modes)) < len(modes):
-            raise ScenarioError(f"modes {list(modes)} repeat a mode index")
-        for j in modes:
-            if not 0 <= j < len(cs.eigenvalues):
-                raise ScenarioError(f"mode index {j} outside the provided spectrum")
-        prof = _object(data.get("profile", {"shape": "bump", "support": [1.0, 2.0]}), "profile")
-        support = prof.get("support", [1.0, 2.0])
-        lo, hi = _number(support[0], "profile support"), _number(support[1], "profile support")
-        profile = RadialProfile(
-            shape=prof.get("shape", "bump"),
-            lo=lo,
-            hi=hi,
-            center=_number(prof.get("center", 0.5 * (lo + hi)), "profile center"),
-            width=_number(prof.get("width", 0.25 * (hi - lo)), "profile width"),
-        )
-        ts = tuple(_number(t, "t value") for t in data.get("t", [1.0]))
-        if not ts or any(t <= 0 for t in ts):
-            raise ScenarioError("t values must be positive")
-        if len(set(ts)) < len(ts):
-            raise ScenarioError(f"t values {list(ts)} repeat a time")
-        grid_spec = _object(data.get("x_grid", {"decades": [-4, -1], "points_per_decade": 16}), "x_grid")
-        if "points" in grid_spec:
-            grid = np.asarray([_number(v, "x grid point") for v in grid_spec["points"]])
-        else:
-            dec = [_number(d, "x grid decade") for d in grid_spec.get("decades", [-4, -1])]
-            if len(dec) != 2 or not all(math.isfinite(d) for d in dec):
-                raise ScenarioError("x grid decades must be two finite numbers")
-            if not dec[0] < dec[1]:
-                raise ScenarioError(f"x grid decades {dec} must increase")
-            per_decade = _number(grid_spec.get("points_per_decade", 16), "points_per_decade")
-            if not (per_decade.is_integer() and per_decade >= 1):
-                raise ScenarioError(f"points_per_decade must be an integer of at least 1, got {per_decade}")
-            grid = default_grid(dec, int(per_decade))
-        return Scenario(
-            cross_section=cs,
-            modes=modes,
-            gamma=gamma,
-            profile=profile,
-            t_values=ts,
-            x_grid=grid,
-            rel_tol=_number(data.get("rel_tol", 1e-9), "rel_tol"),
-        )
-
-
-def solve_scenario(scenario: Scenario) -> list:
-    """(mode_j, ModeSolution) of every (mode, t) task, modes then times in
-    scenario order; heat_mode checks the grid and rel_tol."""
-    from .conesolve import ModeProblem, heat_mode
-
-    solutions = []
-    for j in scenario.modes:
-        for t in scenario.t_values:
-            problem = ModeProblem(
-                n=scenario.cross_section.n,
-                lam=float(scenario.cross_section.eigenvalues[j]),
-                t=t,
-                profile=scenario.profile,
-            )
-            solutions.append((j, heat_mode(problem, scenario.x_grid, rel_tol=scenario.rel_tol)))
-    return solutions
+    data = jsonio.require(data, "object", "scenario")
+    cs = build_cross_section(data["cross_section"])
+    require_window(cs, resolve_gamma(data.get("gamma", "midpoint"), cs))
+    modes = jsonio.require(data.get("modes", [0]), "list", "modes")
+    modes = [jsonio.require(j, "integer", "mode index") for j in modes]
+    if not modes:
+        raise ScenarioError("modes must list at least one mode index")
+    if len(set(modes)) < len(modes):
+        raise ScenarioError(f"modes {modes} repeat a mode index")
+    for j in modes:
+        if not 0 <= j < len(cs.eigenvalues):
+            raise ScenarioError(f"mode index {j} outside the provided spectrum")
+    prof = jsonio.require(data.get("profile", {"shape": "bump", "support": [1.0, 2.0]}), "object", "profile")
+    lo, hi = jsonio.require_numbers(prof.get("support", [1.0, 2.0]), "profile support", 2)
+    profile = RadialProfile(
+        shape=prof.get("shape", "bump"),
+        lo=lo,
+        hi=hi,
+        center=jsonio.require(prof.get("center", 0.5 * (lo + hi)), "number", "profile center"),
+        width=jsonio.require(prof.get("width", 0.25 * (hi - lo)), "number", "profile width"),
+    )
+    ts = jsonio.require_numbers(data.get("t", [1.0]), "t")
+    if not ts:
+        raise ScenarioError("t must list at least one time")
+    if len(set(ts)) < len(ts):
+        raise ScenarioError(f"t values {ts} repeat a time")
+    grid_spec = jsonio.require(data.get("x_grid", {"decades": [-4, -1], "points_per_decade": 16}), "object", "x_grid")
+    if "points" in grid_spec:
+        grid = np.asarray(jsonio.require_numbers(grid_spec["points"], "x_grid points"))
+    else:
+        dec = jsonio.require_numbers(grid_spec.get("decades", [-4, -1]), "x_grid decades", 2)
+        if not all(math.isfinite(d) for d in dec):
+            raise ScenarioError("x grid decades must be two finite numbers")
+        if not dec[0] < dec[1]:
+            raise ScenarioError(f"x grid decades {dec} must increase")
+        per_decade = jsonio.require(grid_spec.get("points_per_decade", 16), "number", "points_per_decade")
+        if not (per_decade.is_integer() and per_decade >= 1):
+            raise ScenarioError(f"points_per_decade must be an integer of at least 1, got {per_decade}")
+        grid = default_grid(dec, int(per_decade))
+    tasks = [(j, ModeProblem(n=cs.n, lam=float(cs.eigenvalues[j]), t=t, profile=profile)) for j in modes for t in ts]
+    return tasks, grid, jsonio.require(data.get("rel_tol", 1e-9), "number", "rel_tol")
 
 
 def _write_output(text: str, out: str | None):
@@ -270,11 +209,11 @@ def _cross_section_args(args) -> dict:
 
 
 def cmd_solve(args) -> int:
-    from .conesolve import solutions_to_csv
+    from .conesolve import heat_mode, solutions_to_csv
 
     with open(args.scenario) as fh:
-        scenario = Scenario.from_dict(json.loads(fh.read()))
-    _write_output(solutions_to_csv(solve_scenario(scenario)), args.out)
+        tasks, grid, rel_tol = scenario_tasks(json.loads(fh.read()))
+    _write_output(solutions_to_csv([(j, heat_mode(problem, grid, rel_tol=rel_tol)) for j, problem in tasks]), args.out)
     return 0
 
 
@@ -400,11 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except tuple(_ERROR_EXITS) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return next(_ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in _ERROR_EXITS)
+    with warnings.catch_warnings():  # restores the caller's warning handling on return
+        warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
+        try:
+            return args.fn(args)
+        except tuple(_ERROR_EXITS) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return next(_ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in _ERROR_EXITS)
 
 
 if __name__ == "__main__":

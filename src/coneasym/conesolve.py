@@ -431,7 +431,7 @@ def csv_to_series(text: str) -> list:
     """The (mode_j, t, x, v) series of a solution CSV, sorted by (mode_j, t),
     each with x ascending as float arrays; '#' and header lines are skipped.
     A repeated (mode_j, t, x) row is a ScenarioError: a fit would count its
-    point twice."""
+    point twice; so is a CSV with no data rows."""
     groups: dict = {}
     for line in text.splitlines():
         line = line.strip()
@@ -440,6 +440,8 @@ def csv_to_series(text: str) -> list:
         mode_j, *cells = line.split(",")
         _, t, x, v = map(float, cells)  # nu must parse but is not kept
         groups.setdefault((int(mode_j), t), []).append((x, v))
+    if not groups:
+        raise ScenarioError("solution CSV holds no data rows")
     series = []
     for (mode_j, t), pts in sorted(groups.items()):
         pts.sort()

@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning types shared across the package."""
+"""Exception classes, one per exit code of `cli._EXITS`, and warning types."""
 
 
 class ConeAsymError(Exception):
@@ -6,23 +6,7 @@ class ConeAsymError(Exception):
 
 
 class SpectrumError(ConeAsymError):
-    """Invalid cross-section spectrum data."""
-
-
-class NonZeroTop(SpectrumError):
-    """The top eigenvalue is not 0 (or its multiplicity is not 1)."""
-
-
-class NotDecreasing(SpectrumError):
-    """Eigenvalues are not strictly decreasing."""
-
-
-class BadMultiplicity(SpectrumError):
-    """A multiplicity is not a positive integer, or lengths mismatch."""
-
-
-class PositiveEigenvalue(SpectrumError):
-    """An eigenvalue of the cross-section Laplacian is positive."""
+    """Invalid cross-section spectrum data: dimension, multiplicities, order or sign."""
 
 
 class WindowViolation(ConeAsymError):
@@ -50,15 +34,7 @@ class SpectrumRay(ConeAsymError):
 
 
 class FitError(ConeAsymError):
-    """Base class for exponent-fitting errors."""
-
-
-class DegenerateSamples(FitError):
-    """Too few usable samples, or no sign-consistent window."""
-
-
-class NotASpectralExponent(ConeAsymError):
-    """Exponent cannot arise as -mu_j (+ even shift) for any eigenvalue."""
+    """Exponent fit failed: degenerate samples, or an exponent that is not spectral."""
 
 
 class ScenarioError(ConeAsymError):

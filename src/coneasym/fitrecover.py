@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSamples
+from .errors import FitError
 from .recovery import RMS_TOL, FitReport
 
 LADDER_TERMS = 4
@@ -131,17 +131,17 @@ def peel_exponents(x, values) -> FitReport:
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
     if x.size < _MIN_SAMPLES:
-        raise DegenerateSamples(f"{x.size} samples, need >= {_MIN_SAMPLES}")
+        raise FitError(f"{x.size} samples, need >= {_MIN_SAMPLES}")
     if not (np.all(np.isfinite(values)) and np.all(values != 0.0)):
-        raise DegenerateSamples("values must be finite and nonzero")
+        raise FitError("values must be finite and nonzero")
     if not (np.all(np.isfinite(x)) and np.all(x > 0.0)):
-        raise DegenerateSamples("x must be finite and positive")
+        raise FitError("x must be finite and positive")
     order = np.argsort(x, kind="stable")
     x, values = x[order], values[order]
     low = x <= 10.0 * x[0]
     logx = np.log(x[low])
     if not logx[-1] > logx[0] or np.any(np.sign(values[low]) != np.sign(values[0])):
-        raise DegenerateSamples("the lowest decade of x needs two distinct samples of one sign")
+        raise FitError("the lowest decade of x needs two distinct samples of one sign")
     design = np.column_stack([np.ones_like(logx), logx])
     e_start = float(np.linalg.lstsq(design, np.log(np.abs(values[low])), rcond=None)[0][1])
     # Decades above the lowest x, with slack for grids built on decades.
@@ -169,7 +169,7 @@ def _fit_ladder(x, values, e_start) -> FitReport:
     result = least_squares(lambda theta: _project(_ladder(x, weight, theta), sign)[1],
                            [e_start, 2.0])
     if not result.success:
-        raise DegenerateSamples(
+        raise FitError(
             f"ladder fit on x in [{x[0]:.3g}, {x[-1]:.3g}] did not converge "
             f"after {result.nfev} evaluations"
         )
@@ -177,7 +177,7 @@ def _fit_ladder(x, values, e_start) -> FitReport:
     basis = _ladder(x, weight, result.x)
     coef, resid = _project(basis, sign)
     if coef is None:
-        raise DegenerateSamples("ladder fit left the representable range")
+        raise FitError("ladder fit left the representable range")
     logx = np.log(x)[:, None]
     jac = np.hstack([logx * (basis @ coef)[:, None],
                      logx * (basis @ (_Q * coef))[:, None],

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import PositiveEigenvalue
+from .errors import SpectrumError
 
 # The number policy: values stay exact Fractions while every input is
 # rational, and become floats otherwise.  Float comparisons allow TOL;
@@ -89,7 +89,7 @@ def indicial_roots(n: int, lam) -> IndicialData:
     """Indicial data of one mode: nu, mu = q^- = (n-1)/2 - nu, and q^+."""
     lam, half = exact_or_float(lam, Fraction(n - 1, 2))
     if less(0, lam):
-        raise PositiveEigenvalue(f"eigenvalue {lam} is positive")
+        raise SpectrumError(f"eigenvalue {lam} is positive")
     disc = half * half - lam
     nu = exact_sqrt(disc) if isinstance(disc, Fraction) else None
     if nu is None:

@@ -1,14 +1,45 @@
-"""Deterministic JSON writing.
+"""Deterministic JSON writing, and the one kind check of JSON read in.
 
 Every float is rendered with 17 significant digits so serialized artifacts
 (templates, fit reports, recovery summaries) are byte-stable across runs
 and reparse to the exact same double.  Fractions are converted to floats on
 the way out; insertion order of dicts is preserved.
+
+`require` is the kind check of every field read from a scenario, a
+cross-section file or a fit report.  This module imports nothing but
+`errors`, so `template` and `recover` still start without numpy.
 """
 
 import json
 import math
 from fractions import Fraction
+
+from .errors import ScenarioError
+
+# JSON kind -> (the words of its error, the Python types json.loads gives it)
+_KINDS = {
+    "number": ("a number", (int, float)),
+    "integer": ("an integer", (int,)),
+    "string": ("a string", (str,)),
+    "list": ("a list", (list,)),
+    "object": ("a JSON object", (dict,)),
+}
+
+
+def require(value, kind, what, length=None):
+    """value, a number as a float, if it is of the JSON kind named (a key of
+    `_KINDS`); else a ScenarioError that names `what`.  A boolean is never
+    a number or an integer (Python takes true for 1), and a list must hold
+    `length` items when that is given."""
+    words, types = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types) or length is not None and len(value) != length:
+        raise ScenarioError(f"{what} must be {words}{'' if length is None else f' of {length}'}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
+def require_numbers(value, what, length=None) -> list:
+    """value as a list of floats: a list (of `length` items when given) of numbers."""
+    return [require(v, "number", what) for v in require(value, "list", what, length)]
 
 
 def _fmt_scalar(value):

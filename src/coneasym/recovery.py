@@ -17,7 +17,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import jsonio
-from .errors import NotASpectralExponent, ScenarioError
+from .errors import FitError, ScenarioError
 from .indicial import exact_or_float, less
 from .version import __version__
 from .weights import tile_edge
@@ -56,23 +56,31 @@ class FitReport:
 
 
 def report_from_dict(d: dict) -> FitReport:
+    """The FitReport of one fit-file line, each field of its JSON kind."""
     if "step" not in d and "peel_index" in d:
         raise ScenarioError("fit file is in the old peel format; rerun `coneasym fit` on its CSV")
     missing = [f.name for f in fields(FitReport) if f.default is MISSING and f.name not in d]
     if missing:
         raise ScenarioError(f"fit report lacks {', '.join(missing)}")
+
+    def number(key):
+        return jsonio.require(d[key], "number", key)
+
+    def optional(key, kind):
+        return None if d.get(key) is None else jsonio.require(d[key], kind, key)
+
     return FitReport(
-        exponent=float(d["exponent"]),
-        stderr=float(d["stderr"]),
-        step=float(d["step"]),
-        step_stderr=float(d["step_stderr"]),
-        coefficients=tuple(float(c) for c in d["coefficients"]),
-        coefficient_stderr=tuple(float(c) for c in d["coefficient_stderr"]),
-        residual_rms=float(d["residual_rms"]),
-        n_samples=int(d["n_samples"]),
-        window=tuple(float(w) for w in d["window"]),
-        mode_j=d.get("mode_j"),
-        t=d.get("t"),
+        exponent=number("exponent"),
+        stderr=number("stderr"),
+        step=number("step"),
+        step_stderr=number("step_stderr"),
+        coefficients=tuple(jsonio.require_numbers(d["coefficients"], "coefficients")),
+        coefficient_stderr=tuple(jsonio.require_numbers(d["coefficient_stderr"], "coefficient_stderr")),
+        residual_rms=number("residual_rms"),
+        n_samples=jsonio.require(d["n_samples"], "integer", "n_samples"),
+        window=tuple(jsonio.require_numbers(d["window"], "window", 2)),
+        mode_j=optional("mode_j", "integer"),
+        t=optional("t", "number"),
     )
 
 
@@ -80,11 +88,11 @@ def recover_lambda(n: int, exponent):
     """Eigenvalue from a spectral exponent e = -mu_j: lam = mu (n-1-mu).
 
     Exact for rational input; exponents below 0 (beyond 1e-12) cannot be
-    spectral leading exponents and raise NotASpectralExponent.
+    spectral leading exponents and raise FitError.
     """
     (e,) = exact_or_float(exponent)
     if less(e, 0):
-        raise NotASpectralExponent(f"exponent {float(e)} is negative")
+        raise FitError(f"exponent {float(e)} is negative")
     mu = -e
     return mu * (n - 1 - mu)
 
@@ -166,13 +174,13 @@ def reports_to_jsonl(reports) -> str:
 
 
 def reports_from_jsonl(text: str) -> list:
+    """The FitReports of a fit file; a file that holds none is a ScenarioError."""
     out = []
     for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        data = json.loads(line)
-        if "generator" in data and "exponent" not in data:
-            continue
-        out.append(report_from_dict(data))
+        if line.strip():
+            data = jsonio.require(json.loads(line), "object", "fit file line")
+            if "exponent" in data or "generator" not in data:
+                out.append(report_from_dict(data))
+    if not out:
+        raise ScenarioError("fit file holds no fit reports")
     return out

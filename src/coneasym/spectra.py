@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadMultiplicity, NonZeroTop, NotDecreasing, PositiveEigenvalue
+from .errors import SpectrumError
 from .indicial import TOL, exact_or_float, less, same
 
 
@@ -39,29 +39,29 @@ class CrossSection:
 
 
 def require_dimension(n):
-    """BadMultiplicity unless the cross-section dimension n is a positive integer (not a bool)."""
+    """SpectrumError unless the cross-section dimension n is a positive integer (not a bool)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadMultiplicity(f"cross-section dimension must be a positive integer, got {n!r}")
+        raise SpectrumError(f"cross-section dimension must be a positive integer, got {n!r}")
 
 
 def _validate(n, eigenvalues, multiplicities):
     require_dimension(n)
     if len(eigenvalues) != len(multiplicities) or not eigenvalues:
-        raise BadMultiplicity("eigenvalues and multiplicities must have equal nonzero length")
+        raise SpectrumError("eigenvalues and multiplicities must have equal nonzero length")
     for m in multiplicities:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise BadMultiplicity(f"multiplicities must be positive integers, got {m!r}")
+            raise SpectrumError(f"multiplicities must be positive integers, got {m!r}")
     top = eigenvalues[0]
     if not same(top, 0, TOL):
-        raise NonZeroTop(f"top eigenvalue must be 0, got {top!r}")
+        raise SpectrumError(f"top eigenvalue must be 0, got {top!r}")
     if multiplicities[0] != 1:
-        raise NonZeroTop("the zero eigenvalue must be simple")
+        raise SpectrumError("the zero eigenvalue must be simple")
     for lam in eigenvalues[1:]:
         if less(0, lam):
-            raise PositiveEigenvalue(f"eigenvalue {lam!r} is positive")
+            raise SpectrumError(f"eigenvalue {lam!r} is positive")
     for prev, cur in zip(eigenvalues, eigenvalues[1:]):
         if not less(cur, prev):
-            raise NotDecreasing(f"eigenvalues not strictly decreasing at {cur!r}")
+            raise SpectrumError(f"eigenvalues not strictly decreasing at {cur!r}")
 
 
 def custom_spectrum(n: int, pairs, name: str = "custom") -> CrossSection:
@@ -102,7 +102,7 @@ def circle_spectrum(radius=None, j_max: int = 8, *, radius_squared=None) -> Cros
     when the radius itself is irrational (e.g. r = 1/sqrt(2), r^2 = 1/2).
     """
     if (radius is None) == (radius_squared is None):
-        raise BadMultiplicity("give exactly one of radius or radius_squared")
+        raise SpectrumError("give exactly one of radius or radius_squared")
     (r,) = exact_or_float(radius if radius_squared is None else radius_squared)
     try:  # a float radius past the double range squares to inf or 0
         r2 = r ** 2 if radius_squared is None else r
@@ -111,7 +111,7 @@ def circle_spectrum(radius=None, j_max: int = 8, *, radius_squared=None) -> Cros
         first = last = math.nan
     # float eigenvalues -(j/r)^2 must be finite, and not 0 within TOL as a huge or infinite radius makes them
     if not (r > 0 and (isinstance(r, Fraction) or math.isfinite(last) and not same(first, 0, TOL))):
-        raise BadMultiplicity(f"radius must be finite and positive, with -(j/r)^2 finite and nonzero in floats: "
+        raise SpectrumError(f"radius must be finite and positive, with -(j/r)^2 finite and nonzero in floats: "
                               f"got {'radius' if radius_squared is None else 'radius_squared'} {r}")
     pairs = [(-(j * j) / r2, 1 if j == 0 else 2) for j in range(j_max + 1)]
     return custom_spectrum(1, pairs, name="circle")

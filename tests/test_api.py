@@ -172,3 +172,28 @@ def test_solver_input_checks_have_one_home():
     for sentence in ("x_eval must be a nonempty 1-d array", "rel_tol must be finite and positive"):
         count = sum(path.read_text().count(sentence) for path in package.glob("*.py"))
         assert count == 1, sentence
+
+
+def test_one_exception_class_per_exit_code():
+    """Every ConeAsymError class has its own row of cli._EXITS: it appears
+    in exactly one row, and no row lists two of them."""
+    from coneasym import errors
+
+    classes = {value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, errors.ConeAsymError)}
+    rows = [[cls for cls in row[3] if cls in classes] for row in cli._EXITS]
+    assert all(len(row) <= 1 for row in rows), rows
+    assert sorted(cls.__name__ for row in rows for cls in row) == sorted(cls.__name__ for cls in classes)
+
+
+def test_json_kind_check_has_one_home():
+    """cli and recovery read outside JSON through jsonio.require: neither
+    makes an isinstance check against bool, dict or list of its own."""
+    package = Path(coneasym.__file__).resolve().parent
+    for name in ("cli.py", "recovery.py"):
+        tree = ast.parse((package / name).read_text())
+        own = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+               and {"bool", "dict", "list"} & {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}]
+        assert own == [], (name, own)
+        assert "jsonio.require" in ast.unparse(tree), name

@@ -3,14 +3,14 @@
 import json
 import math
 import time
-from fractions import Fraction
+import warnings
 from pathlib import Path
 
 import pytest
 
-from coneasym.cli import EXIT_CODES, Scenario, build_cross_section, main
+from coneasym.cli import EXIT_CODES, build_cross_section, main, scenario_tasks
 from coneasym.errors import ScenarioError
-from coneasym.recovery import reports_to_jsonl
+from coneasym.recovery import FitReport, reports_to_jsonl
 
 SCENARIO = {
     "cross_section": {"name": "circle", "radius": "1/2", "j_max": 3},
@@ -39,22 +39,24 @@ def test_build_cross_section_variants():
 
 
 def test_scenario_validation(tmp_path):
-    scenario = Scenario.from_dict(SCENARIO)
-    assert scenario.modes == (0, 1)
-    assert scenario.x_grid.size == 49
+    tasks, grid, rel_tol = scenario_tasks(SCENARIO)
+    assert [(j, problem.t) for j, problem in tasks] == [(0, 1.0), (1, 1.0)]
+    assert [problem.lam for _, problem in tasks] == [0.0, -4.0]
+    assert grid.size == 49 and rel_tol == 1e-9
 
     bad = dict(SCENARIO, gamma=5.0)
     with pytest.raises(Exception):
-        Scenario.from_dict(bad)
+        scenario_tasks(bad)
     for decades in ([-4], [-4, -1, 5], [-1, -2], [-2, -2]):
         with pytest.raises(ScenarioError):
-            Scenario.from_dict(dict(SCENARIO, x_grid={"decades": decades}))
+            scenario_tasks(dict(SCENARIO, x_grid={"decades": decades}))
     for per_decade in (0, -3, 2.7):
         with pytest.raises(ScenarioError):
-            Scenario.from_dict(dict(SCENARIO, x_grid={"decades": [-4, -1], "points_per_decade": per_decade}))
-    with pytest.raises(ScenarioError):
-        Scenario.from_dict(dict(SCENARIO, modes=[]))
-    assert Scenario.from_dict(dict(SCENARIO, x_grid={"decades": [-2, -1], "points_per_decade": 1})).x_grid.size == 2
+            scenario_tasks(dict(SCENARIO, x_grid={"decades": [-4, -1], "points_per_decade": per_decade}))
+    for empty in ({"modes": []}, {"t": []}):
+        with pytest.raises(ScenarioError, match="must list at least one"):
+            scenario_tasks(dict(SCENARIO, **empty))
+    assert scenario_tasks(dict(SCENARIO, x_grid={"decades": [-2, -1], "points_per_decade": 1}))[1].size == 2
 
 
 def test_template_json_output(tmp_path, capsys):
@@ -232,12 +234,17 @@ def test_recover_rejects_non_finite_gamma_before_reading_fits(tmp_path, gamma, c
     assert "gamma must be finite" in captured.err
 
 
+_REPORT = FitReport(exponent=0.0, stderr=1e-15, step=2.0, step_stderr=1e-12, coefficients=(1.0, 0.5, 0.1, 0.01),
+                    coefficient_stderr=(1e-15,) * 4, residual_rms=1e-15, n_samples=49, window=(1e-4, 0.1),
+                    mode_j=0, t=1.0)
+
+
 def test_recover_parses_gamma_as_template_does(tmp_path, capsys):
     """recover --gamma takes a fraction, as template --gamma does: 1/2
     writes what 0.5 writes, where argparse refused it (exit 2).  Text that
     is no number is a scenario error (exit 11)."""
     fits = tmp_path / "fits.jsonl"
-    fits.write_text(reports_to_jsonl([]))
+    fits.write_text(reports_to_jsonl([_REPORT]))
     argv = ["recover", "--fits", str(fits), "--n", "1", "--k", "3", "--gamma"]
     outs = []
     for gamma in ("1/2", "0.5"):
@@ -310,8 +317,8 @@ def test_solve_and_template_share_the_window_margin(tmp_path):
                  "--k", "3"]) == EXIT_CODES["window"]
     scenario = _write_scenario(tmp_path, dict(SCENARIO, gamma=gamma))
     assert main(["solve", "--scenario", scenario]) == EXIT_CODES["window"]
-    exact = Scenario.from_dict(dict(SCENARIO, gamma="9999999999999/10000000000000"))
-    assert exact.gamma == 1 - Fraction(1, 10**13)
+    tasks, _, _ = scenario_tasks(dict(SCENARIO, gamma="9999999999999/10000000000000"))
+    assert len(tasks) == 2
 
 
 @pytest.mark.parametrize("flag,value", [("--p", "0"), ("--p", "-1"), ("--p", "1"), ("--p", "inf"),
@@ -383,28 +390,38 @@ def test_check_resolvent(tmp_path):
 
 
 _WRONG_TYPES = [
-    ({"t": 1.0}, ""), ({"modes": 1}, ""), ({"profile": {"support": 1}}, ""), ({"x_grid": {"points": 5}}, ""),
-    ({"cross_section": {"name": "circle", "radius": [1]}}, ""),
+    ({"t": 1.0}, "t must be a list, got 1.0"), ({"modes": 1}, "modes must be a list, got 1"),
+    ({"profile": {"support": 1}}, "profile support must be a list of 2, got 1"),
+    ({"x_grid": {"points": 5}}, "x_grid points must be a list, got 5"),
+    ({"cross_section": {"name": "circle", "radius": [1]}}, "radius must be a number, got [1]"),
     ({"cross_section": [1, 2]}, "cross_section must be a JSON object"),
     ({"profile": [1, 2]}, "profile must be a JSON object"),
     ({"x_grid": [1, 2]}, "x_grid must be a JSON object"),
     ({"cross_section": {"name": 7}}, "cross_section name must be a string"),
+    ({"profile": {"support": [1.0]}}, "profile support must be a list of 2, got [1.0]"),
+    ([1, 2], "scenario must be a JSON object, got [1, 2]"),
+    ({"modes": 3}, "modes must be a list, got 3"),
+    ({"x_grid": {"decades": 5}}, "x_grid decades must be a list of 2, got 5"),
+    ({"cross_section": {"name": "custom", "n": 1, "multiplicities": [1, 2]}}, "eigenvalues must be a list, got None"),
 ]
 
 
 @pytest.mark.parametrize("field, named", _WRONG_TYPES, ids=[f"field{i}" for i in range(len(_WRONG_TYPES))])
 def test_solve_rejects_fields_of_the_wrong_json_type(tmp_path, capsys, field, named):
-    """A scenario field of the wrong JSON type is a malformed scenario: exit
-    11 with a one-line error, no traceback and no output file; a cross
-    section of the wrong type is one for `template --custom` too.  A list
-    where an object belongs, and a name that is no string, exited 1 with an
-    AttributeError; their errors name the field."""
+    """A scenario field of the wrong JSON type or length is a malformed
+    scenario: exit 11 with a one-line error that names the field, no
+    traceback and no output file; a cross section of the wrong type is one
+    for `template --custom` too.  A list where an object belongs, and a name
+    that is no string, exited 1 with an AttributeError, and a one-item
+    support with an IndexError; "t": 1.0, a top-level list and a custom
+    spectrum with no eigenvalues exited 11 with errors that named no field.
+    A field that is a list replaces the whole scenario."""
     out = tmp_path / "sol.csv"
-    scenario = _write_scenario(tmp_path, dict(SCENARIO, **field))
+    scenario = _write_scenario(tmp_path, dict(SCENARIO, **field) if isinstance(field, dict) else field)
     assert main(["solve", "--scenario", scenario, "--out", str(out)]) == EXIT_CODES["scenario"]
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
     if "cross_section" in field:
         custom = tmp_path / "custom.json"
         custom.write_text(json.dumps(field["cross_section"]))
@@ -515,3 +532,60 @@ def test_fit_rejects_repeated_rows(tmp_path, capsys):
     assert main(["fit", "--csv", str(doubled), "--out", str(fits)]) == EXIT_CODES["scenario"]
     assert not fits.exists()
     assert "repeats the row of mode 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("exponent", True, "exponent must be a number, got True"),
+    ("exponent", "2", "exponent must be a number, got '2'"),
+    ("n_samples", 49.7, "n_samples must be an integer, got 49.7"),
+    ("mode_j", "1", "mode_j must be an integer, got '1'"),
+    ("window", [1e-4], "window must be a list of 2, got [0.0001]"),
+])
+def test_recover_refuses_fit_fields_of_the_wrong_json_kind(tmp_path, capsys, field, value, message):
+    """A fit report field of the wrong JSON kind is malformed input (exit 11)
+    that names the field: "exponent": true was read as 1.0 and "2" as 2.0,
+    "n_samples": 49.7 as 49, and "mode_j": "1" stayed a string, a mode of
+    its own."""
+    fits, out = tmp_path / "fits.jsonl", tmp_path / "rec.json"
+    fits.write_text(json.dumps({**_REPORT.as_dict(), field: value}) + "\n")
+    argv = ["recover", "--fits", str(fits), "--n", "1", "--gamma", "0", "--k", "3", "--out", str(out)]
+    assert main(argv) == EXIT_CODES["scenario"]
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fit_refuses_a_csv_with_no_data_rows(tmp_path, capsys):
+    """A solution CSV of a header alone exited 0 with a fit file holding only
+    its generator line: exit 11, one line, no fit file."""
+    sol, fits = tmp_path / "sol.csv", tmp_path / "fits.jsonl"
+    sol.write_text("# coneasym 0.0\nmode_j,nu,t,x,value\n")
+    assert main(["fit", "--csv", str(sol), "--out", str(fits)]) == EXIT_CODES["scenario"]
+    assert not fits.exists()
+    assert capsys.readouterr().err == "error: solution CSV holds no data rows\n"
+
+
+def test_recover_refuses_a_fit_file_with_no_reports(tmp_path, capsys):
+    """A fit file of its generator line alone exited 0 with an empty
+    summary: exit 11, one line, no summary."""
+    fits, out = tmp_path / "fits.jsonl", tmp_path / "rec.json"
+    fits.write_text(reports_to_jsonl([]))
+    argv = ["recover", "--fits", str(fits), "--n", "1", "--gamma", "0", "--k", "3", "--out", str(out)]
+    assert main(argv) == EXIT_CODES["scenario"]
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: fit file holds no fit reports\n"
+
+
+@pytest.mark.filterwarnings("default::coneasym.errors.TruncationTooShort")  # Python's own default, not "error"
+def test_warnings_print_in_the_cli_error_shape(capsys):
+    """A template the spectrum cannot certify complete prints one `warning:`
+    line, not Python's warning text with a source path, class name and
+    source line; it exits 0 with the same JSON, on every call, and main
+    gives the caller's warning handling back when it returns."""
+    caller = warnings.showwarning
+    argv = ["template", "--cross-section", "s2", "--j-max", "6", "--k", "4"]
+    for _ in range(2):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: spectrum truncated too early to certify the template complete\n"
+        assert json.loads(captured.out)["validity"]["truncation_sufficient"] is False
+    assert warnings.showwarning is caller

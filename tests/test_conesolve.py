@@ -23,7 +23,7 @@ from coneasym.conesolve import (
     sectorial_sweep,
     solutions_to_csv,
 )
-from coneasym.errors import BadMultiplicity, DomainError, QuadratureFailure, ScenarioError, SpectrumRay
+from coneasym.errors import DomainError, QuadratureFailure, ScenarioError, SpectrumError, SpectrumRay
 from coneasym import _kernels, conesolve
 from coneasym._kernels import adaptive, heat_quadrature, heat_rows, heat_series
 
@@ -166,13 +166,16 @@ def test_mass_is_conserved():
 
 
 def test_small_x_series_bridges_solver(bump12):
-    problem = ModeProblem(n=1, lam=-2.25, t=1.0, profile=bump12)
+    """On x in [1e-4, 1e-3] the three-term small-x series and heat_mode at
+    rel_tol 1e-12 agree to 1e-13 (4.3e-15 at worst over these modes)."""
     xs = np.geomspace(1e-4, 1e-3, 9)
-    sol = heat_mode(problem, xs)
-    series = heat_small_x_series(problem, num_terms=3)
-    predicted = sum(c * xs**e for e, c in series)
-    rel = np.max(np.abs(predicted - sol.values) / np.abs(sol.values))
-    assert rel < 1e-8
+    for n, lam, t in [(1, -2.25, 1.0), (2, -6.0, 0.5), (3, -3.0, 2.0), (1, 0.0, 0.3)]:
+        problem = ModeProblem(n=n, lam=lam, t=t, profile=bump12)
+        sol = heat_mode(problem, xs, rel_tol=1e-12)
+        series = heat_small_x_series(problem, num_terms=3)
+        predicted = sum(c * xs**e for e, c in series)
+        rel = np.max(np.abs(predicted - sol.values) / np.abs(sol.values))
+        assert rel < 1e-13, (n, lam, t, rel)
 
 
 def test_small_x_series_leading_exponent(bump12):
@@ -216,9 +219,9 @@ def test_solvers_reject_a_dimension_below_one(bump12, n):
     """ModeProblem and resolvent_mode check the cross-section dimension by
     spectra's rule: a spectrum error (exit 10), not a silent solve or an
     untyped TypeError from the indicial roots."""
-    with pytest.raises(BadMultiplicity, match="dimension must be a positive integer"):
+    with pytest.raises(SpectrumError, match="dimension must be a positive integer"):
         ModeProblem(n=n, lam=-4.0, t=1.0, profile=bump12)
-    with pytest.raises(BadMultiplicity, match="dimension must be a positive integer"):
+    with pytest.raises(SpectrumError, match="dimension must be a positive integer"):
         resolvent_mode(n, -4.0, 1.0 + 1.0j, bump12, np.array([1.5]))
 
 

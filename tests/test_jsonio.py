@@ -1,4 +1,4 @@
-"""Deterministic JSON writer."""
+"""Deterministic JSON writer and the JSON kind check."""
 
 import json
 import math
@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coneasym import jsonio
+from coneasym.errors import ScenarioError
 
 
 def test_floats_carry_17_digits():
@@ -49,3 +50,30 @@ def test_nested_layout_is_pinned():
         '{\n  "a": [\n    1,\n    {\n      "b": [],\n      "c": [\n        2.5,\n'
         '        null\n      ]\n    }\n  ],\n  "d": {},\n  "e": "x"\n}\n'
     )
+
+
+@pytest.mark.parametrize("value, kind, length, message", [
+    (True, "number", None, "x must be a number, got True"),
+    (False, "integer", None, "x must be an integer, got False"),
+    (1.0, "integer", None, "x must be an integer, got 1.0"),
+    ("1", "number", None, "x must be a number, got '1'"),
+    (7, "string", None, "x must be a string, got 7"),
+    ({}, "list", None, "x must be a list, got {}"),
+    ([1.0], "list", 2, "x must be a list of 2, got [1.0]"),
+    ([1, 2], "object", None, "x must be a JSON object, got [1, 2]"),
+    (None, "object", None, "x must be a JSON object, got None"),
+])
+def test_require_refuses_the_wrong_json_kind(value, kind, length, message):
+    """require names the field and the kind it wanted; a boolean is never a
+    number or an integer."""
+    with pytest.raises(ScenarioError) as err:
+        jsonio.require(value, kind, "x", length)
+    assert str(err.value) == message
+
+
+def test_require_returns_the_value_and_a_number_as_a_float():
+    assert jsonio.require(2, "number", "x") == 2.0 and isinstance(jsonio.require(2, "number", "x"), float)
+    assert jsonio.require(2, "integer", "x") == 2
+    assert jsonio.require([1, "a"], "list", "x", 2) == [1, "a"]
+    assert jsonio.require({"a": 1}, "object", "x") == {"a": 1}
+    assert jsonio.require_numbers([1, 2.5], "x", 2) == [1.0, 2.5]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coneasym.errors import NonZeroTop, PositiveEigenvalue, SpectrumError
+from coneasym.errors import SpectrumError
 from coneasym.spectra import (
     CrossSection,
     circle_spectrum,
@@ -135,9 +135,9 @@ def test_exact_eigenvalues_are_judged_exactly():
     """An exact eigenvalue within 1e-12 of a bound is judged exactly: 1/10^15
     on top is not 0, and 1/10^13 is positive (not out of order).  Floats
     keep the 1e-12 tolerance: a top of 1e-15 snaps to exact 0."""
-    with pytest.raises(NonZeroTop):
+    with pytest.raises(SpectrumError, match="top eigenvalue must be 0"):
         custom_spectrum(1, [(Fraction(1, 10**15), 1), (Fraction(-4), 2)])
-    with pytest.raises(PositiveEigenvalue):
+    with pytest.raises(SpectrumError, match=r"eigenvalue Fraction\(1, 10000000000000\) is positive"):
         custom_spectrum(1, [(0, 1), (Fraction(1, 10**13), 2)])
     assert custom_spectrum(1, [(1e-15, 1), (-4.0, 2)]).eigenvalues[0] == Fraction(0)
 
