@@ -9,7 +9,7 @@ exactly once.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -34,31 +34,18 @@ from .templates import Origin, template_closed_form, template_differences, templ
 from .weights import require_window
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    cid: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+CriterionResult = namedtuple("CriterionResult", "cid name passed detail seconds")
 
 
 def custom_a():
     """n = 3 spectrum mixing exact and irrational indicial roots."""
-    pairs = [
-        (0, 1), (-3, 4), (-7, 2), (-15, 1),
-        (-35, 2), (-63, 1), (-120, 2), (-168, 1),
-    ]
-    return custom_spectrum(3, pairs, name="customA")
+    return custom_spectrum(3, [0, -3, -7, -15, -35, -63, -120, -168], [1, 4, 2, 1, 2, 1, 2, 1], name="customA")
 
 
 def custom_b():
     """n = 2 spectrum whose mu_2 = -2 collides exactly with an even shift."""
-    pairs = [
-        (0, 1), (Fraction(-5, 2), 2), (-6, 1), (Fraction(-49, 4), 2),
-        (-30, 1), (-56, 2), (-90, 1), (Fraction(-575, 4), 1),
-    ]
-    return custom_spectrum(2, pairs, name="customB")
+    eigenvalues = [0, Fraction(-5, 2), -6, Fraction(-49, 4), -30, -56, -90, Fraction(-575, 4)]
+    return custom_spectrum(2, eigenvalues, [1, 2, 1, 2, 1, 2, 1, 1], name="customB")
 
 
 def corpus() -> list:
@@ -341,7 +328,7 @@ def criterion_8():
         problem = ModeProblem(n=1, lam=float(circle.eigenvalues[j]), t=1.0, profile=profile)
         solutions.append((j, heat_mode(problem, grid)))
     reports = [
-        replace(peel_exponents(x, v), mode_j=mode_j, t=t)
+        peel_exponents(x, v)._replace(mode_j=mode_j, t=t)
         for mode_j, t, x, v in csv_to_series(solutions_to_csv(solutions))
     ]
     summary = recover_spectrum(reports, n=1, gamma=0.0, k=3)

@@ -11,7 +11,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 from . import jsonio
@@ -97,8 +96,8 @@ def build_cross_section(spec: dict):
     if name == "custom" or "eigenvalues" in spec:
         eigenvalues = jsonio.require(spec.get("eigenvalues"), "list", "eigenvalues")
         multiplicities = jsonio.require(spec.get("multiplicities"), "list", "multiplicities")
-        pairs = list(zip([_parse_number(v, "eigenvalue") for v in eigenvalues], multiplicities))
-        return custom_spectrum(spec["n"], pairs, name=name)
+        return custom_spectrum(spec["n"], [_parse_number(v, "eigenvalue") for v in eigenvalues], multiplicities,
+                               name=name)
     if name.startswith("s") and name[1:].isdigit():
         return sphere_spectrum(int(name[1:]), j_max)
     if name == "sphere":
@@ -223,7 +222,7 @@ def cmd_fit(args) -> int:
     with open(args.csv) as fh:
         series = csv_to_series(fh.read())
     peel = sys.modules[__name__].peel_exponents  # see __getattr__
-    reports = [replace(peel(x, v), mode_j=mode_j, t=t) for mode_j, t, x, v in series]
+    reports = [peel(x, v)._replace(mode_j=mode_j, t=t) for mode_j, t, x, v in series]
     _write_output(reports_to_jsonl(reports), args.out)
     return 0
 

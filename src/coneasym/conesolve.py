@@ -24,7 +24,7 @@ with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .version import __version__
 _SHAPES = ("bump", "gaussian", "indicator")
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(namedtuple("RadialProfile", "shape lo hi center width", defaults=(0.0, 1.0))):
     """Compactly supported radial source on [lo, hi], lo > 0.
 
     shape 'bump': exp(1 - 1/(1-u^2)) on the support (smooth), with
@@ -54,15 +53,15 @@ class RadialProfile:
         overflow;
     shape 'gaussian': exp(-((xi-center)/width)^2) truncated to the support;
     shape 'indicator': 1 on the support.
+
+    The constructor checks the fields (so build one by it, not by ``_make``
+    or ``_replace``).
     """
 
-    shape: str
-    lo: float
-    hi: float
-    center: float = 0.0
-    width: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.shape not in _SHAPES:
             raise ScenarioError(f"unknown profile shape {self.shape!r}")
         if not all(math.isfinite(v) for v in (self.lo, self.hi, self.center, self.width)):
@@ -71,6 +70,7 @@ class RadialProfile:
             raise ScenarioError("profile support must satisfy 0 < lo < hi")
         if self.shape == "gaussian" and not self.width > 0:
             raise ScenarioError("gaussian width must be positive")
+        return self
 
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -95,21 +95,20 @@ class RadialProfile:
         return np.ones_like(xi)
 
 
-@dataclass(frozen=True)
-class ModeProblem:
-    """Heat problem for one mode: dimension n+1, eigenvalue lam, source f."""
+class ModeProblem(namedtuple("ModeProblem", "n lam t profile")):
+    """Heat problem for one mode: dimension n+1, eigenvalue lam, source f
+    (checked by the constructor, which ``_make`` and ``_replace`` skip)."""
 
-    n: int
-    lam: float
-    t: float
-    profile: RadialProfile
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_dimension(self.n)
         if not (math.isfinite(self.t) and self.t > 0):
             raise ScenarioError("t must be finite and positive")
         if not math.isfinite(self.lam):
             raise ScenarioError("lam must be finite")
+        return self
 
     @property
     def nu(self) -> float:
@@ -120,11 +119,7 @@ class ModeProblem:
         return float(indicial_roots(self.n, self.lam).mu)
 
 
-@dataclass(frozen=True)
-class ModeSolution:
-    problem: ModeProblem
-    x: np.ndarray
-    values: np.ndarray
+ModeSolution = namedtuple("ModeSolution", "problem x values")
 
 
 def default_grid(decades=(-4, -1), points_per_decade: int = 16) -> np.ndarray:
@@ -298,11 +293,7 @@ def _prefix_integrals(h, decay, edges, x):
     return out
 
 
-@dataclass(frozen=True)
-class ResolventModeSolution:
-    lam: complex
-    x: np.ndarray
-    values: np.ndarray
+ResolventModeSolution = namedtuple("ResolventModeSolution", "lam x values")
 
 
 def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,

@@ -19,7 +19,7 @@ them live in `recovery`, which needs no numpy.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,15 +39,11 @@ _Q = np.arange(LADDER_TERMS)
 _MIN_SAMPLES = LADDER_TERMS + 4
 
 
-@dataclass(frozen=True)
-class LeastSquaresResult:
+class LeastSquaresResult(namedtuple("LeastSquaresResult", "x fun success nfev")):
     """Outcome of `least_squares`: the parameters, their residual vector,
-    whether the iteration converged, and how often ``fun`` was called."""
+    whether the iteration converged, and how often ``fun`` was called (an int)."""
 
-    x: np.ndarray
-    fun: np.ndarray
-    success: bool
-    nfev: int
+    __slots__ = ()
 
 
 def least_squares(fun, x0) -> LeastSquaresResult:

@@ -20,7 +20,7 @@ root multiplicity.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from numbers import Rational
 
@@ -74,15 +74,10 @@ def exact_sqrt(value: Fraction):
     return None
 
 
-@dataclass(frozen=True)
-class IndicialData:
+class IndicialData(namedtuple("IndicialData", "n lam nu mu q_plus")):
     """Indicial pair of one mode; exact Fractions when constructible."""
 
-    n: int
-    lam: object
-    nu: object
-    mu: object
-    q_plus: object
+    __slots__ = ()
 
 
 def indicial_roots(n: int, lam) -> IndicialData:
@@ -146,8 +141,7 @@ def root_multiplicity(coeffs, z0) -> int:
     return mult
 
 
-@dataclass(frozen=True)
-class Pole:
+class Pole(namedtuple("Pole", "location order provenance")):
     """One pole of the inverted composed symbol.
 
     ``provenance`` lists every (mode j, branch '+'/'-', shift 2i) that
@@ -155,9 +149,7 @@ class Pole:
     multiplicity.
     """
 
-    location: object
-    order: int
-    provenance: tuple
+    __slots__ = ()
 
 
 def pole_set(cross_section, k: int) -> tuple:

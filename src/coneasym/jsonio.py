@@ -29,12 +29,18 @@ _KINDS = {
 def require(value, kind, what, length=None):
     """value, a number as a float, if it is of the JSON kind named (a key of
     `_KINDS`); else a ScenarioError that names `what`.  A boolean is never
-    a number or an integer (Python takes true for 1), and a list must hold
-    `length` items when that is given."""
+    a number or an integer (Python takes true for 1), a number must fit a
+    float, and a list must hold `length` items when that is given."""
     words, types = _KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, types) or length is not None and len(value) != length:
         raise ScenarioError(f"{what} must be {words}{'' if length is None else f' of {length}'}, got {value!r}")
-    return float(value) if kind == "number" else value
+    if kind != "number":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{what} must be a number that fits a float, got an integer of "
+                            f"{len(str(abs(value)))} digits") from None
 
 
 def require_numbers(value, what, length=None) -> list:

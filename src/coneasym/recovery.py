@@ -14,7 +14,7 @@ Nothing here imports numpy, so `recover` starts as fast as `template`.
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from collections import namedtuple
 
 from . import jsonio
 from .errors import FitError, ScenarioError
@@ -35,31 +35,22 @@ RMS_TOL = 1e-12
 SPREAD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Ladder fit of one series: v ~ sum_q coefficients[q] x^(exponent + q step)."""
+class FitReport(namedtuple("FitReport", "exponent stderr step step_stderr coefficients coefficient_stderr "
+                                        "residual_rms n_samples window mode_j t", defaults=(None, None))):
+    """Ladder fit of one series: v ~ sum_q coefficients[q] x^(exponent + q step),
+    with the series' mode_j and t when known."""
 
-    exponent: float
-    stderr: float
-    step: float
-    step_stderr: float
-    coefficients: tuple
-    coefficient_stderr: tuple
-    residual_rms: float
-    n_samples: int
-    window: tuple
-    mode_j: int | None = None
-    t: float | None = None
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def report_from_dict(d: dict) -> FitReport:
     """The FitReport of one fit-file line, each field of its JSON kind."""
     if "step" not in d and "peel_index" in d:
         raise ScenarioError("fit file is in the old peel format; rerun `coneasym fit` on its CSV")
-    missing = [f.name for f in fields(FitReport) if f.default is MISSING and f.name not in d]
+    missing = [f for f in FitReport._fields if f not in FitReport._field_defaults and f not in d]
     if missing:
         raise ScenarioError(f"fit report lacks {', '.join(missing)}")
 
@@ -97,11 +88,8 @@ def recover_lambda(n: int, exponent):
     return mu * (n - 1 - mu)
 
 
-@dataclass(frozen=True)
-class RecoverySummary:
-    recovered: tuple
-    flagged: tuple
-    visible_mu_window: tuple
+class RecoverySummary(namedtuple("RecoverySummary", "recovered flagged visible_mu_window")):
+    __slots__ = ()
 
     def lambdas(self) -> list:
         return [entry["lambda"] for entry in self.recovered]

@@ -8,29 +8,28 @@ tolerance of ``indicial.TOL``.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import SpectrumError
 from .indicial import TOL, exact_or_float, less, same
 
 
-@dataclass(frozen=True)
-class CrossSection:
+class CrossSection(namedtuple("CrossSection", "n name eigenvalues multiplicities")):
     """Spectrum data of an (n)-dimensional cross section.
 
     The cone over it has dimension n+1.  ``eigenvalues`` are 0 = lam_0 >
-    lam_1 > ... (exact Fractions or floats), ``multiplicities`` the matching
-    positive integer counts.
+    lam_1 > ... (exact Fractions or finite floats), ``multiplicities`` the
+    matching positive integer counts.  The constructor checks them (so
+    build one by it, not by ``_make`` or ``_replace``).
     """
 
-    n: int
-    name: str
-    eigenvalues: tuple
-    multiplicities: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _validate(self.n, self.eigenvalues, self.multiplicities)
+        return self
 
     @property
     def lambda1(self):
@@ -57,6 +56,8 @@ def _validate(n, eigenvalues, multiplicities):
     if multiplicities[0] != 1:
         raise SpectrumError("the zero eigenvalue must be simple")
     for lam in eigenvalues[1:]:
+        if not -math.inf < lam < math.inf:  # not math.isfinite, which overflows on a huge Fraction
+            raise SpectrumError(f"eigenvalue {lam!r} is not finite")
         if less(0, lam):
             raise SpectrumError(f"eigenvalue {lam!r} is positive")
     for prev, cur in zip(eigenvalues, eigenvalues[1:]):
@@ -64,19 +65,15 @@ def _validate(n, eigenvalues, multiplicities):
             raise SpectrumError(f"eigenvalues not strictly decreasing at {cur!r}")
 
 
-def custom_spectrum(n: int, pairs, name: str = "custom") -> CrossSection:
-    """Build a CrossSection from (eigenvalue, multiplicity) pairs.
+def custom_spectrum(n: int, eigenvalues, multiplicities, name: str = "custom") -> CrossSection:
+    """Build a CrossSection from its eigenvalues and their multiplicities,
+    two lists that CrossSection holds to equal length.
 
     Rational eigenvalues (int, Fraction) are kept exact; a float equal to 0
     within 1e-12 is snapped to exact 0.
     """
-    eigenvalues = []
-    multiplicities = []
-    for lam, mult in pairs:
-        (lam,) = exact_or_float(lam)
-        eigenvalues.append(Fraction(0) if same(lam, 0, TOL) else lam)
-        multiplicities.append(mult)
-    return CrossSection(n, name, tuple(eigenvalues), tuple(multiplicities))
+    eigenvalues = tuple(Fraction(0) if same(lam, 0, TOL) else lam for (lam,) in map(exact_or_float, eigenvalues))
+    return CrossSection(n, name, eigenvalues, tuple(multiplicities))
 
 
 def harmonic_multiplicity(n: int, j: int) -> int:
@@ -91,8 +88,9 @@ def harmonic_multiplicity(n: int, j: int) -> int:
 def sphere_spectrum(n: int, j_max: int) -> CrossSection:
     """Round unit n-sphere: lam_j = -j(j+n-1) with harmonic multiplicities."""
     require_dimension(n)
-    pairs = [(Fraction(-j * (j + n - 1)), harmonic_multiplicity(n, j)) for j in range(j_max + 1)]
-    return custom_spectrum(n, pairs, name=f"s{n}")
+    js = range(j_max + 1)
+    return custom_spectrum(n, [Fraction(-j * (j + n - 1)) for j in js], [harmonic_multiplicity(n, j) for j in js],
+                           name=f"s{n}")
 
 
 def circle_spectrum(radius=None, j_max: int = 8, *, radius_squared=None) -> CrossSection:
@@ -113,5 +111,4 @@ def circle_spectrum(radius=None, j_max: int = 8, *, radius_squared=None) -> Cros
     if not (r > 0 and (isinstance(r, Fraction) or math.isfinite(last) and not same(first, 0, TOL))):
         raise SpectrumError(f"radius must be finite and positive, with -(j/r)^2 finite and nonzero in floats: "
                               f"got {'radius' if radius_squared is None else 'radius_squared'} {r}")
-    pairs = [(-(j * j) / r2, 1 if j == 0 else 2) for j in range(j_max + 1)]
-    return custom_spectrum(1, pairs, name="circle")
+    return custom_spectrum(1, [-(j * j) / r2 for j in range(j_max + 1)], [1] + [2] * j_max, name="circle")

@@ -23,7 +23,7 @@ candidate (its realized coefficient may vanish identically).
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ContinuityHypothesisFailed, ScenarioError, TruncationTooShort
@@ -34,19 +34,15 @@ from .weights import locate_interval, on_tile_edge, require_power, require_windo
 _REMAINDER_EPS = 1e-3
 
 
-@dataclass(frozen=True, order=True)
-class Origin:
-    """Provenance tag of a template term.
+class Origin(namedtuple("Origin", "kind j m nu", defaults=(-1, -1, -1))):
+    """Provenance tag of a template term, ordered by its fields.
 
     kind 'constant' | 'even' | 'even_odd' (the n = 2 odd companion) |
     'spectral'; for spectral terms j is the eigenvalue index, m the tile
     index of mu_j, nu the even shift.
     """
 
-    kind: str
-    j: int = -1
-    m: int = -1
-    nu: int = -1
+    __slots__ = ()
 
     def as_dict(self):
         out = {"kind": self.kind}
@@ -57,13 +53,9 @@ class Origin:
         return out
 
 
-@dataclass(frozen=True)
-class AsymTerm:
-    exponent: object
-    max_log_power: int
-    origins: tuple
-    approximate_merge: bool = False
-    near_tile_boundary: bool = False
+class AsymTerm(namedtuple("AsymTerm", "exponent max_log_power origins approximate_merge near_tile_boundary",
+                          defaults=(False, False))):
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -75,14 +67,8 @@ class AsymTerm:
         }
 
 
-@dataclass(frozen=True)
-class ExpansionTemplate:
-    n: int
-    gamma: object
-    k: int
-    terms: tuple
-    remainder_exponent: object
-    validity: dict = field(compare=False)
+class ExpansionTemplate(namedtuple("ExpansionTemplate", "n gamma k terms remainder_exponent validity")):
+    __slots__ = ()
 
     def exponents(self) -> list:
         return [t.exponent for t in self.terms]

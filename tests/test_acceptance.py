@@ -9,7 +9,6 @@ this module runs them once and asserts each outcome.
 
 import re
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,7 +51,7 @@ def test_criterion_4_catches_off_by_one_pole_orders(monkeypatch):
     exact = acceptance.pole_set
 
     def off_by_one(cross_section, k):
-        return tuple(replace(p, order=p.order + 1) for p in exact(cross_section, k))
+        return tuple(p._replace(order=p.order + 1) for p in exact(cross_section, k))
 
     monkeypatch.setattr(acceptance, "pole_set", off_by_one)
     _, problems = acceptance.criterion_4()

@@ -166,6 +166,18 @@ def test_no_option_only_tests_set():
     assert unset == []
 
 
+def test_value_types_are_named_tuples():
+    """No module of the package imports dataclasses: the value types are
+    collections.namedtuple subclasses, so ``template`` and ``recover``
+    never load dataclasses and the inspect it imports."""
+    package = Path(coneasym.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        imported = [node.module if isinstance(node, ast.ImportFrom) else alias.name
+                    for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names]
+        assert "dataclasses" not in imported, path.name
+
+
 def test_solver_input_checks_have_one_home():
     """The x_eval and rel_tol checks are each worded once in the package."""
     package = Path(coneasym.__file__).resolve().parent

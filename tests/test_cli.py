@@ -403,6 +403,7 @@ _WRONG_TYPES = [
     ({"modes": 3}, "modes must be a list, got 3"),
     ({"x_grid": {"decades": 5}}, "x_grid decades must be a list of 2, got 5"),
     ({"cross_section": {"name": "custom", "n": 1, "multiplicities": [1, 2]}}, "eigenvalues must be a list, got None"),
+    ({"t": [10**400]}, "t must be a number that fits a float, got an integer of 401 digits"),
 ]
 
 
@@ -414,8 +415,9 @@ def test_solve_rejects_fields_of_the_wrong_json_type(tmp_path, capsys, field, na
     for `template --custom` too.  A list where an object belongs, and a name
     that is no string, exited 1 with an AttributeError, and a one-item
     support with an IndexError; "t": 1.0, a top-level list and a custom
-    spectrum with no eigenvalues exited 11 with errors that named no field.
-    A field that is a list replaces the whole scenario."""
+    spectrum with no eigenvalues exited 11 with errors that named no field,
+    and an integer too large for a float (10^400 as a time) exited 1 with an
+    OverflowError.  A field that is a list replaces the whole scenario."""
     out = tmp_path / "sol.csv"
     scenario = _write_scenario(tmp_path, dict(SCENARIO, **field) if isinstance(field, dict) else field)
     assert main(["solve", "--scenario", scenario, "--out", str(out)]) == EXIT_CODES["scenario"]
@@ -435,11 +437,18 @@ def test_solve_rejects_fields_of_the_wrong_json_type(tmp_path, capsys, field, na
     {"n": True, "eigenvalues": [0, -4], "multiplicities": [1, 2]},
     {"n": 1, "eigenvalues": [0, -4], "multiplicities": [1, 2.7]},
     {"name": "sphere", "n": 1.5},
+    {"n": 1, "eigenvalues": [0, -math.inf], "multiplicities": [1, 2]},
+    {"n": 1, "eigenvalues": [0, "-1e400"], "multiplicities": [1, 2]},
+    {"n": 1, "eigenvalues": [0, -4, -16], "multiplicities": [1, 2]},
+    {"n": 1, "eigenvalues": [0, -4], "multiplicities": [1, 2, 2]},
 ])
 def test_cross_section_integers_are_judged_by_the_spectrum_rules(tmp_path, capsys, spec):
-    """n and the multiplicities reach spectra unconverted: a non-integer or
-    boolean n and a fractional multiplicity are spectrum errors (exit 10),
-    not truncated to an integer."""
+    """n, the multiplicities and the eigenvalues reach spectra as given: a
+    non-integer or boolean n and a fractional multiplicity are spectrum
+    errors (exit 10), not truncated to an integer.  So are an eigenvalue
+    past the float range (-1e400, as a number or a string, reads as -inf;
+    it exited 1 with an OverflowError) and lists of unequal length (cut to
+    the shorter one, they gave a template with exit 0)."""
     custom = tmp_path / "custom.json"
     custom.write_text(json.dumps(spec))
     assert main(["template", "--custom", str(custom), "--gamma", "0", "--k", "3"]) == EXIT_CODES["spectrum"]

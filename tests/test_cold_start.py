@@ -64,7 +64,8 @@ def test_package_import_loads_no_optimizer():
 
 def test_template_and_recover_run_without_scipy(tmp_path):
     """``template`` (JSON, ``--text`` and ``--check``) and ``recover`` load
-    neither scipy nor numpy."""
+    neither scipy nor numpy, nor ``dataclasses`` and the ``inspect`` it
+    imports: the value types are named tuples."""
     # circle of radius 1/2, n = 1: eigenvalues 0, -4, -16 give exponents 0, 2, 4
     fits = tmp_path / "fits.jsonl"
     fits.write_text(reports_to_jsonl([
@@ -83,10 +84,11 @@ def test_template_and_recover_run_without_scipy(tmp_path):
         "    codes = [cli.main(template), cli.main(template + ['--text']), cli.main(template + ['--check']),\n"
         f"             cli.main(['recover', '--fits', {str(fits)!r}, '--n', '1', '--gamma', '0', '--k', '3',\n"
         f"                       '--out', {str(out)!r}])]\n"
-        f"print(json.dumps({{'codes': codes, 'scipy': {_SCIPY}, 'numpy': {_NUMPY}}}))"
+        f"print(json.dumps({{'codes': codes, 'scipy': {_SCIPY}, 'numpy': {_NUMPY},\n"
+        "                  'dataclasses': 'dataclasses' in sys.modules, 'inspect': 'inspect' in sys.modules}))"
     )
     got = _fresh(code)
-    assert got == {"codes": [0, 0, 0, 0], "scipy": [], "numpy": False}
+    assert got == {"codes": [0, 0, 0, 0], "scipy": [], "numpy": False, "dataclasses": False, "inspect": False}
     recovered = json.loads(out.read_text())["recovered"]
     assert [round(r["lambda"]) for r in recovered] == [0, -4, -16]
 

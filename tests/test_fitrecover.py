@@ -1,7 +1,6 @@
 """Exponent fitting and spectrum recovery on synthetic and solved data."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -73,7 +72,7 @@ def test_least_squares_reports_failure():
 
 def test_fit_raises_when_least_squares_fails(monkeypatch):
     original = fitrecover.least_squares
-    monkeypatch.setattr(fitrecover, "least_squares", lambda *args: replace(original(*args), success=False))
+    monkeypatch.setattr(fitrecover, "least_squares", lambda *args: original(*args)._replace(success=False))
     x = _grid()
     with pytest.raises(FitError, match="did not converge"):
         peel_exponents(x, 2.0 * x**1.5)
@@ -257,7 +256,7 @@ def test_off_ladder_term_is_flagged(bump12):
     for t in (0.5, 1.0, 2.0):
         x, v = _solved(ModeProblem(n=1, lam=-4.0, t=t, profile=bump12))
         extra = 3e-2 * v[-1] * (x / x[-1]) ** 3.5
-        reports.append(replace(peel_exponents(x, v + extra), mode_j=1, t=t))
+        reports.append(peel_exponents(x, v + extra)._replace(mode_j=1, t=t))
     summary = recover_spectrum(reports, n=1, gamma=0.0, k=3)
     assert summary.recovered == ()
     assert [f["mode_j"] for f in summary.flagged] == [1]

@@ -188,7 +188,7 @@ def test_pole_merge_flags_near_collision():
     mu_b = -2.0 - 4e-10
     lam_a = mu_a * (1.0 - mu_a)
     lam_b = mu_b * (1.0 - mu_b)
-    cs = custom_spectrum(2, [(0, 1), (lam_a, 1), (lam_b, 1)])
+    cs = custom_spectrum(2, [0, lam_a, lam_b], [1, 1, 1])
     poles = pole_set(cs, 1)
     near = [p for p in poles if abs(float(p.location) + 2.0) < 1e-6]
     assert len(near) == 1

@@ -62,6 +62,8 @@ def test_nested_layout_is_pinned():
     ([1.0], "list", 2, "x must be a list of 2, got [1.0]"),
     ([1, 2], "object", None, "x must be a JSON object, got [1, 2]"),
     (None, "object", None, "x must be a JSON object, got None"),
+    pytest.param(10**400, "number", None, "x must be a number that fits a float, got an integer of 401 digits",
+                 id="integer-past-float-range"),
 ])
 def test_require_refuses_the_wrong_json_kind(value, kind, length, message):
     """require names the field and the kind it wanted; a boolean is never a

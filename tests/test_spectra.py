@@ -111,22 +111,25 @@ def test_circle_irrational_radius():
 
 
 def test_custom_spectrum_keeps_exact_values():
-    cs = custom_spectrum(2, [(0, 1), (Fraction(-5, 2), 2), (-6, 1)])
+    cs = custom_spectrum(2, [0, Fraction(-5, 2), -6], [1, 2, 1])
     assert cs.eigenvalues[1] == Fraction(-5, 2)
     assert isinstance(cs.eigenvalues[1], Fraction)
 
 
 def test_validation_rejects_bad_spectra():
     with pytest.raises(SpectrumError):
-        custom_spectrum(2, [(-1, 1), (-2, 1)])  # top eigenvalue not zero
+        custom_spectrum(2, [-1, -2], [1, 1])  # top eigenvalue not zero
     with pytest.raises(SpectrumError):
-        custom_spectrum(2, [(0, 2), (-2, 1)])  # zero must be simple
+        custom_spectrum(2, [0, -2], [2, 1])  # zero must be simple
     with pytest.raises(SpectrumError):
-        custom_spectrum(2, [(0, 1), (-2, 1), (-2, 1)])  # not strictly decreasing
+        custom_spectrum(2, [0, -2, -2], [1, 1, 1])  # not strictly decreasing
     with pytest.raises(SpectrumError):
-        custom_spectrum(2, [(0, 1), (-2, 0)])  # multiplicity must be positive
+        custom_spectrum(2, [0, -2], [1, 0])  # multiplicity must be positive
     with pytest.raises(SpectrumError):
-        custom_spectrum(2, [(0, 1), (3, 1)])  # positive eigenvalue
+        custom_spectrum(2, [0, 3], [1, 1])  # positive eigenvalue
+    for lam in (-math.inf, math.inf, math.nan):
+        with pytest.raises(SpectrumError, match="is not finite"):
+            custom_spectrum(2, [0, -2, lam], [1, 1, 1])
     with pytest.raises(SpectrumError):
         circle_spectrum()  # radius or radius_squared required
 
@@ -136,10 +139,10 @@ def test_exact_eigenvalues_are_judged_exactly():
     on top is not 0, and 1/10^13 is positive (not out of order).  Floats
     keep the 1e-12 tolerance: a top of 1e-15 snaps to exact 0."""
     with pytest.raises(SpectrumError, match="top eigenvalue must be 0"):
-        custom_spectrum(1, [(Fraction(1, 10**15), 1), (Fraction(-4), 2)])
+        custom_spectrum(1, [Fraction(1, 10**15), Fraction(-4)], [1, 2])
     with pytest.raises(SpectrumError, match=r"eigenvalue Fraction\(1, 10000000000000\) is positive"):
-        custom_spectrum(1, [(0, 1), (Fraction(1, 10**13), 2)])
-    assert custom_spectrum(1, [(1e-15, 1), (-4.0, 2)]).eigenvalues[0] == Fraction(0)
+        custom_spectrum(1, [0, Fraction(1, 10**13)], [1, 2])
+    assert custom_spectrum(1, [1e-15, -4.0], [1, 2]).eigenvalues[0] == Fraction(0)
 
 
 def test_lambda1_property(circle_half):

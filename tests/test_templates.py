@@ -39,7 +39,7 @@ def test_sphere2_k3_structure(sphere2):
 
 
 def test_irrational_exponents_interleave():
-    cs = custom_spectrum(3, [(0, 1), (-3, 4), (-7, 2), (-15, 1)])
+    cs = custom_spectrum(3, [0, -3, -7, -15], [1, 4, 2, 1])
     with pytest.warns(TruncationTooShort):
         template = template_closed_form(cs, Fraction(1, 4), 3)
     values = [float(e) for e in template.exponents()]
@@ -122,7 +122,7 @@ def test_near_boundary_flag():
     exact mu is off it, since on an edge means on it exactly for a rational."""
     for construction in (template_closed_form, template_inductive):
         for mu, flagged in ((-3.0 - 1e-10, True), (-3 - Fraction(1, 10**10), False)):
-            cs = custom_spectrum(1, [(0, 1), (-mu * mu, 1)])
+            cs = custom_spectrum(1, [0, -mu * mu], [1, 1])
             with pytest.warns(TruncationTooShort):
                 template = construction(cs, Fraction(0), 3)
             near = [t.near_tile_boundary for t in template.terms if Origin("spectral", j=1, m=3, nu=0) in t.origins]
