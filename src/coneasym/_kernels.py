@@ -1,24 +1,20 @@
 """Low-level numerical kernels.
 
-The Gauss-Legendre engine of the heat solver, and the solver on top of
-it (the resolvent fits Chebyshev series instead; see ``conesolve``).  The
-engine is a 16-point rule on many panels at once, in blocks of at most
-_BLOCK panels per integrand call, and an adaptive bisection whose
-breadth-first frontier refines every live panel of every task in one such
-call per level, the start level (each task's panel and its two halves)
-included.  ``heat_moments`` applies the same rule to all of its moments at
-once, on one memoized node set of fixed panels.  The nodes of the heat
-quadrature and of the moments all lie strictly inside the source's
-support, so both read the source by ``RadialProfile.interior``, without
-the mask of its ``__call__``.
+``cell_fits`` is the package's one adaptive engine: Chebyshev fits on
+cells that halve until they chop, for many tasks at once.  The heat
+quadrature integrates each point on it, and the resolvent (``conesolve``)
+carries its fits by running sums.  Its Chebyshev-Lobatto points include
+the cell ends, the support's edges among them, so the integrands read the
+source by ``RadialProfile.interior``, which holds there.  ``heat_moments``
+keeps a 16-point Gauss-Legendre rule on fixed panels instead, so each
+moment is a row sum, the same whatever the count.
 
 ``heat_rows`` evaluates each point by ``heat_series``, the kernel's
-ascending series summed against fixed-panel moments of the source, where
-that series converges to rel_tol (z = x hi / (4t) at most _SERIES_Z), and
-every other point by ``heat_quadrature``, the adaptive engine with one
-``scipy.special.ive`` call per level.  scipy.special is imported only
-when some point falls to the quadrature, so the exact-algebra commands
-and the small-x solves start without it.
+ascending series summed against those moments, where it converges to
+rel_tol (z = x hi / (4t) at most _SERIES_Z), and every other point by
+``heat_quadrature``.  scipy.special is imported only when some point falls
+to the quadrature, so the exact-algebra commands and the small-x solves
+start without it.
 
 Notation: the mode operator on the model cone of dimension n+1 is
 
@@ -41,11 +37,16 @@ import numpy as np
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# Most panels in one integrand call: bounds the (panels x 16) node
-# temporaries.
-_BLOCK = 512
-
 _EPS = float(np.finfo(float).eps)
+# cell_fits chops a fit at _CHOP_TOL of its scale, gives a task up after
+# _MAX_SPLITS halvings or with more than _MAX_OPEN cells open (noise: a narrow
+# feature leaves a few open per halving), and passes at most _BLOCK cells to
+# one integrand call.  Samples below _NORMAL, the smallest normal double, are
+# subnormal and round absolutely.
+_CHOP_TOL, _MAX_OPEN, _MAX_SPLITS, _BLOCK, _NORMAL = 1e-14, 1024, 40, 512, float(np.finfo(float).tiny)
+# heat_quadrature cuts start cells at x + 2 sqrt(t) times these: the kernel's
+# Gaussian is about 2 sqrt(t) wide, and e^(-27^2) underflows.
+_KERNEL_CUTS = np.array([-27.0, -14.0, -9.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 9.0, 14.0, 27.0])
 # heat_rows evaluates points with z = x hi / (4t) up to this by heat_series.
 _SERIES_Z = 25.0
 # heat_series stops where its a-priori bound on T_K / T_0 falls below this.
@@ -62,70 +63,96 @@ _MOMENT_HALF_PANELS_MAX = 256
 _MOMENT_HALF_PANELS_PER_WIDTH = 6.0
 
 
-def gl_panels(fn, rows, a, b):
-    """16-point Gauss-Legendre estimates on the panels [a[k], b[k]].
+@functools.cache
+def _levels():
+    """Per degree 32, 64, 128 on the Chebyshev-Lobatto points cos(j pi / 128): (slice of
+    the points it adds, their u, slice of all its points, 1 / their spacing, samples ->
+    last quarter of coefficients, -> integral from u = -1, |int_-1^1 T_k| for that
+    quarter); built on first use, so runs that fit no cell skip it."""
+    levels, u_all = [], np.cos(np.pi * np.arange(129) / 128)
+    for degree in (32, 64, 128):
+        k, step = np.arange(degree + 1), 128 // degree
+        ends = np.where(k % degree, 1.0, 0.5)  # the discrete cosine transform halves the end terms
+        coef = (2.0 / degree) * np.outer(ends, ends) * np.cos(np.pi * np.outer(k, k) / degree)  # symmetric
+        integ = np.zeros((degree + 1, 130), complex)
+        integ[:, :degree + 2] = coef @ np.polynomial.chebyshev.chebint(np.eye(degree + 1), lbnd=-1).T
+        new = slice(0, None, step) if degree == 32 else slice(step, None, 2 * step)
+        levels.append((new, u_all[new], slice(0, None, step), 1.0 / -np.diff(u_all[::step]),
+                       coef[:, 3 * degree // 4:].astype(complex), integ,
+                       np.where(k % 2, 0.0, 2.0 / np.maximum(k * k - 1.0, 1.0))[3 * degree // 4:]))
+    return levels
 
-    fn(rows, nodes) gets the task index of each panel and a (P, 16) node
-    array, and returns real or complex values of that shape.  One fn call
-    takes at most _BLOCK panels, so the node temporaries stay bounded.
+
+def _per_task(rows, v, m):
+    """v @ m, one product per task's rows: BLAS rounds a row by its place in a product."""
+    if rows[0] == rows[-1]:
+        return v @ m
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    return np.concatenate([v[p:q] @ m for p, q in zip(first, np.append(first[1:], rows.size))])
+
+
+def cell_fits(fn, rows, a, b, decay=0.0):
+    """Chebyshev fits of g = e^(decay (xi - b)) fn(rows, xi) on the cells
+    [a[k], b[k]] of the tasks rows[k], for many tasks at once (rows sorted).
+
+    fn gets the task of each cell and its points (one row per cell) and
+    returns real or complex samples of that shape.  Each cell is sampled at
+    degree 32, 64, then 128 (Trefethen, "Approximation Theory and
+    Approximation Practice", SIAM 2013, ch. 19) and chops at the first
+    degree whose last quarter of coefficients is within _CHOP_TOL of its
+    scale (its largest sample, or its parent cell's) plus g's rounding
+    floor 4 eps (scale + reach max |g'|), nodes xi being rounded by
+    eps |xi| for reach the task's largest |xi|, and _NORMAL.  A cell that
+    does not chop is halved.  A task gives up when a cell is open after
+    _MAX_SPLITS halvings or more than _MAX_OPEN of its cells are open, and
+    at once when a sample is not finite.  Whole tasks go through in groups
+    of about _BLOCK start cells, and fn gets at most _BLOCK cells a call.
+
+    Yields (rows, a, half, d, err, chopped) for the cells that close at each
+    degree: d holds the 130 Chebyshev coefficients of the fit's integral
+    from u = -1, err = half sum |c_k| |int T_k| over the last quarter, and
+    chopped is False where the task gave up (with its degree-128 fit, or
+    the nan of a non-finite sample).  A task's cells meet the products and
+    the output in an order of their own, so its results depend neither on
+    the other tasks nor on their order.
     """
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    parts = [np.zeros(0)]
-    for s in range(0, rows.size, _BLOCK):
-        vals = fn(rows[s:s + _BLOCK], c[s:s + _BLOCK, None] + h[s:s + _BLOCK, None] * _GL_NODES)
-        parts.append(h[s:s + _BLOCK] * np.sum(_GL_WEIGHTS * vals, axis=1))
-    return np.concatenate(parts)
-
-
-def adaptive(fn, a, b, rel_tol, max_depth):
-    """Adaptive bisection of fn on [a[i], b[i]] for every task i at once,
-    under error control relative to each task's running estimate (as in
-    QUADPACK's QAG, Piessens et al. 1983, and Gander & Gautschi, "Adaptive
-    quadrature - revisited", BIT 40, 2000).
-
-    Each task starts from one panel on [a[i], b[i]], which one gl_panels
-    call evaluates together with its two halves, so the start level of up
-    to _BLOCK / 3 tasks costs one integrand call.  At each level a task's
-    running estimate is the sum of its accepted pairs and of the pairs of
-    its live panels; a panel is accepted when its estimate and the sum over
-    its two halves differ by at most rel_tol times |running estimate| times
-    its share of the width of [a[i], b[i]], when it sits max_depth
-    bisections deep, or when that budget is not finite (a nan or inf
-    integrand would otherwise refine every panel to max_depth).  The
-    frontier is breadth-first: one gl_panels call halves every live panel
-    of every task.  Each task keeps one running total of its accepted
-    pairs, their errors and their panel count, added level by level in the
-    order of its own panels; that total is both the running estimate the
-    budget reads and the returned value, so a task's result depends neither
-    on the other tasks nor on their order.
-
-    Returns arrays (value, error_estimate, panel_count).
-    """
-    a, b = np.broadcast_arrays(a, b)
-    rows, lo, hi, width = np.arange(a.size), a, b, b - a
-    mid = 0.5 * (lo + hi)
-    start = gl_panels(fn, np.concatenate([rows] * 3), np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
-    coarse, halves = start[:a.size], start[a.size:]
-    value, err, panels = np.zeros(a.size, start.dtype), np.zeros(a.size), np.zeros(a.size, np.int64)
-    depth = 0
-    while rows.size:
-        left, right = halves[:rows.size], halves[rows.size:]
-        pair = left + right
-        e = np.abs(coarse - pair)
-        running = value.copy()
-        np.add.at(running, rows, pair)
-        budget = rel_tol * np.abs(running[rows]) * (hi - lo) / width[rows]
-        done = (e <= budget) | (depth >= max_depth) | ~np.isfinite(budget)
-        np.add.at(value, rows[done], pair[done])
-        np.add.at(err, rows[done], e[done])
-        np.add.at(panels, rows[done], 2)
-        live = ~done
-        rows, coarse = np.concatenate([rows[live]] * 2), np.concatenate([left[live], right[live]])
-        lo, hi = np.concatenate([lo[live], mid[live]]), np.concatenate([mid[live], hi[live]])
-        mid = 0.5 * (lo + hi)
-        halves = gl_panels(fn, np.concatenate([rows, rows]), np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        depth += 1
-    return value, err, panels
+    reach = np.zeros(rows[-1] + 1)
+    np.maximum.at(reach, rows, np.maximum(np.abs(a), np.abs(b)))
+    groups = [0]
+    if rows.size > _BLOCK:
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        groups = first[np.diff(first // _BLOCK, prepend=-1) > 0]
+    for s, e in zip(groups, [*groups[1:], rows.size]):
+        r, lo, hi, sc = rows[s:e], a[s:e], b[s:e], np.zeros(e - s)
+        for depth in range(_MAX_SPLITS + 1):
+            vals, mid, half = np.zeros((r.size, 129), complex), 0.5 * (lo + hi), 0.5 * (hi - lo)
+            for last, (new, u, cols, inv_du, tail, integ, weight) in zip((False, False, True), _levels()):
+                for k in range(0, r.size, _BLOCK):
+                    c, h = slice(k, k + _BLOCK), half[k:k + _BLOCK, None]
+                    vals[c, new] = fn(r[c], mid[c, None] + h * u) * np.exp(decay * h * (u - 1.0))
+                v = vals[:, cols]
+                sc = np.maximum(sc, np.abs(v).max(axis=1))
+                slope = (np.abs(np.diff(v, axis=1)) * inv_du).max(axis=1)
+                floor = 4.0 * _EPS * (sc + reach[r] / half * slope) + _NORMAL
+                coef = np.abs(_per_task(r, v, tail))
+                chop = coef.max(axis=1) <= _CHOP_TOL * sc + floor
+                bad = ~np.isfinite(sc)
+                dead = np.isin(r, r[bad]) if bad.any() else bad  # a non-finite sample closes its task
+                close = chop | bad
+                if last and (depth == _MAX_SPLITS or r.size > _MAX_OPEN):
+                    count = np.bincount(r[~close & ~dead], minlength=r[-1] + 1)
+                    close |= ~dead & ((depth == _MAX_SPLITS) | (count[r] > _MAX_OPEN))
+                if close.any():
+                    yield (r[close], lo[close], half[close], _per_task(r[close], v[close], integ),
+                           half[close] * (coef[close] * weight).sum(axis=1), chop[close])
+                keep = ~(close | dead)
+                r, lo, hi, mid, half, sc, vals = (arr[keep] for arr in (r, lo, hi, mid, half, sc, vals))
+                if not r.size:
+                    break
+            if not r.size:
+                break
+            order = np.argsort(np.concatenate([r, r]), kind="stable") if r[0] != r[-1] else slice(None)
+            r, lo, hi, sc = (np.concatenate(pair)[order] for pair in ((r, r), (lo, mid), (mid, hi), (sc, sc)))
 
 
 def heat_moments(nu, n, t, profile, count):
@@ -224,57 +251,71 @@ def heat_series(nu, n, t, xs, profile):
     return values, spread + t_m[rows, terms] / (1.0 - z * z / ((terms + 1.0) * (nu + terms + 1.0)))
 
 
-def heat_rows(nu, n, t, xs, profile, rel_tol, max_depth):
+def heat_rows(nu, n, t, xs, profile, rel_tol):
     """Mode integral of p_nu(t, x, xi) f(xi) xi^n over the support [lo, hi]
     of the source profile f at every eval point x of xs, to rel_tol.
 
     A point with z = x hi / (4t) <= _SERIES_Z takes heat_series when its
     value is above _TINY and its error estimate meets rel_tol; it reports
-    0 panels.  Every other point goes to heat_quadrature, and only then is
-    scipy.special imported.
+    0 Bessel nodes.  Every other point goes to heat_quadrature, and only
+    then is scipy.special imported.
 
-    Returns (values, error_estimates, panel_counts, converged_flags); the
-    per-point results do not depend on the order of xs or on the other
-    points.
+    Returns (values, error_estimates, bessel_nodes, converged_flags); a
+    point's results do not depend on the order of xs or on the other points.
     """
     nu, n, t, rel_tol = float(nu), float(n), float(t), float(rel_tol)
     xs = np.asarray(xs, dtype=np.float64)
-    value, err, panels = np.zeros(xs.size), np.zeros(xs.size), np.zeros(xs.size, np.int64)
+    value, err, nodes = np.zeros(xs.size), np.zeros(xs.size), np.zeros(xs.size, np.int64)
     near = xs * float(profile.hi) / (4.0 * t) <= _SERIES_Z
     if near.any():
         value[near], err[near] = heat_series(nu, n, t, xs[near], profile)
     ok = (value >= _TINY) & (err <= rel_tol * value)
     rest = ~ok
     if rest.any():
-        value[rest], err[rest], panels[rest], ok[rest] = heat_quadrature(
-            nu, n, t, xs[rest], profile, rel_tol, max_depth)
-    return value, err, panels, ok
+        value[rest], err[rest], nodes[rest], ok[rest] = heat_quadrature(nu, n, t, xs[rest], profile, rel_tol)
+    return value, err, nodes, ok
 
 
-def heat_quadrature(nu, n, t, xs, profile, rel_tol, max_depth):
-    """heat_rows by adaptive panels alone, for every point of xs.
+def heat_quadrature(nu, n, t, xs, profile, rel_tol):
+    """heat_rows by cell_fits alone, for every point of xs.
 
-    All points refine together on one breadth-first frontier, each against
-    half of rel_tol times its own running estimate (see ``adaptive``); the
-    integrand is nonnegative, so that estimate cannot collapse by
-    cancellation.  A point has converged when its summed error estimate is
-    within rel_tol of its value.
+    Each point's integrand interior(xi) p_nu(t, x, xi) xi^n is one task.  Its
+    start cells cut the support into 5 equal cells, and at x and
+    x +- 2 sqrt(t) {2, 4, 6, 9, 14, 27}, and a gaussian's at its centre and
+    28 widths either side, so no sample set misses the kernel's peak or the
+    source's.  Its value sums its cells' integrals and its error estimate
+    their err (see ``cell_fits``); it has converged when no fit gave up and
+    that estimate is within rel_tol of the value.  A point whose value is
+    subnormal (its samples are too) reads 0, converged, and one with a
+    non-finite sample reads nan.
+
+    Returns (values, error_estimates, bessel_nodes, converged_flags).
     """
-    nu, n, t, rel_tol, max_depth = float(nu), float(n), float(t), float(rel_tol), int(max_depth)
+    nu, n, t, rel_tol = float(nu), float(n), float(t), float(rel_tol)
     xs = np.asarray(xs, dtype=np.float64)
     from scipy.special import ive
+    nodes = np.zeros(xs.size, np.int64)
 
     def integrand(rows, xi):
         x = xs[rows, None]
         w = x * xi / (2.0 * t)
-        kern = (
-            (x * xi) ** (0.5 * (1.0 - n))
-            / (2.0 * t)
-            * np.exp(-((x - xi) ** 2) / (4.0 * t))
-            * ive(nu, w)
-        )
+        kern = (x * xi) ** (0.5 * (1.0 - n)) / (2.0 * t) * np.exp(-((x - xi) ** 2) / (4.0 * t)) * ive(nu, w)
+        np.add.at(nodes, rows, xi.shape[1])
         return profile.interior(xi) * kern * xi**n
 
-    lo, hi = np.full(xs.size, float(profile.lo)), np.full(xs.size, float(profile.hi))
-    value, err, panels = adaptive(integrand, lo, hi, 0.5 * rel_tol, max_depth)
-    return value, err, panels, err <= rel_tol * np.abs(value)
+    lo, hi = float(profile.lo), float(profile.hi)
+    marks = np.linspace(lo, hi, 6)
+    if profile.shape == "gaussian":
+        marks = np.append(marks, profile.center + 28.0 * profile.width * np.array([-1.0, 0.0, 1.0]))
+    cuts = np.concatenate([np.broadcast_to(marks, (xs.size, marks.size)),
+                           xs[:, None] + 2.0 * math.sqrt(t) * _KERNEL_CUTS], axis=1)
+    cuts = np.sort(np.clip(cuts, lo, hi), axis=1)
+    wide = cuts[:, 1:] > cuts[:, :-1]
+    rows = np.broadcast_to(np.arange(xs.size)[:, None], wide.shape)[wide]
+    value, err, ok = np.zeros(xs.size), np.zeros(xs.size), np.ones(xs.size, bool)
+    for r, _, half, d, e, chopped in cell_fits(integrand, rows, cuts[:, :-1][wide], cuts[:, 1:][wide]):
+        np.add.at(value, r, half * d.sum(axis=1).real)
+        np.add.at(err, r, e)
+        ok[r[~chopped]] = False
+    value, err = (np.where(np.abs(value) < _NORMAL, 0.0, arr) for arr in (value, err))
+    return value, err, nodes, ok & (err <= rel_tol * np.abs(value))

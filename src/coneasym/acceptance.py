@@ -250,7 +250,7 @@ def criterion_5():
     problems, lines = [], []
     for nu, lam in ((1.5, -2.25), (math.sqrt(2.0), -2.0)):
         problem = ModeProblem(n=1, lam=lam, t=1.0, profile=profile)
-        values, _, _, ok = heat_quadrature(problem.nu, 1, 1.0, grid, profile, 1e-9, 20)
+        values, _, _, ok = heat_quadrature(problem.nu, 1, 1.0, grid, profile, 1e-9)
         if not ok.all():
             problems.append(f"nu={nu}: quadrature missed rel_tol 1e-9 at {int((~ok).sum())} points")
         report = peel_exponents(grid, values)
@@ -420,7 +420,7 @@ def criterion_11():
         x = np.concatenate([np.geomspace(1e-3, 0.9 * lo, 4), np.linspace(lo, hi, 5)[1:-1], [1.3 * hi]])
         for n, nu, t in ((1, 10.0, 1.0), (2, 0.5, 0.1), (3, 4.0, 0.03)):
             values, errs = heat_series(nu, n, t, x, profile)
-            ref, ref_errs, _, converged = heat_quadrature(nu, n, t, x, profile, 1e-13, 30)
+            ref, ref_errs, _, converged = heat_quadrature(nu, n, t, x, profile, 1e-13)
             gap = np.abs(values - ref)
             worst = max(worst, float(np.max(gap / ref)))
             unbounded += int(np.sum(gap > errs + ref_errs) + np.sum(~converged))

@@ -86,6 +86,9 @@ def _parse_number(text, what):
     return text
 
 
+_J_MAX = 10000  # bound on j_max, the JSON field and --j-max alike: the spectra build j_max + 1 entries
+
+
 def build_cross_section(spec: dict):
     """Cross-section of a spec: custom whenever it lists eigenvalues,
     whatever its name; else the built-in spectrum the name selects.
@@ -93,6 +96,8 @@ def build_cross_section(spec: dict):
     spec = jsonio.require(spec, "object", "cross_section")
     name = jsonio.require(spec.get("name", "custom"), "string", "cross_section name")
     j_max = jsonio.require(spec.get("j_max", 8), "integer", "j_max")
+    if not 0 <= j_max <= _J_MAX:
+        raise ScenarioError(f"j_max must lie in [0, {_J_MAX}], got {j_max}")
     if name == "custom" or "eigenvalues" in spec:
         eigenvalues = jsonio.require(spec.get("eigenvalues"), "list", "eigenvalues")
         multiplicities = jsonio.require(spec.get("multiplicities"), "list", "multiplicities")

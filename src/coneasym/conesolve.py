@@ -8,27 +8,26 @@ with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
 
 * the heat solution a(t, x) = integral p_nu(t, x, xi) f(xi) xi^n dxi for
   compactly supported radial sources f (the kernel's ascending series
-  summed against moments of f where it converges, adaptive Gauss-Legendre
-  panels on the support elsewhere; see ``_kernels.heat_rows``),
+  summed against moments of f where it converges, Chebyshev cells on the
+  support elsewhere; see ``_kernels.heat_rows``),
 * its exact small-x series (the same moments, with e^(-x^2/(4t))
   expanded too), the bridge to the templates,
 * the resolvent (lam_res - L)^(-1) f off the spectral ray via the
   regular/decaying Bessel pair (besselkit's scaled form), normalized by
   the exact Wronskian phi psi' - phi' psi = -x^(-n): Chebyshev fits of
-  phi f and psi f on cells of the support, integrated in closed form and
-  carried from edge to edge by running sums,
+  phi f and psi f on cells of the support (``_kernels.cell_fits``),
+  integrated in closed form and carried by running sums,
 * the resolvent's finite-difference residual |(lam_res - L) u - f| on a
   uniform grid.
 """
 
 import cmath
-import functools
 import math
 from collections import namedtuple
 
 import numpy as np
 
-from ._kernels import _EPS, heat_moments, heat_rows
+from ._kernels import _EPS, _MAX_OPEN, _MAX_SPLITS, cell_fits, heat_moments, heat_rows
 from .besselkit import _check_complex_arg, bessel_i, bessel_k, check_order
 from .errors import DomainError, QuadratureFailure, ScenarioError, SpectrumRay
 from .indicial import indicial_roots
@@ -47,8 +46,8 @@ class RadialProfile(namedtuple("RadialProfile", "shape lo hi center width", defa
         1 - u^2 = 4 (xi - lo)(hi - xi)/W^2.  Forming 1 - u^2 itself cancels
         near either edge (|u| -> 1) and puts a relative error of about
         eps/(1 - u^2)^2 on the value (about 1e-11 at 1e-3 W from an edge),
-        noise that the adaptive quadrature then refines after; the
-        distances to the edges carry no such cancellation.  W/2 divides
+        noise that the cell fits would then halve after; the distances to
+        the edges carry no such cancellation.  W/2 divides
         each distance on its own, so a support wider than 1e154 does not
         overflow;
     shape 'gaussian': exp(-((xi-center)/width)^2) truncated to the support;
@@ -137,24 +136,19 @@ def _eval_points(x_eval) -> np.ndarray:
     return x_eval
 
 
-# Bisections after which heat_mode's quadrature gives up on a point.
-_MAX_DEPTH = 20
-
-
 def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9) -> ModeSolution:
     """Heat solution of one mode at x_eval, each point to rel_tol.
 
     The mode's order nu must lie in besselkit's order range, and every
     value must be finite: scipy.special.ive, which the heat quadrature
     calls at w = x xi / (2t), returns nan past w of about 1.0965e9
-    (DomainError either way).
+    (DomainError either way).  A point that misses rel_tol, or whose cell
+    fits give up, is a QuadratureFailure.
     """
     x_eval = _eval_points(x_eval)
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ScenarioError("rel_tol must be finite and positive")
-    values, _, _, ok = heat_rows(
-        check_order(problem.nu), problem.n, problem.t, x_eval, problem.profile, rel_tol, _MAX_DEPTH
-    )
+    values, _, _, ok = heat_rows(check_order(problem.nu), problem.n, problem.t, x_eval, problem.profile, rel_tol)
     bad = x_eval[~np.isfinite(values)]
     if bad.size:
         raise DomainError(
@@ -163,11 +157,9 @@ def heat_mode(problem: ModeProblem, x_eval, rel_tol: float = 1e-9) -> ModeSoluti
             f"arguments x xi / (2t) above about 1.0965e9"
         )
     if not np.all(ok):
-        bad = int(np.sum(~ok))
-        raise QuadratureFailure(
-            f"{bad} of {x_eval.size} eval points missed rel_tol={rel_tol} "
-            f"within depth {_MAX_DEPTH}"
-        )
+        raise QuadratureFailure(f"{int(np.sum(~ok))} of {x_eval.size} eval points missed rel_tol={rel_tol}: a cell "
+                                f"fit gave up ({_MAX_SPLITS} halvings, {_MAX_OPEN} cells open) or the fits' error "
+                                f"estimate exceeds it")
     return ModeSolution(problem=problem, x=x_eval, values=values)
 
 
@@ -218,65 +210,24 @@ def _d2(v, h):
 
 
 # resolvent_mode cuts the support into _CELLS equal cells, halved while the
-# Green's function decays by more than e^_DECAY across one.  _prefix_integrals
-# fits cells on the Chebyshev-Lobatto points cos(j pi / 128), degrees 32, 64 and
-# 128 taking every 4th, 2nd and 1st, halves those that do not chop, and gives up
-# after _MAX_SPLITS halvings or with more than _MAX_OPEN cells open (noise: a
-# narrow feature leaves a few open per halving).
-_CELLS, _DECAY, _CHOP_TOL, _MAX_OPEN, _MAX_SPLITS = 5, 4.0, 1e-14, 1024, 40
-_TINY = float(np.finfo(float).tiny)
-
-
-@functools.cache
-def _levels():
-    """Per degree 32, 64, 128: (slice of the points it adds, their u, slice of all
-    its points, 1 / their spacing, samples -> last quarter of coefficients,
-    -> integral from u = -1); built on first use, so heat-only runs skip it."""
-    levels, u_all = [], np.cos(np.pi * np.arange(129) / 128)
-    for degree in (32, 64, 128):
-        k, step = np.arange(degree + 1), 128 // degree
-        ends = np.where(k % degree, 1.0, 0.5)  # the discrete cosine transform halves the end terms
-        coef = (2.0 / degree) * np.outer(ends, ends) * np.cos(np.pi * np.outer(k, k) / degree)  # symmetric
-        integ = np.zeros((degree + 1, 130), complex)
-        integ[:, :degree + 2] = coef @ np.polynomial.chebyshev.chebint(np.eye(degree + 1), lbnd=-1).T
-        new = slice(0, None, step) if degree == 32 else slice(step, None, 2 * step)
-        levels.append((new, u_all[new], slice(0, None, step), 1.0 / -np.diff(u_all[::step]),
-                       coef[:, 3 * degree // 4:].astype(complex), integ))
-    return levels
+# Green's function decays by more than e^_DECAY across one.
+_CELLS, _DECAY = 5, 4.0
 
 
 def _prefix_integrals(h, decay, edges, x):
     """e^(-decay x) int_lo^x e^(decay xi) h(xi) dxi at each x, lo = edges[0].
 
-    Each cell [a, b] fits g = e^(decay (xi - b)) h at degree 32, 64, then
-    128, and chops at the first whose last quarter of coefficients is within
-    _CHOP_TOL of its scale (its largest sample, or its parent cell's) plus
-    g's rounding floor 4 eps (scale + max |xi| max |g'|), nodes xi being
-    rounded by eps |xi|; that is about 4 eps (1 + |sqrt(lam)| hi) of the
-    scale on the large-|lam| rays, and _TINY, below which samples are
-    subnormal and round absolutely.  A cell that does not chop is halved.
+    ``cell_fits`` fits g = e^(decay (xi - b)) h on the cells [a, b] of
+    edges, as one task; a fit that gives up is a QuadratureFailure.
     Running sums carry the closed-form integrals from edge to edge, and a
     point inside a cell adds its cell's integrated series,
     sum_k d_k cos(k arccos u).  The fits do not read x."""
-    a, b, scale, fits, reach = edges[:-1], edges[1:], np.zeros(edges.size - 1), [], max(-edges[0], edges[-1])
-    for depth in range(_MAX_SPLITS + 1):
-        vals, mid, half = np.zeros((a.size, 129), complex), 0.5 * (a + b), 0.5 * (b - a)
-        for new, u, cols, inv_du, tail, integ in _levels():
-            if a.size:
-                vals[:, new] = h(mid[:, None] + half[:, None] * u) * np.exp(decay * half[:, None] * (u - 1.0))
-                v = vals[:, cols]
-                scale = np.maximum(scale, np.abs(v).max(axis=1))
-                floor = 4.0 * _EPS * (scale + reach / half * (np.abs(np.diff(v, axis=1)) * inv_du).max(axis=1)) + _TINY
-                chop = np.abs(v @ tail).max(axis=1) <= _CHOP_TOL * scale + floor
-                fits.append((a[chop], v[chop] @ integ))
-                a, b, mid, half, scale, vals = (arr[~chop] for arr in (a, b, mid, half, scale, vals))
-        if not a.size:
-            break
-        if depth == _MAX_SPLITS or a.size > _MAX_OPEN:
-            raise QuadratureFailure(f"resolvent cell at {abs(mid[0])} does not chop ({a.size} open, {depth} halvings)")
-        a, b, scale = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(scale, 2)
-    order = np.argsort(starts := np.concatenate([fit[0] for fit in fits]))
-    edges, d = np.append(starts[order], edges[-1]), np.concatenate([fit[1] for fit in fits])[order]
+    fits = cell_fits(lambda rows, xi: h(xi), np.zeros(edges.size - 1, np.int64), edges[:-1], edges[1:], decay)
+    _, starts, _, d, _, chopped = (np.concatenate(part) for part in zip(*fits))
+    if not chopped.all():
+        raise QuadratureFailure(f"resolvent cell at {abs(starts[~chopped][0])} does not chop")
+    order = np.argsort(starts)
+    edges, d = np.append(starts[order], edges[-1]), d[order]
     half = 0.5 * np.diff(edges)
     total, fold, run = (half * d.sum(axis=1)).tolist(), np.exp(-2.0 * decay * half).tolist(), [0j]
     for j in range(len(total)):

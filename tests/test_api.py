@@ -62,6 +62,40 @@ def test_tile_geometry_has_one_home():
         assert ("Fraction(n + 1, 2)" in path.read_text()) == (path.name == "weights.py"), path.name
 
 
+def test_cell_engine_has_one_home(monkeypatch):
+    """_kernels.cell_fits is the one adaptive engine.  No other module
+    assigns its limits (_CHOP_TOL, _MAX_OPEN, _MAX_SPLITS) or forms the
+    Chebyshev-Lobatto points, the bisection engine's names (adaptive,
+    gl_panels, _MAX_DEPTH) no longer resolve, and a heat_mode point that
+    takes the quadrature and a resolvent_mode call both run on it."""
+    from coneasym import _kernels, conesolve
+    from coneasym.conesolve import ModeProblem, RadialProfile, heat_mode, resolvent_mode
+
+    package = Path(coneasym.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        source = path.read_text()
+        assigned = {name.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assign)
+                    for target in node.targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+        home = path.name == "_kernels.py"
+        assert bool(assigned & {"_CHOP_TOL", "_MAX_OPEN", "_MAX_SPLITS"}) == home, path.name
+        assert ("np.cos(np.pi" in source) == home, path.name
+    for module in (_kernels, conesolve):
+        assert not [name for name in ("adaptive", "gl_panels", "_MAX_DEPTH") if hasattr(module, name)], module
+    calls, engine = [], _kernels.cell_fits
+
+    def counted(fn, rows, *args):
+        calls.append(rows.size)
+        return engine(fn, rows, *args)
+
+    monkeypatch.setattr(_kernels, "cell_fits", counted)
+    monkeypatch.setattr(conesolve, "cell_fits", counted)
+    bump = RadialProfile("bump", 1.0, 2.0)
+    heat_mode(ModeProblem(n=1, lam=0.0, t=1e-3, profile=bump), [1.5])  # z = x hi / (4t) = 750: the quadrature
+    assert len(calls) == 1
+    resolvent_mode(1, -4.0, 1.0 + 1.0j, bump, [1.5])  # one call per branch
+    assert len(calls) == 3
+
+
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _README = _PERFBENCH.parent / "README.md"
 

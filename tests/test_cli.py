@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from coneasym import cli
 from coneasym.cli import EXIT_CODES, build_cross_section, main, scenario_tasks
 from coneasym.errors import ScenarioError
 from coneasym.recovery import FitReport, reports_to_jsonl
@@ -461,10 +462,15 @@ def test_cross_section_integers_are_judged_by_the_spectrum_rules(tmp_path, capsy
     ("solve", {"modes": [1.5]}),
     ("solve", {"modes": "01"}),
     ("solve", {"modes": [True]}),
+    ("template", {"cross_section": {"name": "circle", "radius": 1, "j_max": -1}}),
+    ("solve", {"cross_section": {"name": "circle", "radius": "1/2", "j_max": cli._J_MAX + 1}}),
 ])
 def test_non_integer_indices_are_scenario_errors(tmp_path, capsys, command, field):
     """j_max and mode indices must be JSON integers: 3.9, 1.5, "01" and true
-    exit 11 instead of becoming 3, 1, (0, 1) and 1."""
+    exit 11 instead of becoming 3, 1, (0, 1) and 1.  j_max must also lie in
+    [0, cli._J_MAX]: -1 exited 10 with a message about the eigenvalue
+    list, and one past the bound built a spectrum that large (so 10^30 grew
+    until it was killed); both exit 11 naming j_max."""
     data = dict(SCENARIO, **field)
     if command == "template":
         path = tmp_path / "custom.json"
@@ -473,8 +479,17 @@ def test_non_integer_indices_are_scenario_errors(tmp_path, capsys, command, fiel
     else:
         argv = ["solve", "--scenario", _write_scenario(tmp_path, data), "--out", str(tmp_path / "sol.csv")]
     assert main(argv) == EXIT_CODES["scenario"]
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and ("j_max" in captured.err) == ("cross_section" in field)
     assert not (tmp_path / "sol.csv").exists()
+
+
+@pytest.mark.parametrize("j_max", [-3, cli._J_MAX + 1])
+def test_j_max_option_is_bounded(capsys, j_max):
+    """--j-max meets the JSON field's bound, in build_cross_section."""
+    argv = ["template", "--cross-section", "circle", "--radius", "1", "--j-max", str(j_max), "--gamma", "0", "--k", "3"]
+    assert main(argv) == EXIT_CODES["scenario"]
+    assert f"j_max must lie in [0, {cli._J_MAX}], got {j_max}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", [{"rel_tol": 0}, {"x_grid": {"points": []}}, {"x_grid": {"points": [-1, 0.1]}}])
