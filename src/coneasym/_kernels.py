@@ -1,9 +1,11 @@
 """Low-level numerical kernels.
 
 ``cell_fits`` is the package's one adaptive engine: Chebyshev fits on
-cells that halve until they chop, for many tasks at once.  The heat
-quadrature integrates each point on it, and the resolvent (``conesolve``)
-carries its fits by running sums.  Its Chebyshev-Lobatto points include
+cells that halve until they chop, for many tasks at once, each task of
+one or more components fitted on the same cells.  The heat quadrature
+integrates each point on it as a task of one component, and the resolvent
+(``conesolve``) fits phi f and psi f as one task of two and carries the
+fits by running sums.  Its Chebyshev-Lobatto points include
 the cell ends, the support's edges among them, so the integrands read the
 source by ``RadialProfile.interior``, which holds there.  ``heat_moments``
 keeps a 16-point Gauss-Legendre rule on fixed panels instead, so each
@@ -84,38 +86,47 @@ def _levels():
 
 
 def _per_task(rows, v, m):
-    """v @ m, one product per task's rows: BLAS rounds a row by its place in a product."""
+    """v @ m, one product per task's rows (axis 1 of v): BLAS rounds a row by its place in a product."""
     if rows[0] == rows[-1]:
         return v @ m
     first = np.flatnonzero(np.diff(rows, prepend=-1))
-    return np.concatenate([v[p:q] @ m for p, q in zip(first, np.append(first[1:], rows.size))])
+    return np.concatenate([v[:, p:q] @ m for p, q in zip(first, np.append(first[1:], rows.size))], axis=1)
 
 
-def cell_fits(fn, rows, a, b, decay=0.0):
-    """Chebyshev fits of g = e^(decay (xi - b)) fn(rows, xi) on the cells
-    [a[k], b[k]] of the tasks rows[k], for many tasks at once (rows sorted).
+def cell_fits(fn, rows, a, b, decay=(0.0,)):
+    """Chebyshev fits of the components g_c = e^(decay[c] (xi - end)) fn(rows, xi)[c]
+    of one integrand on the cells [a[k], b[k]] of the tasks rows[k], for
+    many tasks at once (rows sorted); end is b for a decay with its sign bit
+    clear and a for one with it set, so each weight is at most 1.
 
     fn gets the task of each cell and its points (one row per cell) and
-    returns real or complex samples of that shape.  Each cell is sampled at
-    degree 32, 64, then 128 (Trefethen, "Approximation Theory and
-    Approximation Practice", SIAM 2013, ch. 19) and chops at the first
-    degree whose last quarter of coefficients is within _CHOP_TOL of its
-    scale (its largest sample, or its parent cell's) plus g's rounding
-    floor 4 eps (scale + reach max |g'|), nodes xi being rounded by
-    eps |xi| for reach the task's largest |xi|, and _NORMAL.  A cell that
-    does not chop is halved.  A task gives up when a cell is open after
-    _MAX_SPLITS halvings or more than _MAX_OPEN of its cells are open, and
-    at once when a sample is not finite.  Whole tasks go through in groups
-    of about _BLOCK start cells, and fn gets at most _BLOCK cells a call.
+    returns real or complex samples of shape (components, cells, points)
+    (or (cells, points) for one component).  Each cell is sampled at degree
+    32, 64, then 128 (Trefethen, "Approximation Theory and Approximation
+    Practice", SIAM 2013, ch. 19); a component chops at the first degree
+    whose last quarter of coefficients is within _CHOP_TOL of its own scale
+    (its largest sample, or its parent cell's) plus its own rounding floor
+    4 eps (scale + reach max |g'|), nodes xi being rounded by eps |xi| for
+    reach the task's largest |xi|, and _NORMAL.  A cell closes when every
+    component chops, and is halved otherwise.  A task gives up when a cell
+    is open after _MAX_SPLITS halvings or more than _MAX_OPEN of its cells
+    are open, and at once when a sample is not finite.  Whole tasks go
+    through in groups of about _BLOCK start cells, and fn gets at most
+    _BLOCK cells a call.
 
     Yields (rows, a, half, d, err, chopped) for the cells that close at each
-    degree: d holds the 130 Chebyshev coefficients of the fit's integral
-    from u = -1, err = half sum |c_k| |int T_k| over the last quarter, and
-    chopped is False where the task gave up (with its degree-128 fit, or
-    the nan of a non-finite sample).  A task's cells meet the products and
-    the output in an order of their own, so its results depend neither on
-    the other tasks nor on their order.
+    degree: d[k, c] holds the 130 Chebyshev coefficients of component c's
+    integral over cell k, from u = -1, or for a decay with its sign bit set
+    (-0.0 too) from u = 1 in the variable -u, so that each integral runs the
+    way its weight grows; err[k, c] = half sum |c_k| |int T_k| over the last
+    quarter; chopped is False where the task gave up (with its degree-128
+    fits, or the nan of a non-finite sample).  A task's cells meet the
+    products and the output in an order of their own, so its results depend
+    neither on the other tasks nor on their order.
     """
+    decay = np.asarray(decay, dtype=float)[:, None, None]
+    back = np.signbit(decay)
+    steps = [(new, u, decay * u - np.abs(decay), *rest) for new, u, *rest in _levels()]
     reach = np.zeros(rows[-1] + 1)
     np.maximum.at(reach, rows, np.maximum(np.abs(a), np.abs(b)))
     groups = [0]
@@ -123,36 +134,40 @@ def cell_fits(fn, rows, a, b, decay=0.0):
         first = np.flatnonzero(np.diff(rows, prepend=-1))
         groups = first[np.diff(first // _BLOCK, prepend=-1) > 0]
     for s, e in zip(groups, [*groups[1:], rows.size]):
-        r, lo, hi, sc = rows[s:e], a[s:e], b[s:e], np.zeros(e - s)
+        r, lo, hi, sc = rows[s:e], a[s:e], b[s:e], np.zeros((decay.size, e - s))
         for depth in range(_MAX_SPLITS + 1):
-            vals, mid, half = np.zeros((r.size, 129), complex), 0.5 * (lo + hi), 0.5 * (hi - lo)
-            for last, (new, u, cols, inv_du, tail, integ, weight) in zip((False, False, True), _levels()):
+            vals, mid, half = np.zeros((decay.size, r.size, 129), complex), 0.5 * (lo + hi), 0.5 * (hi - lo)
+            for last, (new, u, rate, cols, inv_du, tail, integ, weight) in zip((False, False, True), steps):
                 for k in range(0, r.size, _BLOCK):
                     c, h = slice(k, k + _BLOCK), half[k:k + _BLOCK, None]
-                    vals[c, new] = fn(r[c], mid[c, None] + h * u) * np.exp(decay * h * (u - 1.0))
-                v = vals[:, cols]
-                sc = np.maximum(sc, np.abs(v).max(axis=1))
-                slope = (np.abs(np.diff(v, axis=1)) * inv_du).max(axis=1)
+                    vals[:, c, new] = fn(r[c], mid[c, None] + h * u) * np.exp(h * rate)
+                v = vals[:, :, cols]
+                sc = np.maximum(sc, np.abs(v).max(axis=2))
+                slope = (np.abs(np.diff(v, axis=2)) * inv_du).max(axis=2)
                 floor = 4.0 * _EPS * (sc + reach[r] / half * slope) + _NORMAL
                 coef = np.abs(_per_task(r, v, tail))
-                chop = coef.max(axis=1) <= _CHOP_TOL * sc + floor
-                bad = ~np.isfinite(sc)
+                chop = (coef.max(axis=2) <= _CHOP_TOL * sc + floor).all(axis=0)
+                bad = ~np.isfinite(sc).all(axis=0)
                 dead = np.isin(r, r[bad]) if bad.any() else bad  # a non-finite sample closes its task
                 close = chop | bad
                 if last and (depth == _MAX_SPLITS or r.size > _MAX_OPEN):
                     count = np.bincount(r[~close & ~dead], minlength=r[-1] + 1)
                     close |= ~dead & ((depth == _MAX_SPLITS) | (count[r] > _MAX_OPEN))
                 if close.any():
-                    yield (r[close], lo[close], half[close], _per_task(r[close], v[close], integ),
-                           half[close] * (coef[close] * weight).sum(axis=1), chop[close])
+                    vc = v[:, close]
+                    d = _per_task(r[close], np.where(back, vc[:, :, ::-1], vc), integ)
+                    yield (r[close], lo[close], half[close], d.transpose(1, 0, 2),
+                           half[close, None] * (coef[:, close] * weight).sum(axis=2).T, chop[close])
                 keep = ~(close | dead)
-                r, lo, hi, mid, half, sc, vals = (arr[keep] for arr in (r, lo, hi, mid, half, sc, vals))
+                r, lo, hi, mid, half = (arr[keep] for arr in (r, lo, hi, mid, half))
+                sc, vals = sc[:, keep], vals[:, keep]
                 if not r.size:
                     break
             if not r.size:
                 break
             order = np.argsort(np.concatenate([r, r]), kind="stable") if r[0] != r[-1] else slice(None)
-            r, lo, hi, sc = (np.concatenate(pair)[order] for pair in ((r, r), (lo, mid), (mid, hi), (sc, sc)))
+            r, lo, hi = (np.concatenate(pair)[order] for pair in ((r, r), (lo, mid), (mid, hi)))
+            sc = np.concatenate((sc, sc), axis=1)[:, order]
 
 
 def heat_moments(nu, n, t, profile, count):
@@ -285,9 +300,12 @@ def heat_quadrature(nu, n, t, xs, profile, rel_tol):
     28 widths either side, so no sample set misses the kernel's peak or the
     source's.  Its value sums its cells' integrals and its error estimate
     their err (see ``cell_fits``); it has converged when no fit gave up and
-    that estimate is within rel_tol of the value.  A point whose value is
-    subnormal (its samples are too) reads 0, converged, and one with a
-    non-finite sample reads nan.
+    that estimate is within rel_tol of the value.  The estimate counts the
+    fits' truncation, not the rounding of the samples (the exponent of the
+    kernel's Gaussian, a narrow gaussian's (xi - c)/w), so a rel_tol near
+    1e-14 can be flagged converged where the value is not that accurate.
+    A point whose value is subnormal (its samples are too) reads 0,
+    converged, and one with a non-finite sample reads nan.
 
     Returns (values, error_estimates, bessel_nodes, converged_flags).
     """
@@ -314,8 +332,8 @@ def heat_quadrature(nu, n, t, xs, profile, rel_tol):
     rows = np.broadcast_to(np.arange(xs.size)[:, None], wide.shape)[wide]
     value, err, ok = np.zeros(xs.size), np.zeros(xs.size), np.ones(xs.size, bool)
     for r, _, half, d, e, chopped in cell_fits(integrand, rows, cuts[:, :-1][wide], cuts[:, 1:][wide]):
-        np.add.at(value, r, half * d.sum(axis=1).real)
-        np.add.at(err, r, e)
+        np.add.at(value, r, half * d[:, 0].sum(axis=1).real)
+        np.add.at(err, r, e[:, 0])
         ok[r[~chopped]] = False
     value, err = (np.where(np.abs(value) < _NORMAL, 0.0, arr) for arr in (value, err))
     return value, err, nodes, ok & (err <= rel_tol * np.abs(value))

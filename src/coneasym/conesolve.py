@@ -15,8 +15,9 @@ with nu^2 = ((n-1)/2)^2 - lam.  This module evaluates
 * the resolvent (lam_res - L)^(-1) f off the spectral ray via the
   regular/decaying Bessel pair (besselkit's scaled form), normalized by
   the exact Wronskian phi psi' - phi' psi = -x^(-n): Chebyshev fits of
-  phi f and psi f on cells of the support (``_kernels.cell_fits``),
-  integrated in closed form and carried by running sums,
+  phi f and psi f on shared cells of the support (one
+  ``_kernels.cell_fits`` pass of two components), integrated in closed
+  form and carried by running sums, phi f's from lo and psi f's from hi,
 * the resolvent's finite-difference residual |(lam_res - L) u - f| on a
   uniform grid.
 """
@@ -212,36 +213,50 @@ def _d2(v, h):
 # resolvent_mode cuts the support into _CELLS equal cells, halved while the
 # Green's function decays by more than e^_DECAY across one.
 _CELLS, _DECAY = 5, 4.0
+# 1 and (-1)^k: the series signs of _prefix_integrals' two components
+_ALTERNATE = np.array([np.ones(130), (-1.0) ** np.arange(130)])
 
 
-def _prefix_integrals(h, decay, edges, x):
-    """e^(-decay x) int_lo^x e^(decay xi) h(xi) dxi at each x, lo = edges[0].
+def _prefix_integrals(fn, decay, edges, x):
+    """The running integrals of fn(xi) = (g, h), decay >= 0, at each x:
 
-    ``cell_fits`` fits g = e^(decay (xi - b)) h on the cells [a, b] of
-    edges, as one task; a fit that gives up is a QuadratureFailure.
-    Running sums carry the closed-form integrals from edge to edge, and a
-    point inside a cell adds its cell's integrated series,
-    sum_k d_k cos(k arccos u).  The fits do not read x."""
-    fits = cell_fits(lambda rows, xi: h(xi), np.zeros(edges.size - 1, np.int64), edges[:-1], edges[1:], decay)
+        e^(-decay x) int_lo^x e^(decay xi) g(xi) dxi,   e^(decay x) int_x^hi e^(-decay xi) h(xi) dxi,
+
+    lo, hi = edges[0], edges[-1].  ``cell_fits`` fits e^(decay (xi - b)) g
+    and e^(decay (a - xi)) h on the same cells [a, b] of edges, as one task
+    of two components; a fit that gives up is a QuadratureFailure.  Running
+    sums carry the closed-form cell integrals, g's from lo and h's from hi,
+    both folded by e^(decay (a - b)), and one lookup finds each point's cell
+    edges.  A point inside a cell adds its cell's integrated series, with
+    one cos matrix: g's sum_k d_k cos(k theta), integrated from the left
+    end, and h's sum_k (-1)^k d_k cos(k theta), integrated from the right
+    end in -u (u = cos theta).  The fits do not read x."""
+    fits = cell_fits(lambda rows, xi: fn(xi), np.zeros(edges.size - 1, np.int64), edges[:-1], edges[1:],
+                     (decay, -decay))
     _, starts, _, d, _, chopped = (np.concatenate(part) for part in zip(*fits))
     if not chopped.all():
-        raise QuadratureFailure(f"resolvent cell at {abs(starts[~chopped][0])} does not chop")
+        raise QuadratureFailure(f"resolvent cell at {starts[~chopped][0]} does not chop")
     order = np.argsort(starts)
     edges, d = np.append(starts[order], edges[-1]), d[order]
     half = 0.5 * np.diff(edges)
-    total, fold, run = (half * d.sum(axis=1)).tolist(), np.exp(-2.0 * decay * half).tolist(), [0j]
-    for j in range(len(total)):
-        run.append(run[-1] * fold[j] + total[j])
+    (up, down), fold = (half * d.sum(axis=2).T).tolist(), np.exp(-2.0 * decay * half).tolist()
+    run_up, run_down = [0j], [0j]
+    for j in range(len(fold)):
+        run_up.append(run_up[-1] * fold[j] + up[j])
+        run_down.append(run_down[-1] * fold[-1 - j] + down[-1 - j])
     # the cell edges g_l <= x <= g_r next to each point: l = r on an edge or past the support
     clipped = np.clip(x, edges[0], edges[-1])
     left = np.searchsorted(edges, clipped, side="right") - 1
-    inner = np.flatnonzero(np.searchsorted(edges, clipped, side="left") > left)
-    out = np.array(run)[left] * np.exp(decay * (edges[left] - np.maximum(x, edges[0])))  # 0 below lo
+    right = np.searchsorted(edges, clipped, side="left")
+    upto = np.array(run_up)[left] * np.exp(decay * (edges[left] - np.maximum(x, edges[0])))  # 0 below lo
+    past = np.array(run_down[::-1])[right] * np.exp(decay * (np.minimum(x, edges[-1]) - edges[right]))  # 0 above hi
+    inner = np.flatnonzero(right > left)
     j, x = left[inner], x[inner]
     theta = np.arccos((x - edges[j] - half[j]) / half[j])  # x - g_l rounds into [0, 2 half]
-    series = (d[j] * np.cos(np.arange(130) * theta[:, None])).sum(axis=1)
-    out[inner] += half[j] * series * np.exp(decay * (edges[j + 1] - x))
-    return out
+    series = half[j, None] * (d[j] * _ALTERNATE * np.cos(np.arange(130) * theta[:, None])[:, None]).sum(axis=2)
+    upto[inner] += series[:, 0] * np.exp(decay * (edges[j + 1] - x))
+    past[inner] += series[:, 1] * np.exp(decay * (x - edges[j]))
+    return upto, past
 
 
 ResolventModeSolution = namedtuple("ResolventModeSolution", "lam x values")
@@ -257,23 +272,25 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     Wronskian phi psi' - phi' psi = -x^(-n) makes the normalization
     constant 1.
 
-    nu must lie in besselkit's order range and |s| hi in its argument box
-    (DomainError, before any cell is made).  [lo, hi] is cut into _CELLS
-    equal cells, and 28 widths either side of a gaussian's centre, so the
-    fits' samples cannot miss a narrow peak; a cell [a, b] is halved while
-    Re sqrt(lam + nu^2 / a^2) (b - a), the Green's function's decay across
-    it (Re s (b - a) far from the tip; nu / a capped at 1e100, whose square
-    would overflow), exceeds _DECAY.  ``_prefix_integrals`` integrates phi f and psi f on
-    these cells, which depend only on the support and lam, so each point's
-    value does not depend on the other points: the prefix/suffix form of
-    Greengard & Rokhlin, CPAM 44, 1991.  With besselkit's scaled pair
-    e^(-Re z) I and e^z K, phi f on [a, b] carries e^(Re s (xi - b)) and
-    psi f, the same prefix in eta = -xi, e^(Re s (eta + a)) and the phase
-    e^(i Im s eta); the sums fold by e^(Re s (a - b)) and each point takes
-    its factor back, so nothing overflows early.  Each degree of a branch's
-    fits is one bessel_i (phi) or bessel_k (psi) call, at s hi where the
-    source is exactly 0 (near the tip kve overflows, and inf 0 is nan, or
-    a node rounds to 0).  Far from a narrow gaussian, on rays near the
+    nu must lie in besselkit's order range and |s| max(hi, max x) in its
+    argument box (DomainError, before any cell is made).  [lo, hi] is cut
+    into _CELLS equal cells, and 28 widths either side of a gaussian's
+    centre, so the fits' samples cannot miss a narrow peak; a cell [a, b]
+    is halved while Re sqrt(lam + nu^2 / a^2) (b - a), the Green's
+    function's decay across it (Re s (b - a) far from the tip; nu / a capped
+    at 1e100, whose square would overflow), exceeds _DECAY.
+    ``_prefix_integrals`` integrates phi f and psi f on these cells in one
+    engine pass; the cells depend only on the support and lam, so each
+    point's value does not depend on the other points: the prefix/suffix
+    form of Greengard & Rokhlin, CPAM 44, 1991.  With besselkit's scaled
+    pair e^(-Re z) I and e^z K, the fits sample phi f e^(Re s (xi - b)) and
+    psi f e^(Re s (a - xi)) at the same nodes, psi with the phase
+    e^(-i Im s xi); the sums fold by e^(Re s (a - b)) and each point takes
+    its factor back, so nothing overflows early.  Each degree of the fits
+    evaluates the source once and makes one bessel_i and one bessel_k call,
+    at s hi where the source is exactly 0 (near the tip kve overflows, and
+    inf 0 is nan, or a node rounds to 0).  A cell closes when both
+    products chop.  Far from a narrow gaussian, on rays near the
     negative axis, values are unflagged rounding noise: its Fourier factor
     exp(-(Im s width)^2 / 4) is e^-210 at width 0.3, |lam| 1e4, arg 0.9 pi.
     """
@@ -285,7 +302,7 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
         raise SpectrumRay(f"resolvent parameter {lam} lies on the spectral ray")
     x_eval = _eval_points(x_eval)
     nu, sq, lo, hi = check_order(indicial_roots(n, lam_mode).nu), cmath.sqrt(lam), profile.lo, profile.hi
-    _check_complex_arg(sq * hi)  # the fits' largest Bessel argument, checked before any cell is made
+    _check_complex_arg(sq * max(hi, x_eval.max()))  # the largest Bessel argument, checked before any cell
     edges = np.linspace(lo, hi, _CELLS + 1)
     if profile.shape == "gaussian":  # exp(-28^2) is 0, and the cell with the peak at most 56 widths wide
         cuts = profile.center + 28.0 * profile.width * np.array([-1.0, 1.0])
@@ -293,12 +310,14 @@ def resolvent_mode(n: int, lam_mode: float, lam, profile: RadialProfile,
     while (wide := np.diff(edges) * np.sqrt(lam + np.minimum(nu / edges[:-1], 1e100) ** 2).real > _DECAY).any():
         edges = np.sort(np.append(edges, 0.5 * (edges[:-1] + edges[1:])[wide]))
 
-    source = lambda xi: profile.interior(xi) * xi ** (0.5 * (1 + n))  # x^((1-n)/2) of phi, psi times xi^n
-    boxed = lambda f, z: np.where(f == 0.0, sq * hi, z)  # the Bessel argument of a sample, s hi where f is 0
+    def samples(xi):
+        """phi f and psi f at xi with besselkit's scaled pair: psi takes its phase e^(-i Im s xi) here."""
+        f = profile.interior(xi) * xi ** (0.5 * (1 + n))  # x^((1-n)/2) of phi, psi times xi^n
+        z = np.where(f == 0.0, sq * hi, sq * xi)  # s hi where the source is 0
+        return np.stack((bessel_i(nu, z), bessel_k(nu, z) * np.exp(-1j * sq.imag * xi))) * f
+
     # e^(-Re s x) int_0^x phi f and e^(Re s x) int_x^inf psi f
-    upto = _prefix_integrals(lambda xi: bessel_i(nu, boxed(f := source(xi), sq * xi)) * f, sq.real, edges, x_eval)
-    past = _prefix_integrals(lambda eta: bessel_k(nu, boxed(f := source(-eta), -sq * eta))
-                             * np.exp(1j * sq.imag * eta) * f, sq.real, -edges[::-1], -x_eval)
+    upto, past = _prefix_integrals(samples, sq.real, edges, x_eval)
     # e^(s x) psi(x) where upto can be nonzero, e^(-Re s x) phi(x) where past can
     psi_x, phi_x = np.zeros(x_eval.size, complex), np.zeros(x_eval.size, complex)
     for out, bessel, used in ((psi_x, bessel_k, x_eval > lo), (phi_x, bessel_i, x_eval < hi)):

@@ -67,7 +67,8 @@ def test_cell_engine_has_one_home(monkeypatch):
     assigns its limits (_CHOP_TOL, _MAX_OPEN, _MAX_SPLITS) or forms the
     Chebyshev-Lobatto points, the bisection engine's names (adaptive,
     gl_panels, _MAX_DEPTH) no longer resolve, and a heat_mode point that
-    takes the quadrature and a resolvent_mode call both run on it."""
+    takes the quadrature and a resolvent_mode call both run on it, the
+    resolvent in one call for both of its branches."""
     from coneasym import _kernels, conesolve
     from coneasym.conesolve import ModeProblem, RadialProfile, heat_mode, resolvent_mode
 
@@ -92,8 +93,8 @@ def test_cell_engine_has_one_home(monkeypatch):
     bump = RadialProfile("bump", 1.0, 2.0)
     heat_mode(ModeProblem(n=1, lam=0.0, t=1e-3, profile=bump), [1.5])  # z = x hi / (4t) = 750: the quadrature
     assert len(calls) == 1
-    resolvent_mode(1, -4.0, 1.0 + 1.0j, bump, [1.5])  # one call per branch
-    assert len(calls) == 3
+    resolvent_mode(1, -4.0, 1.0 + 1.0j, bump, [1.5])  # phi f and psi f on the same cells
+    assert len(calls) == 2
 
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

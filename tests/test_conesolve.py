@@ -542,6 +542,35 @@ def test_cell_fits_bound_the_block_size():
         assert all(np.array_equal(part[mine], one) for part, one in zip(together[1:], alone[1:])), i
 
 
+def test_cell_fits_share_cells_between_components():
+    """Two components of one integrand on the same cells of [1, 2]: cos xi,
+    which chops on the 5 start cells, and a gaussian 0.01 wide, which
+    halves near its centre.  Every cell closes chopped for both, with both
+    error estimates within 1e-15 of their scales; the cells are those of
+    the gaussian fitted alone; and each integral is its closed form within
+    1e-13 of its scale.  The gaussian's decay -0.0 integrates each of its
+    cells from the right end, to the same totals."""
+    c, w = 1.37, 0.01
+    both = lambda rows, xi: np.stack((np.cos(xi), np.exp(-(((xi - c) / w) ** 2))))
+    edges = np.linspace(1.0, 2.0, 6)
+
+    def fits(fn, decay):
+        found = zip(*cell_fits(fn, np.zeros(5, np.int64), edges[:-1], edges[1:], decay))
+        rows, a, half, d, err, chopped = (np.concatenate(part) for part in found)
+        order = np.argsort(a)
+        return a[order], half[order], d[order], err[order], chopped[order]
+
+    a, half, d, err, chopped = fits(both, (0.0, -0.0))
+    gaussian, cos = (fits(lambda rows, xi, k=k: both(rows, xi)[k], (0.0,)) for k in (1, 0))
+    scale = np.array([(1.0 - math.sin(1.0)) + (1.0 - math.sin(2.0)), math.sqrt(math.pi) * w])  # int |g|
+    assert chopped.all() and np.all(err <= 1e-15 * scale), err.max(axis=0)
+    assert cos[0].size == 5 < a.size
+    assert np.array_equal(a, gaussian[0]) and np.array_equal(half, gaussian[1])
+    exact = [math.sin(2.0) - math.sin(1.0),
+             0.5 * math.sqrt(math.pi) * w * (math.erf((2.0 - c) / w) - math.erf((1.0 - c) / w))]
+    assert np.all(np.abs((half[:, None] * d.sum(axis=2)).sum(axis=0) - exact) <= 1e-13 * scale)
+
+
 def test_default_grid():
     grid = default_grid()
     assert grid.size == 49
@@ -765,16 +794,21 @@ def test_resolvent_bessel_work_is_bounded(monkeypatch):
     assert sum(nodes) <= 1000, sum(nodes)
 
 
-@pytest.mark.parametrize("lam_mode, lam", [(-1e14, 1j), (-3.0, 1e300 * cmath.exp(0.75j * math.pi))],
-                         ids=["order-1e7", "argument-1e150"])
-def test_resolvent_refuses_order_and_argument_before_any_cell(monkeypatch, bump12, lam_mode, lam):
-    """nu = 1e7 and |sqrt(lam)| hi = 2e150 lie outside besselkit's box:
-    DomainError before any cell is made or any Bessel node evaluated,
-    where about 0.27 nu ln(hi/lo) and Re sqrt(lam) W / 4 cells would
-    otherwise be built first."""
+@pytest.mark.parametrize("lam_mode, lam, xs", [
+    (-1e14, 1j, [5.0]),
+    (-3.0, 1e300 * cmath.exp(0.75j * math.pi), [5.0]),
+    (-3.0, 1e6, [1.5, 50.0]),
+], ids=["order-1e7", "argument-1e150", "eval-point-argument-5e4"])
+def test_resolvent_refuses_order_and_argument_before_any_cell(monkeypatch, bump12, lam_mode, lam, xs):
+    """nu = 1e7, |sqrt(lam)| hi = 2e150 and |sqrt(lam)| x = 5e4 at an eval
+    point past the support lie outside besselkit's box: DomainError before
+    any cell is made or any Bessel node evaluated, where about
+    0.27 nu ln(hi/lo) and Re sqrt(lam) W / 4 cells would otherwise be built
+    first (a check of |sqrt(lam)| hi = 2e3 alone let the third case
+    through to 21,250 Bessel nodes)."""
     nodes = _count_bessel_nodes(monkeypatch)
     with pytest.raises(DomainError):
-        resolvent_mode(2, lam_mode, lam, bump12, np.array([5.0]))
+        resolvent_mode(2, lam_mode, lam, bump12, np.array(xs))
     assert nodes == []
 
 
@@ -840,9 +874,10 @@ _EDGE_LO, _EDGE_HI = 4.636363636363637, 10.903846153846153
 ], ids=["near-edge-sweep", "below-support", "above-support"])
 def test_resolvent_makes_no_empty_bessel_call(monkeypatch, n, lam_mode, lam, lo, hi, xs):
     """No bessel_i or bessel_k call of a resolvent solve gets an empty
-    array: a branch's fits stop sampling once every cell has chopped, and
-    points that all lie past (or before) the support skip phi (or psi) at
-    the points.  The values are those of the unwrapped calls."""
+    array: the fits stop sampling once every cell has chopped for both
+    branches, and points that all lie past (or before) the support skip
+    phi (or psi) at the points.  The values are those of the unwrapped
+    calls."""
     profile = RadialProfile("bump", lo, hi)
     expected = resolvent_mode(n, lam_mode, lam, profile, xs).values
     sizes = _count_bessel_nodes(monkeypatch)
